@@ -15,12 +15,9 @@ from .series import (  # noqa: F401
     compositions,
     conv_offset0,
     conv_offset1,
-    evaluate,
     lemma_conv_bound,
     mat_series_inverse,
     multilinear_apply,
-    series_derivative,
-    series_mul,
 )
 from .problem import (  # noqa: F401
     BTensor,

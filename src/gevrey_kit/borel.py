@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationFailedError, PoleObstructionError
+from .errors import ContinuationFailedError, GevreyKitError, PoleObstructionError
 
 #: kernel decay target at the integration cutoff
 _ETA = 1e-16
@@ -107,16 +107,21 @@ def borel_transform(a_values: np.ndarray, z: complex | None = None) -> BorelData
 
     `a_values` stacks the expansion coefficients a_0..a_I at the evaluation
     point, shape (I+1, nu) (a 1-d input is treated as scalar components).
-    Requires I >= 4.
+    Requires I >= 4.  1/i! is formed as exp(-lgamma(i + 1)), which cannot
+    overflow; non-finite input coefficients raise `GevreyKitError`.
     """
     arr = np.asarray(a_values, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] < 5:
         raise ValueError("need coefficients a_0..a_I with I >= 4")
+    if not np.all(np.isfinite(arr)):
+        raise GevreyKitError("expansion coefficients are not finite: "
+                             "they overflow double precision")
     I = arr.shape[0] - 1
-    fact = np.array([math.gamma(i + 1.0) for i in range(I)])
-    return BorelData(a0_value=arr[0].copy(), b_coeffs=arr[1:] / fact[:, None], z=z)
+    # 1/i! lies in (0, 1], so every b_i is finite
+    inv_fact = np.exp([-math.lgamma(i + 1.0) for i in range(I)])
+    return BorelData(a0_value=arr[0].copy(), b_coeffs=arr[1:] * inv_fact[:, None], z=z)
 
 
 def _pade_component(c: np.ndarray, L: int, M: int,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .borel import borel_transform, laplace_sum, optimal_truncation_sum, pade_continue
-from .epssolver import solve_a0, solve_eps_expansion
+from .epssolver import eps_values_at, solve_a0, solve_eps_expansion
 from .errors import (GevreyKitError, PoleObstructionError, ResonanceError,
                      SectorTooWideError)
 from .gevrey import gevrey_fit, remainder_profile, sup_norm_disc
@@ -235,11 +235,9 @@ def _cmd_resum(args) -> int:
     p = _load_problem(args)
     L = args.L if args.L is not None else (args.I - 1) // 2
     M = args.M if args.M is not None else args.I - 1 - L
-    K_z = 2 * args.I + 30
-    sol = solve_eps_expansion(p, args.I, K_z)
     rows, points = [], []
     for z in args.z:
-        a_vals = sol.values_at(z)
+        a_vals = eps_values_at(p, z, args.I)
         b = borel_transform(a_vals, z=z)
         pade = pade_continue(b, L, M)
         for eps in args.eps:

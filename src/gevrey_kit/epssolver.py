@@ -7,12 +7,18 @@ recursion.  For i >= 1 the coefficient of eps^i in the equation isolates
     T_0(z) a_i = z a'_{i-1}(z) - R_i(z),
 
 where T_0 collects the f-derivative of the eps-constant part of F along
-a_0, and R_i gathers every remaining contribution of the blocks graded by
-eps-power: blocks with eps-power n >= 1 convolved (offset 0) over
-(a_0, ..., a_{i-n}), plus the eps-constant nonlinear blocks applied to
-compositions of i that involve at least two indices below i.  Dropping the
-latter cross terms is the classic mistake; the double-series consistency
-test against the fixed-eps solver pins them down.
+a_0, and R_i is the coefficient of eps^i of F with a_i set to zero: blocks
+with eps-power n >= 1 convolved (offset 0) over (a_0, ..., a_{i-n}), plus
+the eps-constant nonlinear blocks applied to compositions of i that involve
+at least two indices below i.  Dropping the latter cross terms is the
+classic mistake; the double-series consistency test against the fixed-eps
+solver pins them down.
+
+One order-i step (`_order_step`) builds R_i once with the Taylor-jet kernel
+of `series` and solves for a_i by forward substitution against the
+coefficients of T_0.  It serves both the z-series at 0 (`solve_ai`) and the
+jets at a point z (`eps_values_at`).  `solve_eps_expansion` checks every
+order against the whole coefficient-eps^i equation, a_i included.
 
 Each a_i is delivered to z-order K_z - i: one order is reserved per
 eps-step, and the honest order is recorded on the returned series.
@@ -25,56 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GevreyKitError, InsufficientOrderError, SingularMatrixError
-from .problem import BTensor, ProblemSpec, assemble_B
-from .series import (MatSeries, VecSeries, compositions, mat_series_inverse,
-                     multilinear_apply)
+from .problem import ProblemSpec, assemble_B
+from .series import MatSeries, VecSeries, _jet_apply, compositions, solve_triangular
 
 _RESIDUAL_RTOL = 1e-10
-
-
-def _pmul_trunc(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
-    out = np.convolve(a[: K + 1], b[: K + 1])[: K + 1]
-    if out.size < K + 1:
-        out = np.concatenate([out, np.zeros(K + 1 - out.size, dtype=np.complex128)])
-    return out
-
-
-def _apply_tensor_series(entries: np.ndarray, factors: list[np.ndarray],
-                         K: int) -> np.ndarray:
-    """Contract a dense tensor with z-polynomial entries against m vector
-    series, truncating every product at order K.
-
-    `entries` has shape (nu,)*(m+1) + (Dz+1,); each factor has shape
-    (nu, L_j+1).  Returns (nu, K+1).
-    """
-    m = entries.ndim - 2
-    nu = entries.shape[0]
-    out = np.zeros((nu, K + 1), dtype=np.complex128)
-    for idx in np.ndindex(*(nu,) * (m + 1)):
-        i, rest = idx[0], idx[1:]
-        poly = entries[idx]
-        if not np.any(poly):
-            continue
-        term = poly[: K + 1]
-        if term.size < K + 1:
-            term = np.concatenate([term, np.zeros(K + 1 - term.size, dtype=np.complex128)])
-        for slot, comp in enumerate(rest):
-            term = _pmul_trunc(term, factors[slot][comp], K)
-        out[i] += term
-    return out
 
 
 @dataclass(frozen=True, eq=False)
 class EpsFormalSolution:
     """Coefficients a_0..a_I of the formal eps-expansion at truncation K_z.
 
-    ``a[i]`` is a z-VecSeries delivered to order K_z - i.  T0_inv is cached
-    since every step reuses it.
+    ``a[i]`` is a z-VecSeries delivered to order K_z - i; T0 is the
+    linearized operator along a_0 that every order is solved against.
     """
 
     a: tuple[VecSeries, ...]
     T0: MatSeries
-    T0_inv: MatSeries
     K_z: int
     residuals: tuple[float, ...]
 
@@ -83,75 +55,48 @@ class EpsFormalSolution:
         return len(self.a) - 1
 
     def values_at(self, z: complex) -> np.ndarray:
-        """Stack of a_i(z) values, shape (I+1, nu)."""
+        """Stack of a_i(z) values, shape (I+1, nu), summed from the z-series
+        at 0; `eps_values_at` keeps its digits away from z = 0."""
         return np.stack([ai.evaluate(z) for ai in self.a])
+
+
+def _blocks0(p: ProblemSpec) -> list[tuple[int, np.ndarray]]:
+    """The eps-constant blocks as (arity, z-polynomial entries)."""
+    return [(m, b.entries) for (j, m), b in assemble_B(p).items() if j == 0]
 
 
 def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
     """Power-series solution of F(0, z, a_0(z)) = 0 with a_0(0) = 0.
 
-    Triangular recursion on the coefficients: the linear block at eps = 0
-    is solved against the z-forcing plus all convolution contributions of
-    the earlier coefficients (offset-1, so everything is strictly earlier).
+    Triangular recursion on the coefficients: a_0[k] enters coefficient k
+    only through the linear block at z = eps = 0, which is solved against
+    everything else (earlier coefficients only, since a_0(0) = 0).
     """
     if K_z < 1:
         raise ValueError("K_z must be >= 1")
     p.require_normalized()
-    nu = p.nu
     a01 = p.a01(0.0)
-    tensors0 = [(t.n, t.m, t.at_eps(0.0)) for t in p.tensors]
-
-    a0 = np.zeros((nu, K_z + 1), dtype=np.complex128)
-    for k in range(1, K_z + 1):
-        rhs = np.zeros(nu, dtype=np.complex128)
-        for n, m, entries in tensors0:
-            if (n, m) == (0, 1):
-                continue
-            if m == 0:
-                if n == k:
-                    rhs += entries
-                continue
-            if k - n < m:
-                continue
-            for comp in compositions(k - n, m, 1):
-                rhs += multilinear_apply(entries, [a0[:, l] for l in comp])
-        a0[:, k] = -np.linalg.solve(a01, rhs)
+    a0 = np.zeros((p.nu, K_z + 1), dtype=np.complex128)
+    solve_triangular(_blocks0(p), a0, lambda k, c: -np.linalg.solve(a01, c))
     return VecSeries(a0, var="z")
 
 
-def build_T0(p: ProblemSpec, a0: VecSeries, K_z: int) -> tuple[MatSeries, MatSeries]:
-    """Assemble T_0(z) = B_{0,1}(z) + sum_{m>=2} m B_{0,m}(z) a_0^{m-1} and
-    its series inverse.
+def _T0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
+    """Jet of T_0 = d_f F(0, z, a_0) through length L, shape (nu, nu, L):
+    for each free slot, every other slot takes a_0."""
+    return sum(_jet_apply(np.moveaxis(e, 1 + free, 1), [a0] * (m - 1), L)
+               for m, e in blocks0 for free in range(m))
+
+
+def build_T0(p: ProblemSpec, a0: VecSeries, K_z: int) -> MatSeries:
+    """T_0(z) = B_{0,1}(z) + sum_{m>=2} m B_{0,m}(z) a_0^{m-1} through z-order K_z.
 
     For non-symmetric blocks the derivative sum runs over the free slot, so
     entry (i, i') collects each block with one slot left open and the others
     contracted with a_0.
     """
     p.require_normalized()
-    nu = p.nu
-    b_map = assemble_B(p)
-    t = np.zeros((nu, nu, K_z + 1), dtype=np.complex128)
-    for (j, m), block in b_map.items():
-        if j != 0 or m < 1:
-            continue
-        for free in range(m):
-            # contract every slot except `free` with a_0
-            for idx in np.ndindex(*(nu,) * (m + 1)):
-                i, rest = idx[0], idx[1:]
-                poly = block.entries[idx]
-                if not np.any(poly):
-                    continue
-                term = poly[: K_z + 1]
-                if term.size < K_z + 1:
-                    term = np.concatenate(
-                        [term, np.zeros(K_z + 1 - term.size, dtype=np.complex128)])
-                for slot, comp in enumerate(rest):
-                    if slot == free:
-                        continue
-                    term = _pmul_trunc(term, a0.coeffs[comp], K_z)
-                t[i, rest[free]] += term
-    t0 = MatSeries(t, var="z")
-    return t0, mat_series_inverse(t0)
+    return MatSeries(_T0_jet(_blocks0(p), a0.coeffs, K_z + 1), var="z")
 
 
 def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float,
@@ -180,36 +125,44 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float,
     return worst
 
 
-def _assemble_Ri(b_map: dict[tuple[int, int], BTensor], nu: int, i: int,
-                 a_coeffs: list[np.ndarray], K: int) -> np.ndarray:
-    """Everything on the right-hand side of the order-i equation except the
-    T_0 a_i term and z a'_{i-1}.
+def _eps_coeff(blocks, jets: list[np.ndarray], i: int, L: int) -> np.ndarray:
+    """Jet coefficients 0..L-1 of [eps^i] F(eps, z0 + h, sum_l a_l eps^l).
 
-    Blocks with eps-power j >= 1 contribute their full offset-0 convolution
-    at deficit i - j.  The eps-constant blocks (j = 0, arity >= 2)
-    contribute the compositions of i avoiding the index i itself; the
-    composition with a bare a_i in one slot is exactly the T_0 term.
+    `blocks` maps (eps-power j, arity m) to entries whose trailing axis holds
+    h-coefficients; the sum over l runs over the given jets.  With
+    a_0..a_{i-1} this is R_i; with a_0..a_i it is the whole coefficient.
     """
-    r = np.zeros((nu, K + 1), dtype=np.complex128)
-    for (j, m), block in b_map.items():
-        if j > i:
-            continue
-        deficit = i - j
-        if m == 0:
-            if deficit == 0:
-                poly = block.entries[..., : K + 1]
-                r[:, : poly.shape[-1]] += poly
-            continue
-        for comp in compositions(deficit, m, 0):
-            if j == 0 and max(comp) == i:
-                continue
-            r += _apply_tensor_series(block.entries, [a_coeffs[l] for l in comp], K)
-    return r
+    return sum(_jet_apply(e, [jets[l] for l in comp], L)
+               for (j, m), e in blocks.items() if j <= i
+               for comp in compositions(i - j, m, 0) if max(comp, default=0) < len(jets))
+
+
+def _order_step(blocks, jets: list[np.ndarray], z0, t0: np.ndarray,
+                t0_inv: np.ndarray, L: int) -> np.ndarray:
+    """a_i for i = len(jets), to length L in h = z - z0, from
+    T_0 a_i = (z0 + h) a'_{i-1} - R_i.
+
+    R_i is built once; a_i follows by forward substitution against the
+    h-coefficients of T_0 (`t0`, shape (nu, nu, >= L)), with `t0_inv` the
+    inverse of its constant term.  a_{i-1} must be known to length L + 1.
+    """
+    prev = jets[-1]
+    k = np.arange(L)
+    rhs = z0 * prev[:, 1: L + 1] * (k + 1) + prev[:, :L] * k
+    rhs = rhs - _eps_coeff(blocks, jets, len(jets), L)
+    nu = rhs.shape[0]
+    ai = np.zeros((nu, L), dtype=rhs.dtype)
+    for q in range(L):
+        acc = rhs[:, q]
+        if q:
+            acc = acc - (t0[:, :, 1: q + 1].reshape(nu, -1) @ ai[:, q - 1::-1].reshape(-1))
+        ai[:, q] = t0_inv @ acc
+    return ai
 
 
 def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int,
-             T0_inv: MatSeries | None = None) -> VecSeries:
-    """Next coefficient a_i = T0^{-1} (z a'_{i-1} - R_i), delivered to
+             T0: MatSeries | None = None) -> VecSeries:
+    """Next coefficient a_i from T_0 a_i = z a'_{i-1} - R_i, delivered to
     z-order K_z - i."""
     if i < 1 or len(a_so_far) != i:
         raise ValueError("need exactly the coefficients a_0..a_{i-1}")
@@ -217,19 +170,18 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int,
     if target < 1:
         raise InsufficientOrderError(
             f"truncation K_z = {K_z} cannot support order-{i} coefficients")
-    if T0_inv is None:
-        _, T0_inv = build_T0(p, a_so_far[0], K_z)
-    b_map = assemble_B(p)
-    a_coeffs = [ai.coeffs for ai in a_so_far]
-    za_prime = a_so_far[i - 1].derivative().shift_up()
-    rhs = za_prime.coeffs[:, : target + 1].copy()
-    rhs -= _assemble_Ri(b_map, p.nu, i, a_coeffs, target)
-    out = T0_inv.apply_vec(VecSeries(rhs, var="z"))
-    return out.truncate(target)
+    if T0 is None:
+        T0 = build_T0(p, a_so_far[0], K_z)
+    blocks = {key: b.entries for key, b in assemble_B(p).items()}
+    t0 = T0.coeffs
+    ai = _order_step(blocks, [a.coeffs for a in a_so_far], 0.0, t0,
+                     np.linalg.inv(t0[:, :, 0]), target + 1)
+    return VecSeries(ai, var="z")
 
 
 def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
-    """Compute a_0..a_I with residual verification of every defining relation."""
+    """Compute a_0..a_I and check each a_i against the whole coefficient of
+    eps^i in eps z f' = F(eps, z, f), a_i included."""
     if I < 0:
         raise ValueError("I must be >= 0")
     if K_z - I < 1 and I >= 1:
@@ -237,26 +189,21 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
             f"truncation K_z = {K_z} cannot deliver {I} eps-orders")
     p.require_normalized()
     a0 = solve_a0(p, K_z)
-    t0, t0_inv = build_T0(p, a0, K_z)
-    b_map = assemble_B(p)
+    t0 = build_T0(p, a0, K_z)
+    blocks = {key: b.entries for key, b in assemble_B(p).items()}
     a_list = [a0]
     residuals = [0.0]
     for i in range(1, I + 1):
-        ai = solve_ai(p, a_list, i, K_z, T0_inv=t0_inv)
-        target = K_z - i
-        # residual of: z a'_{i-1} - T0 a_i - R_i = 0 through the delivered order
-        za_prime = a_list[i - 1].derivative().shift_up().coeffs[:, : target + 1]
-        t0ai = t0.apply_vec(ai).coeffs[:, : target + 1]
-        ri = _assemble_Ri(b_map, p.nu, i, [x.coeffs for x in a_list], target)
-        resid = za_prime - t0ai - ri
-        scale = max(1.0, float(np.abs(za_prime).max()), float(np.abs(t0ai).max()))
-        rel = float(np.abs(resid).max()) / scale
+        ai = solve_ai(p, a_list, i, K_z, T0=t0)
+        L = K_z - i + 1
+        za_prime = a_list[i - 1].coeffs[:, :L] * np.arange(L)
+        resid = za_prime - _eps_coeff(blocks, [x.coeffs for x in a_list] + [ai.coeffs], i, L)
+        rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
         if rel > _RESIDUAL_RTOL:
             raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e}")
         residuals.append(rel)
         a_list.append(ai)
-    return EpsFormalSolution(a=tuple(a_list), T0=t0, T0_inv=t0_inv, K_z=K_z,
-                             residuals=tuple(residuals))
+    return EpsFormalSolution(a=tuple(a_list), T0=t0, K_z=K_z, residuals=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +213,6 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
 #: z-order of the a_0 series that starts the Newton iteration for a_0(z)
 _A0_START_ORDER = 40
 _NEWTON_MAX_ITER = 60
-
-
-def _fit(t: np.ndarray, L: int) -> np.ndarray:
-    """Truncate or zero-pad the trailing series axis to length L."""
-    out = np.zeros(t.shape[:-1] + (L,), dtype=t.dtype)
-    n = min(t.shape[-1], L)
-    out[..., :n] = t[..., :n]
-    return out
-
-
-def _series_dot(t: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
-    """Contract the last slot of `t` (shape (..., nu, A), trailing series
-    axis) with the vector series `x` (nu, B), truncated to length L."""
-    out = np.zeros(t.shape[:-2] + (L,), dtype=t.dtype)
-    for a in range(min(t.shape[-1], L)):
-        n = min(x.shape[1], L - a)
-        out[..., a:a + n] += t[..., a] @ x[:, :n]
-    return out
-
-
-def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.ndarray:
-    """Contract the trailing slots of a block with vector series, one slot
-    per factor (the last factor goes into the last slot); leading slots
-    that get no factor stay free."""
-    t = entries
-    for x in reversed(factors):
-        t = _series_dot(t, x, L)
-    return _fit(t, L) if not factors else t
 
 
 def _recentre(poly: np.ndarray, z0) -> np.ndarray:
@@ -308,13 +227,6 @@ def _recentre(poly: np.ndarray, z0) -> np.ndarray:
 def _F0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
     """h-jet of F(0, z0 + h, a_0) through length L, shape (nu, L)."""
     return sum(_jet_apply(e, [a0] * m, L) for m, e in blocks0)
-
-
-def _T0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
-    """h-jet of T_0 = d_f F(0, z0 + h, a_0) through length L, shape
-    (nu, nu, L): for each free slot, every other slot takes a_0."""
-    return sum(_jet_apply(np.moveaxis(e, 1 + free, 1), [a0] * (m - 1), L)
-               for m, e in blocks0 for free in range(m))
 
 
 def is_mpmath(x) -> bool:
@@ -332,8 +244,8 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     * Newton solves F(0, z, a_0) = 0, started from the a_0 series at 0.
     * The h-coefficients of a_0 and, for i >= 1, of T_0(z + h) a_i =
       (z + h) a'_{i-1} - R_i are found one at a time from triangular
-      systems with the constant matrix T_0(z).  R_i keeps every nonlinear
-      cross term, as in `solve_ai`.
+      systems with the constant matrix T_0(z), by the order-i step that
+      `solve_ai` runs at z = 0.
     * a_i is carried to h-order I - i, exactly what the next order needs.
 
     Arithmetic is complex128 for a Python or numpy `z`, and the current
@@ -393,33 +305,10 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     t0_inv = jacobian_inverse(c)
     a0 = np.zeros((nu, I + 1), dtype=c.dtype)
     a0[:, 0] = c
-    for k in range(1, I + 1):
-        a0[:, k] = -(t0_inv @ _F0_jet(blocks0, a0[:, : k + 1], k + 1)[:, k])
+    solve_triangular(blocks0, a0, lambda k, rhs: -(t0_inv @ rhs))
     t0 = _T0_jet(blocks0, a0, I + 1)
 
     jets = [a0]
     for i in range(1, I + 1):
-        L = I - i + 1
-        prev = jets[i - 1]
-        k = np.arange(L)
-        rhs = z0 * prev[:, 1: L + 1] * (k + 1) + prev[:, :L] * k
-        for (j, m), e in blocks.items():
-            if j > i:
-                continue
-            if m == 0:
-                if j == i:
-                    rhs = rhs - _fit(e, L)
-                continue
-            for comp in compositions(i - j, m, 0):
-                if j == 0 and max(comp) == i:
-                    continue
-                rhs = rhs - _jet_apply(e, [jets[l][:, :L] for l in comp], L)
-        ai = np.zeros((nu, L), dtype=rhs.dtype)
-        for q in range(L):
-            acc = rhs[:, q]
-            if q:
-                acc = acc - (t0[:, :, 1: q + 1].reshape(nu, -1)
-                             @ ai[:, q - 1::-1].reshape(-1))
-            ai[:, q] = t0_inv @ acc
-        jets.append(ai)
+        jets.append(_order_step(blocks, jets, z0, t0, t0_inv, I - i + 1))
     return np.stack([a[:, 0] for a in jets])

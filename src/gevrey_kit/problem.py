@@ -400,7 +400,7 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
     then re-expands every block around f = s + f_new.  Requires F(0,0,0) = 0;
     otherwise the caller must supply a root and shift explicitly.
     """
-    from .series import multilinear_apply
+    from .series import _jet_apply, solve_triangular
 
     if k_eps < 1:
         raise ValueError("k_eps must be >= 1")
@@ -410,27 +410,13 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
             "F(0,0,0) != 0: no shift with s(0) = 0 exists; supply a root")
 
     a01_0 = p.a01(0.0)
-    zero_blocks = [t for t in p.tensors if t.n == 0]
+    # the z-constant blocks, with their eps-polynomial entries as series in eps
+    zero_blocks = [(t.m, t.entries) for t in p.tensors if t.n == 0]
     s = np.zeros((p.nu, k_eps + 1), dtype=np.complex128)
+    solve_triangular(zero_blocks, s, lambda j, c: -np.linalg.solve(a01_0, c))
 
-    def phi_coeff(j: int) -> np.ndarray:
-        # eps-coefficient j of sum_m A_{0,m}(eps) s(eps)^m with the current s
-        acc = np.zeros(p.nu, dtype=np.complex128)
-        for t in zero_blocks:
-            if t.m == 0:
-                acc += t.eps_coeff(j)
-                continue
-            for d in range(min(j, t.degree) + 1):
-                coef = t.eps_coeff(d)
-                from .series import compositions
-                for comp in compositions(j - d, t.m, 0):
-                    acc += multilinear_apply(coef, [s[:, l] for l in comp])
-        return acc
-
-    for j in range(1, k_eps + 1):
-        s[:, j] = -np.linalg.solve(a01_0, phi_coeff(j))
-
-    residual = max(float(np.abs(phi_coeff(j)).max()) for j in range(k_eps + 1))
+    phi = sum(_jet_apply(e, [s] * m, k_eps + 1) for m, e in zero_blocks)
+    residual = float(np.abs(phi).max())
     if residual > 1e-10:
         raise NormalizationError(f"order-by-order root solve failed (residual {residual:.3e})")
 
@@ -463,25 +449,12 @@ def builtin_riccati(beta: Sequence[complex] = (1.0,), *, rho: float = 1.0,
     if abs(b[0]) <= COEFF_TOL:
         raise NormalizationError("beta(0) must be nonzero for the built-in shift")
 
-    raw = {
-        (0, 0): (-0.5 * b)[None, :],
-        (0, 1): np.array([[[-1.0 + 0.0j]]]),
-        (1, 2): np.array([[[[2.0 + 0.0j]]]]),
-    }
-    s = (-0.5 * b)[None, :]
-    shifted = _shift_blocks(raw, 1, s)
-
-    zz = shifted.pop((0, 0))
-    assert float(np.abs(zz).max()) <= 1e-14 * max(1.0, float(np.abs(b).max()) ** 2)
-
-    tensors = []
-    for (n, m), arr in sorted(shifted.items()):
-        if float(np.abs(arr).max()) <= 1e-15 and (n, m) != (0, 1):
-            continue
-        last = int(np.max(np.nonzero(np.abs(arr).reshape(-1, arr.shape[-1]).max(axis=0)
-                                     > 0.0)[0], initial=0))
-        tensors.append(CoeffTensor(n, m, arr[..., : last + 1]))
-    return ProblemSpec(nu=1, rho=rho, rho1=rho1, tensors=tuple(tensors))
+    raw = ProblemSpec(nu=1, rho=rho, rho1=rho1, tensors=(
+        CoeffTensor(0, 0, (-0.5 * b)[None, :]),
+        CoeffTensor(0, 1, np.array([[[-1.0 + 0.0j]]])),
+        CoeffTensor(1, 2, np.array([[[[2.0 + 0.0j]]]])),
+    ))
+    return shift_problem(raw, VecSeries((-0.5 * b)[None, :], var="eps"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,25 @@ known to be polynomial.
 The module also provides the two sequence-convolution conventions (offset 1
 and offset 0), dense multilinear tensor application, Neumann inversion of
 matrix series, and the convolution-taming inequality check on factorially
-weighted sequences.  Everything downstream is built from these kernels.
+weighted sequences.
+
+Every solver recursion runs on one Taylor-jet kernel (Taylor-mode
+arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13):
+`_jet_apply` contracts a dense block whose entries are truncated series
+with one vector series per slot, in any dtype numpy can multiply (complex128
+or object arrays of mpmath numbers), and `solve_triangular` solves for the
+coefficients of an unknown series one at a time on top of it.  The
+composition sums (`compositions`, `conv_offset0/1`) remain as the
+brute-force reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArityMismatchError, SingularMatrixError, VarMismatchError
 
@@ -558,22 +568,55 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases
+# Taylor-jet kernel
 # ---------------------------------------------------------------------------
 
-def series_mul(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the minimum operand order."""
-    return p * q
+def _fit(t: np.ndarray, L: int) -> np.ndarray:
+    """Truncate or zero-pad the trailing series axis to length L."""
+    out = np.zeros(t.shape[:-1] + (L,), dtype=t.dtype)
+    n = min(t.shape[-1], L)
+    out[..., :n] = t[..., :n]
+    return out
 
 
-def series_derivative(p: TruncatedSeries) -> TruncatedSeries:
-    """Formal derivative; see :meth:`TruncatedSeries.derivative`."""
-    return p.derivative()
+def _series_dot(t: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
+    """Contract the last slot of `t` (shape (..., nu, A), trailing series
+    axis) with the vector series `x` (nu, B), truncated to length L.
+
+    One tensordot against the Toeplitz array X[j, a, q] = x[j, q - a]."""
+    A = min(t.shape[-1], L)
+    n = min(x.shape[1], L)
+    padded = np.zeros((x.shape[0], A - 1 + L), dtype=np.result_type(t, x))
+    padded[:, A - 1:A - 1 + n] = x[:, :n]
+    toeplitz = sliding_window_view(padded, L, axis=1)[:, ::-1]
+    return np.tensordot(t[..., :A], toeplitz, axes=([-2, -1], [0, 1]))
 
 
-def evaluate(p: TruncatedSeries, x: complex) -> complex:
-    """Horner evaluation of the partial sum of degree ``p.order``."""
-    return p(x)
+def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.ndarray:
+    """Contract the trailing slots of a block with vector series, one slot
+    per factor (the last factor goes into the last slot), truncated to
+    length L; leading slots that get no factor stay free."""
+    t = entries
+    for x in reversed(factors):
+        t = _series_dot(t, x, L)
+    return _fit(t, L) if not factors else t
+
+
+def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
+                     solve: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Fill the coefficients x[:, 1:] of a vector series in place, in order.
+
+    `blocks` lists (m, e) with e a block of arity m whose entries are
+    series.  At step k the coefficient k of sum e(x, ..., x) is formed with
+    x_k still zero, and ``solve(k, c)`` returns x_k.  This fits every
+    recursion in which x_k enters coefficient k only through a linear term
+    that `solve` inverts.  x[:, 0] is the given start; the later columns
+    must be zero on entry.
+    """
+    for k in range(1, x.shape[1]):
+        c = sum(_jet_apply(e, [x[:, : k + 1]] * m, k + 1)[:, k] for m, e in blocks)
+        x[:, k] = solve(k, c)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The coefficients of f(eps, z) = sum_{k>=1} f_k(eps) z^k satisfy a closed
 triangular recursion: f_1 solves (eps*I - A01(eps)) f_1 = A10(eps), and each
-later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j collects every
-block (n, m) with 2 <= n + m <= j applied to the offset-1 convolutions of
-the earlier coefficients.  Linear systems are solved by dense factorization
-with an explicit residual check; eps*k landing on an eigenvalue of the
-linear block is reported as a resonance.
+later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j is the
+coefficient of z^j of F(eps, z, f) with f_j set to zero, so only earlier
+coefficients enter.  `series.solve_triangular` forms g_j on the Taylor-jet
+kernel.  Linear systems are solved by dense factorization with an explicit
+residual check; eps*k landing on an eigenvalue of the linear block is
+reported as a resonance.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import GevreyKitError, ResonanceError
 from .problem import ProblemSpec
 from .sector import RadiiReport
-from .series import CONV_TAMING_A, compositions, multilinear_apply
+from .series import CONV_TAMING_A, solve_triangular
 
 _RESONANCE_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
@@ -67,16 +68,19 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
     p.require_normalized()
     nu = p.nu
     eps = complex(eps)
-    a01_block = p.blocks[(0, 1)]
-    a01 = a01_block.at_eps(eps)
+    a01 = p.a01(eps)
     eye = np.eye(nu, dtype=np.complex128)
 
-    tensors_at_eps = [(t.n, t.m, t.at_eps(eps)) for t in p.tensors]
+    # blocks at this eps, by arity, with z-polynomial entries
+    blocks: dict[int, np.ndarray] = {}
+    for t in p.tensors:
+        e = blocks.setdefault(t.m, np.zeros(t.entries.shape[:-1] + (p.n_max + 1,),
+                                            dtype=np.complex128))
+        e[..., t.n] = t.at_eps(eps)
 
-    coeffs = np.zeros((K, nu), dtype=np.complex128)
     residuals = np.zeros(K)
 
-    def solve_linear(k: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
         mat = eps * k * eye - a01
         svals = np.linalg.svd(mat, compute_uv=False)
         if float(svals[-1]) <= _RESONANCE_RTOL * max(1.0, float(svals[0])):
@@ -87,27 +91,12 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
         res = float(np.linalg.norm(mat @ x - rhs)) / (1.0 + float(np.linalg.norm(rhs)))
         if res > _RESIDUAL_RTOL:
             raise GevreyKitError(f"linear solve at k = {k} left residual {res:.3e}")
-        return x, res
+        residuals[k - 1] = res
+        return x
 
-    t10 = p.tensor(1, 0)
-    rhs1 = t10.at_eps(eps) if t10 is not None else np.zeros(nu, dtype=np.complex128)
-    coeffs[0], residuals[0] = solve_linear(1, rhs1)
-
-    for j in range(2, K + 1):
-        g = np.zeros(nu, dtype=np.complex128)
-        for n, m, entries in tensors_at_eps:
-            if not 2 <= n + m <= j:
-                continue
-            if m == 0:
-                if n == j:
-                    g += entries
-                continue
-            if j - n < m:
-                continue
-            for comp in compositions(j - n, m, 1):
-                g += multilinear_apply(entries, [coeffs[l - 1] for l in comp])
-        coeffs[j - 1], residuals[j - 1] = solve_linear(j, g)
-
+    f = solve_triangular(list(blocks.items()), np.zeros((nu, K + 1), dtype=np.complex128),
+                         solve_linear)
+    coeffs = np.ascontiguousarray(f[:, 1:].T)
     return ZSolution(eps=eps, coeffs=coeffs, residuals=residuals, radii=radii)
 
 

@@ -13,7 +13,7 @@ from gevrey_kit import (
     shifted_reference,
     solve_eps_expansion,
 )
-from gevrey_kit.errors import PoleObstructionError
+from gevrey_kit.errors import GevreyKitError, PoleObstructionError
 
 
 def euler_coeffs(I):
@@ -51,6 +51,19 @@ class TestTransform:
     def test_too_short(self):
         with pytest.raises(ValueError):
             borel_transform(np.ones(4))
+
+    def test_beyond_the_double_factorial(self):
+        # 171! overflows a double; 1/i! must not
+        b = borel_transform(np.ones((200, 1)))
+        assert np.all(np.isfinite(b.b_coeffs))
+        assert b.b_coeffs[5, 0].real == pytest.approx(1.0 / 120)
+        assert b.b_coeffs[-1, 0] == 0.0  # 1/198! underflows
+
+    def test_non_finite_coefficients_raise(self):
+        a = np.ones(8)
+        a[5] = np.inf
+        with pytest.raises(GevreyKitError):
+            borel_transform(a)
 
 
 class TestPade:

@@ -87,6 +87,19 @@ class TestResum:
         assert point["reference_error"] <= 1e-6
         assert rep["data"]["L"] == 14 and rep["data"]["M"] == 15
 
+    @pytest.mark.parametrize("z", [0.1, 0.2])
+    def test_reference_error_away_from_the_origin(self, tmp_path, z):
+        # the z-series of a_i summed at 0 has no digit left here at i = 30;
+        # the values come from Taylor jets at z
+        from gevrey_kit import shifted_reference
+
+        code, rep = run_json(tmp_path, ["resum", "--builtin", "riccati", "--I", "30",
+                                        "--eps", "0.05,0.1,0.2,0.5", "--z", str(z)])
+        assert code == 0
+        for point in rep["data"]["points"]:
+            ref = shifted_reference(point["eps"], z)
+            assert point["reference_error"] <= 1e-3 * abs(ref), point["eps"]
+
     def test_low_order_still_finite(self, tmp_path):
         code, rep = run_json(tmp_path, ["resum", "--builtin", "riccati",
                                         "--eps", "0.1", "--z", "0.05", "--I", "6"])

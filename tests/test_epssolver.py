@@ -9,6 +9,7 @@ from gevrey_kit import (
     assemble_B,
     build_T0,
     eps_values_at,
+    mat_series_inverse,
     solve_a0,
     solve_ai,
     solve_coeffs_z,
@@ -33,6 +34,14 @@ def a0_exact_coeff(k):
 def sqrt1p4z_coeff(k):
     """[z^k] of sqrt(1+4z)."""
     return float(half_binomial(k) * Fraction(4) ** k)
+
+
+def inv_sqrt1p4z_coeff(k):
+    """[z^k] of 1/sqrt(1+4z) = binom(-1/2, k) 4^k."""
+    b = Fraction(1)
+    for j in range(k):
+        b = b * (Fraction(-1, 2) - j) / (j + 1)
+    return float(b * Fraction(4) ** k)
 
 
 class TestA0:
@@ -82,10 +91,13 @@ class TestT0:
     def test_riccati_is_minus_sqrt(self, riccati):
         K = 12
         a0 = solve_a0(riccati, K)
-        t0, t0_inv = build_T0(riccati, a0, K)
+        t0 = build_T0(riccati, a0, K)
+        t0_inv = mat_series_inverse(t0)
         for k in range(K + 1):
             assert t0.coeffs[0, 0, k].real == pytest.approx(
                 -sqrt1p4z_coeff(k), abs=1e-10 * 4**k)
+            assert t0_inv.coeffs[0, 0, k].real == pytest.approx(
+                -inv_sqrt1p4z_coeff(k), abs=1e-10 * 4**k)
         # independent identity: T0^2 = 1 + 4z
         sq = t0.matmul(t0).coeffs[0, 0].real
         expect = np.zeros(K + 1)
@@ -94,17 +106,22 @@ class TestT0:
 
     def test_linear_block_only(self, linear_problem):
         a0 = solve_a0(linear_problem, 6)
-        t0, _ = build_T0(linear_problem, a0, 6)
+        t0 = build_T0(linear_problem, a0, 6)
         np.testing.assert_allclose(t0.coeffs[0, 0].real, [-1, 0, 0, 0, 0, 0, 0],
                                    atol=1e-14)
+        np.testing.assert_allclose(mat_series_inverse(t0).coeffs[0, 0].real,
+                                   [-1, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
     def test_zero_a0_reduces_to_B01(self, riccati):
         from gevrey_kit.series import VecSeries
 
         zero = VecSeries(np.zeros((1, 7), dtype=complex), "z")
-        t0, _ = build_T0(riccati, zero, 6)
+        t0 = build_T0(riccati, zero, 6)
         np.testing.assert_allclose(t0.coeffs[0, 0].real, [-1, -2, 0, 0, 0, 0, 0],
                                    atol=1e-14)
+        # -1/(1 + 2z)
+        np.testing.assert_allclose(mat_series_inverse(t0).coeffs[0, 0].real,
+                                   [-(-2.0) ** k for k in range(7)], atol=1e-12)
 
 
 class TestAi:

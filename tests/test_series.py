@@ -13,19 +13,16 @@ from gevrey_kit import (
     VecSeries,
     conv_offset0,
     conv_offset1,
-    evaluate,
     lemma_conv_bound,
     mat_series_inverse,
     multilinear_apply,
-    series_derivative,
-    series_mul,
 )
 from gevrey_kit.errors import (
     ArityMismatchError,
     SingularMatrixError,
     VarMismatchError,
 )
-from gevrey_kit.series import compositions
+from gevrey_kit.series import _jet_apply, compositions
 
 
 def ts(coeffs, var="z"):
@@ -50,7 +47,7 @@ class TestSeriesMul:
     def test_identity(self):
         p = ts([2.0, -1.0, 0.5, 3.0])
         one = ts([1, 0, 0, 0])
-        np.testing.assert_array_equal(series_mul(one, p).coeffs, p.coeffs)
+        np.testing.assert_array_equal((one * p).coeffs, p.coeffs)
 
     def test_square_of_a0_prefix(self):
         # (z/2 - z^2)^2 = z^2/4 - z^3 + ... truncated at K=3
@@ -61,7 +58,7 @@ class TestSeriesMul:
 
     def test_var_mismatch(self):
         with pytest.raises(VarMismatchError):
-            series_mul(ts([1, 2]), ts([1, 2], var="eps"))
+            ts([1, 2]) * ts([1, 2], var="eps")
 
     def test_order_is_min(self):
         assert (ts([1, 1, 1]) * ts([1, 1])).order == 1
@@ -159,6 +156,51 @@ class TestMultilinear:
         np.testing.assert_allclose(multilinear_apply(A, [v, u]), [0.0, 0.0])
 
 
+def brute_jet(entries, factors, L):
+    """Coefficients 0..L-1 of a block with series entries applied to one
+    vector series per slot: the composition sum over every split of k."""
+    m = entries.ndim - 2
+    out = np.zeros((entries.shape[0], L), dtype=complex)
+    for k in range(L):
+        for n in range(min(entries.shape[-1], k + 1)):
+            for comp in compositions(k - n, m, 0):
+                if all(c < f.shape[1] for c, f in zip(comp, factors)):
+                    out[:, k] += multilinear_apply(
+                        entries[..., n], [f[:, c] for f, c in zip(factors, comp)])
+    return out
+
+
+class TestJetKernel:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composition_sum(self, seed):
+        # non-symmetric blocks and a different series in every slot, so a
+        # slot-order mistake shows
+        rng = np.random.default_rng(seed)
+        nu, m, L = int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 9))
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        entries = draw((nu,) * (m + 1) + (int(rng.integers(1, 4)),))
+        factors = [draw((nu, int(rng.integers(1, L + 3)))) for _ in range(m)]
+        np.testing.assert_allclose(_jet_apply(entries, factors, L),
+                                   brute_jet(entries, factors, L), rtol=1e-12, atol=1e-12)
+
+    def test_free_leading_slot(self):
+        # one factor short: slot 1 stays open, as in the jet of T_0
+        rng = np.random.default_rng(5)
+        entries = rng.standard_normal((2, 2, 2, 3)) + 0j
+        x = rng.standard_normal((2, 6)) + 0j
+        got = _jet_apply(entries, [x], 6)
+        assert got.shape == (2, 2, 6)
+        for col in range(2):
+            unit = np.zeros((2, 1), dtype=complex)
+            unit[col, 0] = 1.0
+            np.testing.assert_allclose(got[:, col], brute_jet(entries, [unit, x], 6),
+                                       atol=1e-12)
+
+
 class TestMatInverse:
     def test_geometric(self):
         t = MatSeries(np.array([[[1.0, 1.0, 0.0, 0.0]]], dtype=complex))
@@ -197,28 +239,28 @@ class TestMatInverse:
 
 class TestDerivativeEvaluate:
     def test_derivative_basic(self):
-        np.testing.assert_allclose(series_derivative(ts([1, 1, 1])).coeffs, [1, 2])
+        np.testing.assert_allclose(ts([1, 1, 1]).derivative().coeffs, [1, 2])
 
     def test_derivative_constant(self):
-        d = series_derivative(ts([5.0]))
+        d = ts([5.0]).derivative()
         np.testing.assert_allclose(d.coeffs, [0.0])
 
     def test_derivative_matches_finite_difference(self):
         p = ts([0, 0.5, -1.0])
-        d = series_derivative(p)
+        d = p.derivative()
         np.testing.assert_allclose(d.coeffs, [0.5, -2.0])
         h = 1e-7
-        fd = (evaluate(p, 0.02 + h) - evaluate(p, 0.02 - h)) / (2 * h)
-        assert abs(evaluate(d, 0.02) - fd) < 1e-6
+        fd = (p(0.02 + h) - p(0.02 - h)) / (2 * h)
+        assert abs(d(0.02) - fd) < 1e-6
 
     def test_evaluate_horner(self):
-        assert evaluate(ts([1, 2, 3]), 1.0) == 6.0
-        assert evaluate(ts([4, 2, 3]), 0.0) == 4.0
+        assert ts([1, 2, 3])(1.0) == 6.0
+        assert ts([4, 2, 3])(0.0) == 4.0
 
     def test_evaluate_geometric_tail(self):
         # coefficient pattern of 1/(2(1+eps)) truncated at 20
         coeffs = [0.5 * (-1.0) ** j for j in range(21)]
-        got = evaluate(ts(coeffs, var="eps"), 0.1)
+        got = ts(coeffs, var="eps")(0.1)
         assert abs(got - 1.0 / 2.2) < 1e-12
 
 

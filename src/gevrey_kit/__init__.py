@@ -9,18 +9,13 @@ from .series import (  # noqa: F401
     CONV_TAMING_A,
     LemmaConvReport,
     MatSeries,
-    TruncatedSeries,
-    VecSequence,
     VecSeries,
     compositions,
-    conv_offset0,
-    conv_offset1,
     lemma_conv_bound,
     mat_series_inverse,
     multilinear_apply,
 )
 from .problem import (  # noqa: F401
-    BTensor,
     CoeffTensor,
     NormalizationShift,
     ProblemSpec,

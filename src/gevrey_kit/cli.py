@@ -325,9 +325,8 @@ def _cmd_validate_riccati(args) -> int:
     # expansion of the eps -> 0 limit against the closed form
     a0 = solve_a0(p, 25)
     worst = 0.0
-    import math as _m
     for k in range(1, 26):
-        binom = _m.prod((0.5 - j) / (j + 1.0) for j in range(k + 1))
+        binom = math.prod((0.5 - j) / (j + 1.0) for j in range(k + 1))
         exact = -binom * 4.0**k
         got = a0.coeff_vec(k)[0].real
         worst = max(worst, abs(got - exact) / max(1.0, abs(exact)))

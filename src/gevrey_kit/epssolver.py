@@ -62,7 +62,7 @@ class EpsFormalSolution:
 
 def _blocks0(p: ProblemSpec) -> list[tuple[int, np.ndarray]]:
     """The eps-constant blocks as (arity, z-polynomial entries)."""
-    return [(m, b.entries) for (j, m), b in assemble_B(p).items() if j == 0]
+    return [(m, b) for (j, m), b in assemble_B(p).items() if j == 0]
 
 
 def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
@@ -113,7 +113,7 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float,
         for (j, m), block in b_map.items():
             if j != 0 or m < 1:
                 continue
-            flat = block.entries.reshape(-1, block.entries.shape[-1])
+            flat = block.reshape(-1, block.shape[-1])
             vals = flat @ (z ** np.arange(flat.shape[1]))
             if m == 1:
                 b01z = vals.reshape(p.nu, p.nu)
@@ -172,7 +172,7 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int,
             f"truncation K_z = {K_z} cannot support order-{i} coefficients")
     if T0 is None:
         T0 = build_T0(p, a_so_far[0], K_z)
-    blocks = {key: b.entries for key, b in assemble_B(p).items()}
+    blocks = assemble_B(p)
     t0 = T0.coeffs
     ai = _order_step(blocks, [a.coeffs for a in a_so_far], 0.0, t0,
                      np.linalg.inv(t0[:, :, 0]), target + 1)
@@ -190,7 +190,7 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
     p.require_normalized()
     a0 = solve_a0(p, K_z)
     t0 = build_T0(p, a0, K_z)
-    blocks = {key: b.entries for key, b in assemble_B(p).items()}
+    blocks = assemble_B(p)
     a_list = [a0]
     residuals = [0.0]
     for i in range(1, I + 1):
@@ -272,7 +272,7 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
         def inverse(m: np.ndarray) -> np.ndarray:
             return np.linalg.inv(m)
 
-    blocks = {key: _recentre(work(b.entries), z0) for key, b in assemble_B(p).items()}
+    blocks = {key: _recentre(work(b), z0) for key, b in assemble_B(p).items()}
     blocks0 = [(m, e) for (j, m), e in blocks.items() if j == 0]
 
     def jacobian_inverse(c: np.ndarray) -> np.ndarray:

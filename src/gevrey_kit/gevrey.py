@@ -133,14 +133,13 @@ def nagumo_property_suite(f: VecSeries, g: VecSeries, k: int, l: int,
     if f.nu != 1 or g.nu != 1:
         raise ValueError("the product property needs scalar series")
     deg = f.order + g.order  # polynomial data, so the product is exact here
-    fs, gs = f.component(0).pad_to(deg), g.component(0).pad_to(deg)
-    sum_fg = VecSeries((fs.coeffs + gs.coeffs)[None, :], f.var)
-    prod_fg = VecSeries((fs * gs).coeffs[None, :], f.var)
+    sum_fg = f.pad_to(deg) + g.pad_to(deg)
+    prod_fg = VecSeries(np.convolve(f.coeffs[0], g.coeffs[0])[None, :], f.var)
 
     nf_k = nagumo_norm(f, k, kappa).value
     ng_k = nagumo_norm(g, k, kappa).value
     ng_l = nagumo_norm(g, l, kappa).value
-    df = VecSeries(f.component(0).derivative().coeffs[None, :], f.var)
+    df = f.derivative()
     out = {
         "sum": nagumo_norm(sum_fg, k, kappa).value <= nf_k + ng_k + slack,
         "product": nagumo_norm(prod_fg, k + l, kappa).value <= nf_k * ng_l + slack,

@@ -17,13 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError, SchemaError, SingularMatrixError
-from .series import COEFF_TOL, VecSeries, _check_finite, _freeze
+from .series import COEFF_TOL, VecSeries, _check_finite, _freeze, _jet_apply, solve_triangular
 
 MAX_DIMENSION = 8
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,32 +76,6 @@ class CoeffTensor:
         flat = self.entries.reshape(-1, self.entries.shape[-1])
         norms = np.linalg.norm(flat, axis=0)
         return float(sum(norms[j] * radius**j for j in range(len(norms))))
-
-
-@dataclass(frozen=True, eq=False)
-class BTensor:
-    """Reindexed block: eps-power `j`, arity `m`, entries z-polynomials.
-
-    Same dense layout as :class:`CoeffTensor` with the trailing axis holding
-    z-coefficients instead of eps-coefficients.
-    """
-
-    j: int
-    m: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        _check_finite(arr, "tensor entries")
-        object.__setattr__(self, "entries", _freeze(arr.copy()))
-
-    @property
-    def nu(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def z_degree(self) -> int:
-        return self.entries.shape[-1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,62 +267,37 @@ def problem_to_json(p: ProblemSpec) -> str:
 # shifting and normalization
 # ---------------------------------------------------------------------------
 
-def _contract_slot(entries: np.ndarray, slot: int, s: np.ndarray) -> np.ndarray:
-    """Contract slot `slot` (0-based among the m argument slots) of a dense
-    tensor with the eps-polynomial vector `s` of shape (nu, Ds + 1).
-
-    Polynomial degrees add; the contracted axis disappears.
-    """
-    axis = 1 + slot
-    nu = entries.shape[0]
-    deg = entries.shape[-1] - 1
-    ds = s.shape[1] - 1
-    out_shape = entries.shape[:axis] + entries.shape[axis + 1:-1] + (deg + ds + 1,)
-    out = np.zeros(out_shape, dtype=np.complex128)
-    for comp in range(nu):
-        sub = np.take(entries, comp, axis=axis)
-        flat = sub.reshape(-1, deg + 1)
-        acc = np.empty((flat.shape[0], deg + ds + 1), dtype=np.complex128)
-        for r in range(flat.shape[0]):
-            acc[r] = _poly_mul(flat[r], s[comp])
-        out += acc.reshape(out_shape)
-    return out
-
-
-def _shift_blocks(blocks: dict[tuple[int, int], np.ndarray], nu: int,
+def _shift_blocks(blocks: dict[tuple[int, int], np.ndarray],
                   s: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Re-expand every block around f = s(eps) + f_new.
 
     For each block of arity m and each way of keeping m' slots free, the
-    remaining slots are contracted with `s`; slot order of the kept axes is
-    preserved, so non-symmetric tensors are handled correctly.
+    kept slots move to the front in their order and the others, now
+    trailing, are contracted with `s` by the Taylor-jet kernel, through the
+    full degree so the eps-polynomial product is exact.  Keeping the slot
+    order handles non-symmetric tensors correctly.
     """
     from itertools import combinations
 
     out: dict[tuple[int, int], np.ndarray] = {}
 
     def accumulate(key, arr):
-        if key in out:
-            a, b = out[key], arr
-            if a.shape[-1] < b.shape[-1]:
-                a, b = b, a
-            a = a.copy()
-            a[..., : b.shape[-1]] += b
-            out[key] = a
-        else:
-            out[key] = arr
+        # sums start from +0, so a zero term carries no sign into the blocks
+        a, b = out.get(key, np.zeros_like(arr)), arr
+        if a.shape[-1] < b.shape[-1]:
+            a, b = b, a
+        a = a.copy()
+        a[..., : b.shape[-1]] += b
+        out[key] = a
 
     for (n, m), entries in blocks.items():
         for keep in range(m, -1, -1):
             for kept in combinations(range(m), keep):
-                arr = entries
-                removed = 0
-                for slot in range(m):
-                    if slot in kept:
-                        continue
-                    arr = _contract_slot(arr, slot - removed, s)
-                    removed += 1
-                accumulate((n, keep), arr)
+                dropped = tuple(slot for slot in range(m) if slot not in kept)
+                axes = [0, *(1 + slot for slot in kept + dropped), m + 1]
+                length = entries.shape[-1] + len(dropped) * (s.shape[1] - 1)
+                accumulate((n, keep), _jet_apply(entries.transpose(axes),
+                                                 [s] * len(dropped), length))
     return out
 
 
@@ -368,22 +313,21 @@ def shift_problem(p: ProblemSpec, s: VecSeries, *, drop_tol: float = COEFF_TOL,
         raise ValueError("the shift must be an eps-series")
     if s.nu != p.nu:
         raise ValueError("shift dimension mismatch")
-    blocks = {(t.n, t.m): t.entries.copy() for t in p.tensors}
-    shifted = _shift_blocks(blocks, p.nu, s.coeffs)
+    shifted = _shift_blocks({(t.n, t.m): t.entries for t in p.tensors}, s.coeffs)
+    if max_eps_order is not None:
+        # the drop threshold and the (0,0) check scale with what is kept
+        shifted = {key: arr[..., : max_eps_order + 1] for key, arr in shifted.items()}
 
     scale = max(1.0, max(float(np.abs(a).max()) for a in shifted.values()))
     zz = shifted.pop((0, 0), None)
     if zz is not None:
-        look = zz if max_eps_order is None else zz[..., : max_eps_order + 1]
-        worst = float(np.abs(look).max())
+        worst = float(np.abs(zz).max())
         if worst > drop_tol * scale:
             raise NormalizationError(
                 f"shift does not remove the constant block (residual {worst:.3e})")
 
     tensors = []
     for (n, m), arr in sorted(shifted.items()):
-        if max_eps_order is not None and arr.shape[-1] > max_eps_order + 1:
-            arr = arr[..., : max_eps_order + 1]
         if (n, m) != (0, 1) and float(np.abs(arr).max()) <= drop_tol * scale:
             continue
         last = int(np.max(np.nonzero(np.abs(arr).reshape(-1, arr.shape[-1]).max(axis=0)
@@ -400,8 +344,6 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
     then re-expands every block around f = s + f_new.  Requires F(0,0,0) = 0;
     otherwise the caller must supply a root and shift explicitly.
     """
-    from .series import _jet_apply, solve_triangular
-
     if k_eps < 1:
         raise ValueError("k_eps must be >= 1")
     zz = p.tensor(0, 0)
@@ -461,12 +403,14 @@ def builtin_riccati(beta: Sequence[complex] = (1.0,), *, rho: float = 1.0,
 # reindexing into z-polynomial blocks graded by eps-powers
 # ---------------------------------------------------------------------------
 
-def assemble_B(p: ProblemSpec) -> dict[tuple[int, int], BTensor]:
+def assemble_B(p: ProblemSpec) -> dict[tuple[int, int], np.ndarray]:
     """Reindex the blocks into z-polynomial tensors graded by eps-power.
 
     ``B[(j, m)]`` collects, for each z-power n, the eps-coefficient j of block
-    (n, m).  Absent keys are identically zero.  The z-degree of every returned
-    tensor is the problem's maximal z-power for that arity.
+    (n, m): a frozen array in the layout of :class:`CoeffTensor` whose
+    trailing axis holds z-coefficients.  Absent keys are identically zero.
+    The z-degree of every returned tensor is the problem's maximal z-power
+    for that arity.
     """
     out: dict[tuple[int, int], np.ndarray] = {}
     zdeg_by_m = {}
@@ -481,4 +425,4 @@ def assemble_B(p: ProblemSpec) -> dict[tuple[int, int], BTensor]:
             if key not in out:
                 out[key] = np.zeros(coef.shape + (zdeg_by_m[t.m] + 1,), dtype=np.complex128)
             out[key][..., t.n] += coef
-    return {key: BTensor(key[0], key[1], arr) for key, arr in sorted(out.items())}
+    return {key: _freeze(arr) for key, arr in sorted(out.items())}

@@ -1,16 +1,12 @@
-"""Truncated power-series arithmetic over complex scalars, vectors and matrices.
+"""Truncated power series over complex vectors and matrices, the Taylor-jet
+kernel that every recursion runs on, and the convolution-taming inequality.
 
 A series here stores exactly the coefficients it knows and the formal variable
 it lives in.  Coefficients beyond the recorded order are *unknown*, not zero,
 and binary operations deliver the minimum of the operand orders, so a
 coefficient is only ever reported when both inputs vouch for it.  Explicit
-zero-extension is available through :meth:`TruncatedSeries.pad_to` for data
-known to be polynomial.
-
-The module also provides the two sequence-convolution conventions (offset 1
-and offset 0), dense multilinear tensor application, Neumann inversion of
-matrix series, and the convolution-taming inequality check on factorially
-weighted sequences.
+zero-extension is available through :meth:`VecSeries.pad_to` for data known
+to be polynomial.  A scalar series is a `VecSeries` with nu = 1.
 
 Every solver recursion runs on one Taylor-jet kernel (Taylor-mode
 arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13):
@@ -18,8 +14,10 @@ arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13):
 with one vector series per slot, in any dtype numpy can multiply (complex128
 or object arrays of mpmath numbers), and `solve_triangular` solves for the
 coefficients of an unknown series one at a time on top of it.  The
-composition sums (`compositions`, `conv_offset0/1`) remain as the
-brute-force reference.
+normalization shift of `problem` contracts its blocks with the same kernel.
+The composition sum (`compositions` with `multilinear_apply`) and the
+Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
+remain as brute-force references.
 """
 from __future__ import annotations
 
@@ -57,147 +55,6 @@ def _check_var(var: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """One-variable power series with complex coefficients, known through a
-    finite order.
-
-    ``coeffs[k]`` is the coefficient of ``var**k`` and ``len(coeffs)`` equals
-    ``order + 1``.  Instances are immutable; all arithmetic returns new
-    objects, truncated to the minimum order of the operands.
-    """
-
-    coeffs: np.ndarray
-    var: str = "z"
-
-    def __post_init__(self):
-        _check_var(self.var)
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("series coefficients must be a non-empty 1-d array")
-        _check_finite(arr, "series")
-        object.__setattr__(self, "coeffs", _freeze(arr.copy()))
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zeros(order: int, var: str = "z") -> "TruncatedSeries":
-        return TruncatedSeries(np.zeros(order + 1, dtype=np.complex128), var)
-
-    @staticmethod
-    def constant(value: complex, var: str = "z", order: int = 0) -> "TruncatedSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = value
-        return TruncatedSeries(c, var)
-
-    @staticmethod
-    def monomial(power: int, var: str = "z", coeff: complex = 1.0,
-                 order: int | None = None) -> "TruncatedSeries":
-        order = power if order is None else order
-        if order < power:
-            raise ValueError("order must cover the monomial power")
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[power] = coeff
-        return TruncatedSeries(c, var)
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    def coeff(self, k: int) -> complex:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond trusted order {self.order}")
-        return complex(self.coeffs[k])
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    def _require_same_var(self, other: "TruncatedSeries") -> None:
-        if self.var != other.var:
-            raise VarMismatchError(
-                f"cannot combine series in {self.var!r} with series in {other.var!r}")
-
-    # -- order management --------------------------------------------------
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot truncate to a higher order; use pad_to for polynomials")
-        return TruncatedSeries(self.coeffs[: order + 1], self.var)
-
-    def pad_to(self, order: int) -> "TruncatedSeries":
-        """Zero-extend to `order`.
-
-        Only valid when the series is known exactly as a polynomial, since the
-        new coefficients are declared trustworthy.
-        """
-        if order <= self.order:
-            return self
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[: self.coeffs.size] = self.coeffs
-        return TruncatedSeries(c, self.var)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_var(other)
-        k = min(self.order, other.order)
-        return TruncatedSeries(self.coeffs[: k + 1] + other.coeffs[: k + 1], self.var)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_var(other)
-        k = min(self.order, other.order)
-        return TruncatedSeries(self.coeffs[: k + 1] - other.coeffs[: k + 1], self.var)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.coeffs, self.var)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._require_same_var(other)
-            k = min(self.order, other.order)
-            prod = np.convolve(self.coeffs[: k + 1], other.coeffs[: k + 1])[: k + 1]
-            return TruncatedSeries(prod, self.var)
-        if isinstance(other, (int, float, complex, np.number)):
-            return TruncatedSeries(self.coeffs * complex(other), self.var)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "TruncatedSeries":
-        """Formal derivative; the order drops by one (constants go to the
-        zero series of order 0)."""
-        if self.order == 0:
-            return TruncatedSeries.zeros(0, self.var)
-        k = np.arange(1, self.order + 1)
-        return TruncatedSeries(self.coeffs[1:] * k, self.var)
-
-    def shift_up(self) -> "TruncatedSeries":
-        """Multiply by the formal variable; every known coefficient shifts up
-        one slot, so the order grows by one."""
-        c = np.concatenate([[0.0 + 0.0j], self.coeffs])
-        return TruncatedSeries(c, self.var)
-
-    def __call__(self, x: complex) -> complex:
-        """Horner evaluation of the degree-`order` partial sum."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return complex(acc)
-
-    def isclose(self, other: "TruncatedSeries", tol: float = COEFF_TOL) -> bool:
-        self._require_same_var(other)
-        k = min(self.order, other.order)
-        a, b = self.coeffs[: k + 1], other.coeffs[: k + 1]
-        scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-        return bool(np.abs(a - b).max() <= tol * scale)
-
-
-@dataclass(frozen=True, eq=False)
 class VecSeries:
     """A vector of ``nu`` series sharing variable and order.
 
@@ -220,19 +77,6 @@ class VecSeries:
     def zeros(nu: int, order: int, var: str = "z") -> "VecSeries":
         return VecSeries(np.zeros((nu, order + 1), dtype=np.complex128), var)
 
-    @staticmethod
-    def from_components(components: Sequence[TruncatedSeries]) -> "VecSeries":
-        if not components:
-            raise ValueError("need at least one component")
-        var = components[0].var
-        order = components[0].order
-        for c in components[1:]:
-            if c.var != var:
-                raise VarMismatchError("components must share the variable tag")
-            if c.order != order:
-                raise ValueError("components must share the order")
-        return VecSeries(np.stack([c.coeffs for c in components]), var)
-
     @property
     def nu(self) -> int:
         return self.coeffs.shape[0]
@@ -240,9 +84,6 @@ class VecSeries:
     @property
     def order(self) -> int:
         return self.coeffs.shape[1] - 1
-
-    def component(self, i: int) -> TruncatedSeries:
-        return TruncatedSeries(self.coeffs[i], self.var)
 
     def coeff_vec(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.order:
@@ -271,10 +112,6 @@ class VecSeries:
         k = np.arange(1, self.order + 1)
         return VecSeries(self.coeffs[:, 1:] * k, self.var)
 
-    def shift_up(self) -> "VecSeries":
-        c = np.concatenate([np.zeros((self.nu, 1), dtype=np.complex128), self.coeffs], axis=1)
-        return VecSeries(c, self.var)
-
     def __add__(self, other: "VecSeries") -> "VecSeries":
         if not isinstance(other, VecSeries):
             return NotImplemented
@@ -293,9 +130,6 @@ class VecSeries:
 
     def __neg__(self) -> "VecSeries":
         return VecSeries(-self.coeffs, self.var)
-
-    def scale(self, factor: complex) -> "VecSeries":
-        return VecSeries(self.coeffs * complex(factor), self.var)
 
     def evaluate(self, x: complex) -> np.ndarray:
         acc = np.zeros(self.nu, dtype=np.complex128)
@@ -322,16 +156,6 @@ class MatSeries:
         _check_finite(arr, "matrix series")
         object.__setattr__(self, "coeffs", _freeze(arr.copy()))
 
-    @staticmethod
-    def zeros(nu: int, order: int, var: str = "z") -> "MatSeries":
-        return MatSeries(np.zeros((nu, nu, order + 1), dtype=np.complex128), var)
-
-    @staticmethod
-    def identity(nu: int, order: int, var: str = "z") -> "MatSeries":
-        c = np.zeros((nu, nu, order + 1), dtype=np.complex128)
-        c[:, :, 0] = np.eye(nu)
-        return MatSeries(c, var)
-
     @property
     def nu(self) -> int:
         return self.coeffs.shape[0]
@@ -340,34 +164,8 @@ class MatSeries:
     def order(self) -> int:
         return self.coeffs.shape[2] - 1
 
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return TruncatedSeries(self.coeffs[i, j], self.var)
-
     def constant(self) -> np.ndarray:
         return self.coeffs[:, :, 0].copy()
-
-    def truncate(self, order: int) -> "MatSeries":
-        if order > self.order:
-            raise ValueError("cannot truncate to a higher order")
-        return MatSeries(self.coeffs[:, :, : order + 1], self.var)
-
-    def pad_to(self, order: int) -> "MatSeries":
-        if order <= self.order:
-            return self
-        c = np.zeros((self.nu, self.nu, order + 1), dtype=np.complex128)
-        c[:, :, : self.coeffs.shape[2]] = self.coeffs
-        return MatSeries(c, self.var)
-
-    def __add__(self, other: "MatSeries") -> "MatSeries":
-        if not isinstance(other, MatSeries):
-            return NotImplemented
-        if self.var != other.var:
-            raise VarMismatchError("matrix series variable mismatch")
-        k = min(self.order, other.order)
-        return MatSeries(self.coeffs[:, :, : k + 1] + other.coeffs[:, :, : k + 1], self.var)
-
-    def __neg__(self) -> "MatSeries":
-        return MatSeries(-self.coeffs, self.var)
 
     def matmul(self, other: "MatSeries") -> "MatSeries":
         if self.var != other.var:
@@ -390,44 +188,8 @@ class MatSeries:
         return VecSeries(out, self.var)
 
 
-@dataclass(frozen=True, eq=False)
-class VecSequence:
-    """A sequence of complex ``nu``-vectors indexed from a declared offset.
-
-    An offset-1 sequence has no index-0 element; its first stored vector is
-    index 1.  ``data`` has shape ``(count, nu)``.
-    """
-
-    data: np.ndarray
-    offset: int = 1
-
-    def __post_init__(self):
-        if self.offset not in (0, 1):
-            raise ValueError("offset must be 0 or 1")
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError("sequence data must have shape (count, nu)")
-        _check_finite(arr, "sequence")
-        object.__setattr__(self, "data", _freeze(arr.copy()))
-
-    @property
-    def nu(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def last_index(self) -> int:
-        return self.data.shape[0] - 1 + self.offset
-
-    def get(self, k: int) -> np.ndarray:
-        if k < self.offset or k > self.last_index:
-            raise IndexError(f"index {k} outside [{self.offset}, {self.last_index}]")
-        return self.data[k - self.offset]
-
-
 # ---------------------------------------------------------------------------
-# convolution products and tensor application
+# compositions and tensor application
 # ---------------------------------------------------------------------------
 
 def compositions(total: int, parts: int, min_part: int = 0):
@@ -443,66 +205,6 @@ def compositions(total: int, parts: int, min_part: int = 0):
     for first in range(min_part, total - min_part * (parts - 1) + 1):
         for rest in compositions(total - first, parts - 1, min_part):
             yield (first,) + rest
-
-
-def _common_nu(seqs: Sequence[VecSequence]) -> int:
-    nu = seqs[0].nu
-    for s in seqs[1:]:
-        if s.nu != nu:
-            raise ValueError("sequences must share the vector dimension")
-    return nu
-
-
-def conv_offset1(seqs: Sequence[VecSequence], k: int) -> np.ndarray:
-    """Component `k` of the m-fold convolution of offset-1 vector sequences.
-
-    Sums the componentwise products over all compositions of `k` into
-    ``len(seqs)`` parts >= 1; the result is the zero vector whenever
-    ``k < len(seqs)``.  In particular the 2-fold product vanishes at k = 1.
-    """
-    seqs = list(seqs)
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    if k < 1:
-        raise ValueError("offset-1 convolutions are indexed from 1")
-    for s in seqs:
-        if s.offset != 1:
-            raise ValueError("conv_offset1 requires offset-1 sequences")
-    nu = _common_nu(seqs)
-    acc = np.zeros(nu, dtype=np.complex128)
-    m = len(seqs)
-    if k < m:
-        return acc
-    for comp in compositions(k, m, 1):
-        term = seqs[0].get(comp[0]).copy()
-        for s, l in zip(seqs[1:], comp[1:]):
-            term = term * s.get(l)
-        acc += term
-    return acc
-
-
-def conv_offset0(seqs: Sequence[VecSequence], k: int) -> np.ndarray:
-    """Component `k` of the m-fold convolution with parts >= 0.
-
-    For two sequences this is the plain Cauchy rule
-    ``(a * b)_k = sum_l a_l b_{k-l}``.
-    """
-    seqs = list(seqs)
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    if k < 0:
-        raise ValueError("offset-0 convolutions are indexed from 0")
-    for s in seqs:
-        if s.offset != 0:
-            raise ValueError("conv_offset0 requires offset-0 sequences")
-    nu = _common_nu(seqs)
-    acc = np.zeros(nu, dtype=np.complex128)
-    for comp in compositions(k, len(seqs), 0):
-        term = seqs[0].get(comp[0]).copy()
-        for s, l in zip(seqs[1:], comp[1:]):
-            term = term * s.get(l)
-        acc += term
-    return acc
 
 
 def multilinear_apply(entries: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:

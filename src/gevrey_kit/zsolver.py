@@ -88,8 +88,10 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
                 f"eps*k = {eps * k:.6g} collides with an eigenvalue of the linear "
                 f"block at k = {k}", k=k, eps=eps)
         x = np.linalg.solve(mat, rhs)
-        res = float(np.linalg.norm(mat @ x - rhs)) / (1.0 + float(np.linalg.norm(rhs)))
-        if res > _RESIDUAL_RTOL:
+        # max-abs norms: a 2-norm squares the entries and overflows first,
+        # and a NaN residual must fail the check, not pass it
+        res = float(np.abs(mat @ x - rhs).max()) / (1.0 + float(np.abs(rhs).max()))
+        if not res <= _RESIDUAL_RTOL:
             raise GevreyKitError(f"linear solve at k = {k} left residual {res:.3e}")
         residuals[k - 1] = res
         return x

@@ -69,6 +69,11 @@ class TestSolve:
         jsonschema.validate(rep, report_schema)
         assert rep["error"]["code"] == "resonance"
 
+    def test_overflow_exits_operational(self, tmp_path, capsys):
+        code = main(["solve", "--builtin", "riccati", "--K", "1000"])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+
     def test_problem_file_round_trip(self, tmp_path):
         path = tmp_path / "prob.json"
         path.write_text(problem_to_json(builtin_riccati()), encoding="utf-8")

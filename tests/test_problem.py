@@ -211,20 +211,49 @@ class TestNormalizeShift:
             assert np.abs(acc).max() < 1e-12
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shifted_rhs_matches_rhs_at_shift(self, seed):
+        # F_shifted(eps, z, g) = F(eps, z, s(eps) + g) + O(eps^(k_eps + 1)) on
+        # non-symmetric blocks whose shifted eps-coefficients run far beyond
+        # k_eps (the cubic ones to degree 32); the small z-power-1 block must
+        # survive the truncation to k_eps
+        rng = np.random.default_rng(seed)
+        nu = int(rng.integers(1, 4))
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        c00 = 0.5 * draw(nu, 3)
+        c00[:, 0] = 0.0
+        a01 = np.concatenate([(-np.eye(nu) + 0.2 * draw(nu, nu))[..., None],
+                              0.3 / nu * draw(nu, nu, 1)], axis=-1)
+        p = ProblemSpec(nu=nu, rho=1.0, rho1=4.0, tensors=(
+            CoeffTensor(0, 0, c00), CoeffTensor(0, 1, a01),
+            CoeffTensor(0, 2, 0.5 / nu * draw(nu, nu, nu, 2)),
+            CoeffTensor(0, 3, 0.5 / nu * draw(nu, nu, nu, nu, 2)),
+            CoeffTensor(1, 3, 1e-3 * draw(nu, nu, nu, nu, 1))))
+        ns = normalize_shift(p, 10)
+        eps = 0.01 * np.exp(2j * np.pi * rng.uniform())
+        z = complex(*rng.uniform(-0.5, 0.5, 2))
+        g = 0.1 * draw(nu)
+        want = p.eval_F(eps, z, ns.s.evaluate(eps) + g)
+        got = ns.shifted.eval_F(eps, z, g)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 class TestAssembleB:
     def test_riccati_blocks(self, riccati):
         b = assemble_B(riccati)
         assert set(b) == {(0, 0), (0, 1), (0, 2)}
-        np.testing.assert_allclose(b[(0, 1)].entries[0, 0], [-1.0, -2.0])
-        np.testing.assert_allclose(b[(0, 2)].entries[0, 0, 0], [0.0, 2.0])
-        np.testing.assert_allclose(b[(0, 0)].entries[0], [0.0, 0.5])
+        np.testing.assert_allclose(b[(0, 1)][0, 0], [-1.0, -2.0])
+        np.testing.assert_allclose(b[(0, 2)][0, 0, 0], [0.0, 2.0])
+        np.testing.assert_allclose(b[(0, 0)][0], [0.0, 0.5])
 
     def test_eps_linear_block(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
             CoeffTensor(0, 1, np.array([[[-1.0, 1.0]]], dtype=complex)),))
         b = assemble_B(p)
-        np.testing.assert_allclose(b[(1, 1)].entries[0, 0], [1.0])
-        np.testing.assert_allclose(b[(0, 1)].entries[0, 0], [-1.0])
+        np.testing.assert_allclose(b[(1, 1)][0, 0], [1.0])
+        np.testing.assert_allclose(b[(0, 1)][0, 0], [-1.0])
 
     def test_no_spurious_eps_blocks(self, riccati):
         b = assemble_B(riccati)
@@ -232,11 +261,11 @@ class TestAssembleB:
 
     def test_round_trip_to_A(self, riccati):
         b = assemble_B(riccati)
-        # reassemble: A_{n,m}[..., j] = B[(j, m)].entries[..., n]
+        # reassemble: A_{n,m}[..., j] = B[(j, m)][..., n]
         for (n, m), t in riccati.blocks.items():
             for j in range(t.degree + 1):
                 blk = b.get((j, m))
-                got = blk.entries[..., n] if blk is not None else 0.0
+                got = blk[..., n] if blk is not None else 0.0
                 np.testing.assert_allclose(got, t.eps_coeff(j))
 
 

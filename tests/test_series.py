@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from gevrey_kit import (
     CONV_TAMING_A,
     MatSeries,
-    TruncatedSeries,
-    VecSequence,
     VecSeries,
-    conv_offset0,
-    conv_offset1,
     lemma_conv_bound,
     mat_series_inverse,
     multilinear_apply,
@@ -25,8 +21,32 @@ from gevrey_kit.errors import (
 from gevrey_kit.series import _jet_apply, compositions
 
 
-def ts(coeffs, var="z"):
-    return TruncatedSeries(np.asarray(coeffs, dtype=complex), var)
+def vs(coeffs, var="z"):
+    """A scalar series: a VecSeries with nu = 1."""
+    return VecSeries(np.asarray(coeffs, dtype=complex)[None, :], var)
+
+
+def jet_product(series, L):
+    """Coefficients 0..L-1 of the componentwise product of vector series
+    (rows are components), formed by the Taylor-jet kernel with the
+    diagonal block of arity len(series)."""
+    nu, m = series[0].shape[0], len(series)
+    block = np.zeros((nu,) * (m + 1) + (1,), dtype=complex)
+    for i in range(nu):
+        block[(i,) * (m + 1)] = 1.0
+    return _jet_apply(block, [np.asarray(x, dtype=complex) for x in series], L)
+
+
+def jet_mul(a, b):
+    """Scalar Cauchy product, truncated to the shorter operand."""
+    return jet_product([np.atleast_2d(a), np.atleast_2d(b)], min(len(a), len(b)))[0]
+
+
+def offset1(seq):
+    """An offset-1 sequence (rows: indices 1, 2, ...) as a series with a
+    zero constant coefficient."""
+    seq = np.asarray(seq, dtype=complex)
+    return np.concatenate([np.zeros((seq.shape[0], 1)), seq], axis=1)
 
 
 def brute_mul(a, b, K):
@@ -40,28 +60,25 @@ def brute_mul(a, b, K):
 
 class TestSeriesMul:
     def test_difference_of_squares(self):
-        p = ts([1, 1, 0])
-        q = ts([1, -1, 0])
-        np.testing.assert_allclose((p * q).coeffs, [1, 0, -1])
+        np.testing.assert_allclose(jet_mul([1, 1, 0], [1, -1, 0]), [1, 0, -1])
 
     def test_identity(self):
-        p = ts([2.0, -1.0, 0.5, 3.0])
-        one = ts([1, 0, 0, 0])
-        np.testing.assert_array_equal((one * p).coeffs, p.coeffs)
+        p = np.array([2.0, -1.0, 0.5, 3.0])
+        np.testing.assert_array_equal(jet_mul([1, 0, 0, 0], p), p)
 
     def test_square_of_a0_prefix(self):
         # (z/2 - z^2)^2 = z^2/4 - z^3 + ... truncated at K=3
-        p = ts([0, 0.5, -1.0, 0.0])
-        got = (p * p).coeffs
-        np.testing.assert_allclose(got, brute_mul(p.coeffs, p.coeffs, 3))
+        p = np.array([0, 0.5, -1.0, 0.0])
+        got = jet_mul(p, p)
+        np.testing.assert_allclose(got, brute_mul(p, p, 3))
         np.testing.assert_allclose(got, [0, 0, 0.25, -1.0])
 
     def test_var_mismatch(self):
         with pytest.raises(VarMismatchError):
-            ts([1, 2]) * ts([1, 2], var="eps")
+            vs([1, 2]) + vs([1, 2], var="eps")
 
     def test_order_is_min(self):
-        assert (ts([1, 1, 1]) * ts([1, 1])).order == 1
+        assert (vs([1, 1, 1]) + vs([1, 1])).order == 1
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -71,22 +88,25 @@ class TestSeriesMul:
         a = rng.standard_normal(ka + 1) + 1j * rng.standard_normal(ka + 1)
         b = rng.standard_normal(kb + 1) + 1j * rng.standard_normal(kb + 1)
         k = min(ka, kb)
-        got = (ts(a) * ts(b)).coeffs
-        np.testing.assert_allclose(got, brute_mul(a[: k + 1], b[: k + 1], k), atol=1e-12)
+        np.testing.assert_allclose(jet_mul(a, b), brute_mul(a[: k + 1], b[: k + 1], k),
+                                   atol=1e-12)
 
 
 class TestConvolutions:
+    """The m-fold convolution of sequences indexed from 1 (offset 1) or from 0
+    (offset 0) is a coefficient of the product of the series they define."""
+
     def test_offset1_single_composition(self):
-        a = VecSequence(np.array([[1.0], [0.0], [0.0]]), offset=1)
-        np.testing.assert_allclose(conv_offset1([a, a], 2), [1.0])
+        a = offset1([[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(jet_product([a, a], 3)[:, 2], [1.0])
 
     def test_offset1_vanishes_at_one(self):
-        a = VecSequence(np.ones((5, 1)), offset=1)
-        np.testing.assert_allclose(conv_offset1([a, a], 1), [0.0])
+        a = offset1(np.ones((1, 5)))
+        np.testing.assert_allclose(jet_product([a, a], 2)[:, 1], [0.0])
 
     def test_offset1_counts_compositions(self):
-        a = VecSequence(np.ones((5, 1)), offset=1)
-        got = conv_offset1([a, a, a], 5)
+        a = offset1(np.ones((1, 5)))
+        got = jet_product([a, a, a], 6)[:, 5]
         # compositions of 5 into 3 positive parts
         count = sum(1 for _ in compositions(5, 3, 1))
         assert count == 6
@@ -96,24 +116,23 @@ class TestConvolutions:
     @settings(max_examples=60, deadline=None)
     def test_offset1_vanishes_below_m(self, seed, m, k):
         rng = np.random.default_rng(seed)
-        seqs = [VecSequence(rng.standard_normal((30, 2)), offset=1) for _ in range(m)]
+        seqs = [offset1(rng.standard_normal((2, 30))) for _ in range(m)]
         if k < m:
-            np.testing.assert_array_equal(conv_offset1(seqs, k), np.zeros(2))
+            np.testing.assert_array_equal(jet_product(seqs, k + 1)[:, k], np.zeros(2))
 
     def test_offset0_all_ones(self):
-        a = VecSequence(np.ones((4, 1)), offset=0)
-        np.testing.assert_allclose(conv_offset0([a, a], 2), [3.0])
+        a = np.ones((1, 4))
+        np.testing.assert_allclose(jet_product([a, a], 3)[:, 2], [3.0])
 
     def test_offset0_delta_identity(self):
-        delta = VecSequence(np.array([[1.0], [0.0], [0.0], [0.0]]), offset=0)
+        delta = np.array([[1.0, 0.0, 0.0, 0.0]])
         rng = np.random.default_rng(7)
-        b = VecSequence(rng.standard_normal((4, 1)), offset=0)
-        for k in range(4):
-            np.testing.assert_allclose(conv_offset0([delta, b], k), b.get(k))
+        b = rng.standard_normal((1, 4))
+        np.testing.assert_allclose(jet_product([delta, b], 4), b)
 
     def test_offset0_arithmetic(self):
-        a = VecSequence(np.array([[1.0], [2.0], [3.0]]), offset=0)
-        np.testing.assert_allclose(conv_offset0([a, a], 2), [10.0])
+        a = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_allclose(jet_product([a, a], 3)[:, 2], [10.0])
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -122,11 +141,7 @@ class TestConvolutions:
         k = int(rng.integers(1, 10))
         a = rng.standard_normal(k + 1)
         b = rng.standard_normal(k + 1)
-        sa = VecSequence(a[:, None], offset=0)
-        sb = VecSequence(b[:, None], offset=0)
-        prod = (ts(a) * ts(b)).coeffs
-        for j in range(k + 1):
-            np.testing.assert_allclose(conv_offset0([sa, sb], j)[0], prod[j], atol=1e-12)
+        np.testing.assert_allclose(jet_mul(a, b), np.convolve(a, b)[: k + 1], atol=1e-12)
 
 
 class TestMultilinear:
@@ -239,28 +254,28 @@ class TestMatInverse:
 
 class TestDerivativeEvaluate:
     def test_derivative_basic(self):
-        np.testing.assert_allclose(ts([1, 1, 1]).derivative().coeffs, [1, 2])
+        np.testing.assert_allclose(vs([1, 1, 1]).derivative().coeffs[0], [1, 2])
 
     def test_derivative_constant(self):
-        d = ts([5.0]).derivative()
-        np.testing.assert_allclose(d.coeffs, [0.0])
+        d = vs([5.0]).derivative()
+        np.testing.assert_allclose(d.coeffs[0], [0.0])
 
     def test_derivative_matches_finite_difference(self):
-        p = ts([0, 0.5, -1.0])
+        p = vs([0, 0.5, -1.0])
         d = p.derivative()
-        np.testing.assert_allclose(d.coeffs, [0.5, -2.0])
+        np.testing.assert_allclose(d.coeffs[0], [0.5, -2.0])
         h = 1e-7
-        fd = (p(0.02 + h) - p(0.02 - h)) / (2 * h)
-        assert abs(d(0.02) - fd) < 1e-6
+        fd = (p.evaluate(0.02 + h)[0] - p.evaluate(0.02 - h)[0]) / (2 * h)
+        assert abs(d.evaluate(0.02)[0] - fd) < 1e-6
 
     def test_evaluate_horner(self):
-        assert ts([1, 2, 3])(1.0) == 6.0
-        assert ts([4, 2, 3])(0.0) == 4.0
+        assert vs([1, 2, 3]).evaluate(1.0)[0] == 6.0
+        assert vs([4, 2, 3]).evaluate(0.0)[0] == 4.0
 
     def test_evaluate_geometric_tail(self):
         # coefficient pattern of 1/(2(1+eps)) truncated at 20
         coeffs = [0.5 * (-1.0) ** j for j in range(21)]
-        got = ts(coeffs, var="eps")(0.1)
+        got = vs(coeffs, var="eps").evaluate(0.1)[0]
         assert abs(got - 1.0 / 2.2) < 1e-12
 
 
@@ -324,12 +339,12 @@ class TestLemmaConvBound:
 class TestCarriers:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            ts([1.0, np.inf])
+            vs([1.0, np.inf])
 
     def test_pad_and_truncate(self):
-        p = ts([1, 2])
+        p = vs([1, 2])
         assert p.pad_to(4).order == 4
-        assert p.pad_to(4).coeffs[3] == 0
+        assert p.pad_to(4).coeffs[0, 3] == 0
         assert p.pad_to(4).truncate(1).order == 1
         with pytest.raises(ValueError):
             p.truncate(5)
@@ -337,19 +352,5 @@ class TestCarriers:
     def test_vecseries_components(self):
         v = VecSeries(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
         assert v.nu == 2 and v.order == 1
-        np.testing.assert_array_equal(v.component(1).coeffs, [3.0, 4.0])
+        np.testing.assert_array_equal(v.coeffs[1], [3.0, 4.0])
         np.testing.assert_allclose(v.norms(), [math.sqrt(10), math.sqrt(20)])
-
-    def test_vecsequence_offsets(self):
-        s = VecSequence(np.ones((3, 1)), offset=1)
-        assert s.last_index == 3
-        with pytest.raises(IndexError):
-            s.get(0)
-        with pytest.raises(ValueError):
-            VecSequence(np.ones((3, 1)), offset=2)
-
-    def test_shift_up_orders(self):
-        p = ts([1.0, 2.0])
-        q = p.shift_up()
-        assert q.order == 2
-        np.testing.assert_array_equal(q.coeffs, [0, 1, 2])

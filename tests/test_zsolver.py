@@ -14,7 +14,7 @@ from gevrey_kit import (
     solve_coeffs_z,
 )
 from gevrey_kit.sector import SectorSpec
-from gevrey_kit.errors import ResonanceError
+from gevrey_kit.errors import GevreyKitError, ResonanceError
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,17 @@ class TestRecursion:
         for eps in (0.2, 0.1 + 0.3j):
             sol = solve_coeffs_z(riccati, eps, 40)
             assert sol.residuals.max() <= 1e-10
+
+    def test_residuals_finite_near_the_double_range(self, riccati):
+        # the coefficients reach 5e279 by K = 800; a 2-norm of them overflows
+        sol = solve_coeffs_z(riccati, 0.1, 800)
+        assert np.all(np.isfinite(sol.residuals))
+        assert sol.residuals.max() <= 1e-10
+
+    def test_overflow_raises(self, riccati):
+        # past the double range the residual is NaN, which must fail the check
+        with pytest.raises(GevreyKitError):
+            solve_coeffs_z(riccati, 0.1, 1000)
 
     def test_zero_problem(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(

@@ -74,17 +74,11 @@ class PadeApproximant:
             return np.zeros(0, dtype=np.complex128)
         return np.concatenate([p for p in self.poles if p.size])
 
-    def eval(self, t: complex) -> np.ndarray:
-        out = np.empty(len(self.numerators), dtype=np.complex128)
-        for c, (num, den) in enumerate(zip(self.numerators, self.denominators)):
-            pn = 0.0 + 0.0j
-            for a in num[::-1]:
-                pn = pn * t + a
-            pd = 0.0 + 0.0j
-            for a in den[::-1]:
-                pd = pd * t + a
-            out[c] = pn / pd
-        return out
+    def eval(self, t) -> np.ndarray:
+        """Values at t, shape t.shape + (nu,): componentwise Horner."""
+        t = np.asarray(t, dtype=np.complex128)
+        return np.stack([np.polyval(num[::-1], t) / np.polyval(den[::-1], t)
+                         for num, den in zip(self.numerators, self.denominators)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,15 +188,14 @@ def _segment_clearance(poles: np.ndarray, theta: float, t_max: float) -> float:
 
 
 def _gauss_panels(func, t_max: float, panels: int, nodes: int = 24) -> np.ndarray:
+    """Composite Gauss-Legendre rule on [0, t_max]; `func` maps an array of
+    s to values of shape s.shape + (nu,) and is called once."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(0.0, t_max, panels + 1)
-    total = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for xi, wi in zip(x, w):
-            val = func(mid + half * xi) * (wi * half)
-            total = val if total is None else total + val
-    return total
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    s = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    return weights @ func(s)
 
 
 def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
@@ -232,9 +225,8 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
 
     rate = direction / eps
 
-    def integrand(s: float) -> np.ndarray:
-        t = direction * s
-        return np.exp(-rate * s) * pade.eval(t) * direction
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return np.exp(-rate * s)[:, None] * pade.eval(direction * s) * direction
 
     panels = 4
     prev = _gauss_panels(integrand, t_max, panels)
@@ -246,8 +238,7 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
         prev = cur
         if diff < 1e-12 or diff < 1e-10 * max(1.0, float(np.abs(cur).max())):
             break
-    sup_p = max(float(np.abs(pade.eval(direction * s)).max())
-                for s in np.linspace(0.0, t_max, 65))
+    sup_p = float(np.abs(pade.eval(direction * np.linspace(0.0, t_max, 65))).max())
     tail = math.exp(-t_max / abs(eps)) * sup_p
     value = b.a0_value + prev
     return SummationReport(value=value, method="borel_pade",

@@ -14,11 +14,16 @@ at least two indices below i.  Dropping the latter cross terms is the
 classic mistake; the double-series consistency test against the fixed-eps
 solver pins them down.
 
-One order-i step (`_order_step`) builds R_i once with the Taylor-jet kernel
-of `series` and solves for a_i by forward substitution against the
-coefficients of T_0.  It serves both the z-series at 0 (`solve_ai`) and the
-jets at a point z (`eps_values_at`).  `solve_eps_expansion` checks every
-order against the whole coefficient-eps^i equation, a_i included.
+The orders come from one online stepper (`_EpsStepper`): every block keeps
+its eps-Cauchy partial contractions against sum_l a_l eps^l, and each order
+extends them by one coefficient with one batched contraction per (block,
+slot), so order i costs O(i) where the composition sum costs O(i^(m-1)).
+Order i is formed with a_i = 0, which is R_i; a_i follows by forward
+substitution against the coefficients of T_0; the partials are then
+refreshed by the terms linear in a_i, which gives the whole eps^i
+coefficient.  The stepper serves the z-series at 0 (`solve_eps_expansion`,
+and `solve_ai` for one order) and the jets at a point z (`eps_values_at`).
+`solve_eps_expansion` checks every order against that whole coefficient.
 
 Each a_i is delivered to z-order K_z - i: one order is reserved per
 eps-step, and the honest order is recorded on the returned series.
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import GevreyKitError, InsufficientOrderError, SingularMatrixError
 from .problem import ProblemSpec, assemble_B
-from .series import MatSeries, VecSeries, _jet_apply, compositions, solve_triangular
+from .series import MatSeries, VecSeries, _fit, _jet_apply, _series_dot, solve_triangular
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -125,32 +130,100 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float,
     return worst
 
 
-def _eps_coeff(blocks, jets: list[np.ndarray], i: int, L: int) -> np.ndarray:
-    """Jet coefficients 0..L-1 of [eps^i] F(eps, z0 + h, sum_l a_l eps^l).
+def _stacked_dot(stack: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_l stack[..., l, :, :] * a[l] for series of one length L, with *
+    the contraction of the last slot: one contraction over the merged
+    (l, slot) axis.  `stack` has shape (..., n, nu, L), `a` (n, nu, L)."""
+    L = a.shape[-1]
+    return _series_dot(stack.reshape(stack.shape[:-3] + (-1, L)), a.reshape(-1, L), L)
+
+
+class _EpsStepper:
+    """Online eps-orders of F(eps, z0 + h, sum_l a_l(z0 + h) eps^l).
 
     `blocks` maps (eps-power j, arity m) to entries whose trailing axis holds
-    h-coefficients; the sum over l runs over the given jets.  With
-    a_0..a_{i-1} this is R_i; with a_0..a_i it is the whole coefficient.
+    h-coefficients; a_l is carried to h-length L_0 - l, with L_0 the length
+    of a_0.  Each block keeps its eps-Cauchy partials
+
+        P_r[n] = sum_{l<=n} P_{r-1}[n - l] * a_l,    P_1[n] = block * a_n,
+
+    (* contracts the last free slot, with the h-product), r = 1..m-1; P_m[n]
+    is the block's share of the eps^(n+j) coefficient.  `forcing` forms the
+    next order i with a_i = 0, which is R_i; `push` takes a_i and refreshes
+    the partials by the terms linear in a_i, which gives the whole eps^i
+    coefficient.  Each order costs one batched contraction per (block, r),
+    over a stacked Toeplitz of a_0..a_n, plus one per (block, r) to refresh.
     """
-    return sum(_jet_apply(e, [jets[l] for l in comp], L)
-               for (j, m), e in blocks.items() if j <= i
-               for comp in compositions(i - j, m, 0) if max(comp, default=0) < len(jets))
+
+    def __init__(self, blocks, a0: np.ndarray, I: int):
+        nu, L0 = a0.shape
+        self.dtype = np.result_type(a0, *blocks.values())
+        self.a = np.zeros((I + 1, nu, L0), dtype=self.dtype)
+        self.a[0] = a0
+        # P_r for r = 1..m-1, shape (nu,) * (m - r) + (orders, nu, L_0)
+        self.parts = [(j, m, [e] + [np.zeros(e.shape[:m - r] + (I + 1 - j, nu, L0),
+                                              dtype=self.dtype) for r in range(1, m)])
+                      for (j, m), e in blocks.items() if j <= I]
+        self.i = 0
+        self.coeff = self._advance()
+
+    def _advance(self) -> np.ndarray:
+        """Coefficient eps^i for i = self.i, with the partials at i - j."""
+        i, (nu, L0) = self.i, self.a.shape[1:]
+        L = L0 - i
+        total = np.zeros((nu, L), dtype=self.dtype)
+        for j, m, parts in self.parts:
+            n = i - j
+            if n < 0:
+                continue
+            if m == 0:
+                if n == 0:
+                    total = total + _fit(parts[0], L)
+                continue
+            t = _series_dot(parts[0], self.a[n], L)
+            for r in range(2, m + 1):
+                parts[r - 1][..., n, :, :L] = t
+                t = _stacked_dot(parts[r - 1][..., : n + 1, :, :L], self.a[n::-1, :, :L])
+            total = total + t
+        return total
+
+    def forcing(self) -> np.ndarray:
+        """R_i for the next order i: coefficient eps^i with a_i = 0."""
+        self.i += 1
+        self.coeff = self._advance()
+        return self.coeff
+
+    def push(self, ai: np.ndarray) -> np.ndarray:
+        """Take a_i for the order `forcing` formed; return the whole eps^i
+        coefficient, a_i included."""
+        i = self.i
+        L = ai.shape[1]
+        self.a[i, :, :L] = ai
+        pair = self.a[[0, i], :, :L]
+        total = self.coeff
+        # a_i enters P_r[i] through P_{r-1}[0] * a_i and P_{r-1}[i] * a_0
+        for j, m, parts in self.parts:
+            if j or not m:
+                continue
+            delta = _series_dot(parts[0], ai, L)
+            for r in range(2, m + 1):
+                parts[r - 1][..., i, :, :L] += delta
+                delta = _stacked_dot(np.stack([delta, parts[r - 1][..., 0, :, :L]], axis=-3), pair)
+            total = total + delta
+        self.coeff = total
+        return total
 
 
-def _order_step(blocks, jets: list[np.ndarray], z0, t0: np.ndarray,
-                t0_inv: np.ndarray, L: int) -> np.ndarray:
-    """a_i for i = len(jets), to length L in h = z - z0, from
-    T_0 a_i = (z0 + h) a'_{i-1} - R_i.
-
-    R_i is built once; a_i follows by forward substitution against the
-    h-coefficients of T_0 (`t0`, shape (nu, nu, >= L)), with `t0_inv` the
-    inverse of its constant term.  a_{i-1} must be known to length L + 1.
-    """
-    prev = jets[-1]
+def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
+    """h-coefficients 0..L-1 of (z0 + h) a'(z0 + h) from those of a."""
     k = np.arange(L)
-    rhs = z0 * prev[:, 1: L + 1] * (k + 1) + prev[:, :L] * k
-    rhs = rhs - _eps_coeff(blocks, jets, len(jets), L)
-    nu = rhs.shape[0]
+    return z0 * prev[:, 1: L + 1] * (k + 1) + prev[:, :L] * k
+
+
+def _forward_substitute(rhs: np.ndarray, t0: np.ndarray, t0_inv: np.ndarray) -> np.ndarray:
+    """Solve T_0 a = rhs on h-coefficients, with `t0` the coefficients of
+    T_0 (shape (nu, nu, >= L)) and `t0_inv` the inverse of its constant term."""
+    nu, L = rhs.shape
     ai = np.zeros((nu, L), dtype=rhs.dtype)
     for q in range(L):
         acc = rhs[:, q]
@@ -172,11 +245,13 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int,
             f"truncation K_z = {K_z} cannot support order-{i} coefficients")
     if T0 is None:
         T0 = build_T0(p, a_so_far[0], K_z)
-    blocks = assemble_B(p)
     t0 = T0.coeffs
-    ai = _order_step(blocks, [a.coeffs for a in a_so_far], 0.0, t0,
-                     np.linalg.inv(t0[:, :, 0]), target + 1)
-    return VecSeries(ai, var="z")
+    stepper = _EpsStepper(assemble_B(p), a_so_far[0].coeffs[:, : K_z + 1], i)
+    for l, a in enumerate(a_so_far[1:], start=1):
+        stepper.forcing()
+        stepper.push(a.coeffs[:, : K_z - l + 1])
+    rhs = _lin_rhs(a_so_far[-1].coeffs, 0.0, target + 1) - stepper.forcing()
+    return VecSeries(_forward_substitute(rhs, t0, np.linalg.inv(t0[:, :, 0])), var="z")
 
 
 def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
@@ -190,19 +265,19 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
     p.require_normalized()
     a0 = solve_a0(p, K_z)
     t0 = build_T0(p, a0, K_z)
-    blocks = assemble_B(p)
+    t0_inv = np.linalg.inv(t0.coeffs[:, :, 0])
+    stepper = _EpsStepper(assemble_B(p), a0.coeffs, I)
     a_list = [a0]
     residuals = [0.0]
     for i in range(1, I + 1):
-        ai = solve_ai(p, a_list, i, K_z, T0=t0)
-        L = K_z - i + 1
-        za_prime = a_list[i - 1].coeffs[:, :L] * np.arange(L)
-        resid = za_prime - _eps_coeff(blocks, [x.coeffs for x in a_list] + [ai.coeffs], i, L)
+        za_prime = _lin_rhs(a_list[i - 1].coeffs, 0.0, K_z - i + 1)
+        ai = _forward_substitute(za_prime - stepper.forcing(), t0.coeffs, t0_inv)
+        resid = za_prime - stepper.push(ai)
         rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
         if rel > _RESIDUAL_RTOL:
             raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e}")
         residuals.append(rel)
-        a_list.append(ai)
+        a_list.append(VecSeries(ai, var="z"))
     return EpsFormalSolution(a=tuple(a_list), T0=t0, K_z=K_z, residuals=tuple(residuals))
 
 
@@ -210,8 +285,8 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
 # point values a_i(z) from Taylor jets at z
 # ---------------------------------------------------------------------------
 
-#: z-order of the a_0 series that starts the Newton iteration for a_0(z)
-_A0_START_ORDER = 40
+#: z-orders of the a_0 series tried in turn to start the Newton iteration for a_0(z)
+_A0_START_ORDERS = (40, 80, 160, 320)
 _NEWTON_MAX_ITER = 60
 
 
@@ -241,11 +316,13 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     digit that the terms a_{i,k} z^k outgrow a_i(z) by.  This works at z
     itself, on jets in h = z' - z:
 
-    * Newton solves F(0, z, a_0) = 0, started from the a_0 series at 0.
+    * Newton solves F(0, z, a_0) = 0, started from the a_0 series at 0 of
+      order 40, 80, 160 or 320: the first whose value agrees with the root
+      it leads to within 1e-6.
     * The h-coefficients of a_0 and, for i >= 1, of T_0(z + h) a_i =
       (z + h) a'_{i-1} - R_i are found one at a time from triangular
-      systems with the constant matrix T_0(z), by the order-i step that
-      `solve_ai` runs at z = 0.
+      systems with the constant matrix T_0(z), by the online stepper that
+      `solve_eps_expansion` runs at z = 0.
     * a_i is carried to h-order I - i, exactly what the next order needs.
 
     Arithmetic is complex128 for a Python or numpy `z`, and the current
@@ -285,21 +362,39 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
                 norm=float(svals[0]), smallest_singular_value=float(svals[-1]))
         return inverse(jac)
 
-    # a_0(z) by Newton from the double-precision a_0 series
-    start = solve_a0(p, _A0_START_ORDER).evaluate(complex(z0))
-    c = work(start)
-    scale = max(float(np.linalg.norm(start)), 1.0)
-    for _ in range(_NEWTON_MAX_ITER):
-        step = jacobian_inverse(c) @ _F0_jet(blocks0, c[:, None], 1)[:, 0]
-        c = c - step
-        if float(np.linalg.norm(step.astype(np.complex128))) <= 16 * unit * scale:
+    def newton(start: np.ndarray, scale: float):
+        """The root reached from `start`, or None if the iteration fails."""
+        c = work(start)
+        for _ in range(_NEWTON_MAX_ITER):
+            residual = _F0_jet(blocks0, c[:, None], 1)[:, 0]
+            if not np.all(np.isfinite(residual.astype(np.complex128))):
+                return None
+            step = jacobian_inverse(c) @ residual
+            c = c - step
+            if float(np.linalg.norm(step.astype(np.complex128))) <= 16 * unit * scale:
+                return c
+        return None
+
+    # a_0(z) by Newton, started from ever longer double-precision a_0 series
+    # until the start agrees with the root it leads to
+    c = None
+    for order in _A0_START_ORDERS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                start = solve_a0(p, order).evaluate(complex(z0))
+            except ValueError:   # the a_0 coefficients overflow
+                break
+            scale = max(float(np.linalg.norm(start)), 1.0)
+            if not np.isfinite(scale):
+                break
+            root = newton(start, scale)
+        if root is not None and \
+                float(np.linalg.norm(root.astype(np.complex128) - start)) <= 1e-6 * scale:
+            c = root
             break
-    else:
-        raise GevreyKitError(f"Newton for a_0({complex(z0)}) did not converge")
-    if float(np.linalg.norm(c.astype(np.complex128) - start)) > 1e-6 * scale:
+    if c is None:
         raise GevreyKitError(
-            f"the a_0 series at order {_A0_START_ORDER} does not resolve a_0 "
-            f"at z = {complex(z0)}")
+            f"the a_0 series up to order {order} does not resolve a_0 at z = {complex(z0)}")
 
     # h-jet of a_0: order k is linear in a_0[k] through T_0(z)
     t0_inv = jacobian_inverse(c)
@@ -308,7 +403,8 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     solve_triangular(blocks0, a0, lambda k, rhs: -(t0_inv @ rhs))
     t0 = _T0_jet(blocks0, a0, I + 1)
 
-    jets = [a0]
+    stepper = _EpsStepper(blocks, a0, I)
     for i in range(1, I + 1):
-        jets.append(_order_step(blocks, jets, z0, t0, t0_inv, I - i + 1))
-    return np.stack([a[:, 0] for a in jets])
+        rhs = _lin_rhs(stepper.a[i - 1], z0, I - i + 1) - stepper.forcing()
+        stepper.push(_forward_substitute(rhs, t0, t0_inv))
+    return stepper.a[:, :, 0].copy()

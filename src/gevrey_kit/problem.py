@@ -357,10 +357,13 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
     s = np.zeros((p.nu, k_eps + 1), dtype=np.complex128)
     solve_triangular(zero_blocks, s, lambda j, c: -np.linalg.solve(a01_0, c))
 
-    phi = sum(_jet_apply(e, [s] * m, k_eps + 1) for m, e in zero_blocks)
-    residual = float(np.abs(phi).max())
-    if residual > 1e-10:
-        raise NormalizationError(f"order-by-order root solve failed (residual {residual:.3e})")
+    # the root check is relative to the largest block term A_{0,m}(s, ..., s)
+    terms = [_jet_apply(e, [s] * m, k_eps + 1) for m, e in zero_blocks]
+    residual = float(np.abs(sum(terms)).max())
+    scale = max([1.0] + [float(np.abs(t).max()) for t in terms])
+    if not residual <= 1e-10 * scale:
+        raise NormalizationError(f"order-by-order root solve failed (residual {residual:.3e}, "
+                                 f"largest term {scale:.3e})")
 
     shift = VecSeries(s, var="eps")
     shifted = shift_problem(p, shift, max_eps_order=k_eps)

@@ -13,7 +13,9 @@ arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13):
 `_jet_apply` contracts a dense block whose entries are truncated series
 with one vector series per slot, in any dtype numpy can multiply (complex128
 or object arrays of mpmath numbers), and `solve_triangular` solves for the
-coefficients of an unknown series one at a time on top of it.  The
+coefficients of an unknown series one at a time on top of it.  It keeps the
+partial contractions of every block and extends them by one coefficient per
+step (the online scheme of van der Hoeven), so step k costs O(k).  The
 normalization shift of `problem` contracts its blocks with the same kernel.
 The composition sum (`compositions` with `multilinear_apply`) and the
 Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
@@ -304,6 +306,13 @@ def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.nda
     return _fit(t, L) if not factors else t
 
 
+def _coeff_dot(s: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Coefficient k of the series `s` (shape (..., nu, A)) contracted in
+    its last slot with the vector series `x` (nu, >= k + 1)."""
+    n = min(k + 1, s.shape[-1])
+    return np.tensordot(s[..., :n], x[:, k::-1][:, :n], axes=([-2, -1], [0, 1]))
+
+
 def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
                      solve: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
     """Fill the coefficients x[:, 1:] of a vector series in place, in order.
@@ -314,10 +323,39 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
     recursion in which x_k enters coefficient k only through a linear term
     that `solve` inverts.  x[:, 0] is the given start; the later columns
     must be zero on entry.
+
+    The scheme is online (van der Hoeven, *Relax, but don't be too lazy*,
+    JSC 2002): each block keeps its partial contractions S_r, r = 1..m-1,
+    the block with its r trailing slots contracted against x, and step k
+    adds coefficient k to each of them, so a step costs O(k), not a
+    recontraction of the whole jet.  Overflow is left to `solve`, which
+    sees the non-finite coefficient.
     """
-    for k in range(1, x.shape[1]):
-        c = sum(_jet_apply(e, [x[:, : k + 1]] * m, k + 1)[:, k] for m, e in blocks)
-        x[:, k] = solve(k, c)
+    L = x.shape[1]
+    dtype = np.result_type(x, *(e for _, e in blocks))
+    # parts[r] = S_r with shape (nu,) * (m + 1 - r) + (L,); parts[0] is the block
+    state = [(m, [e] + [np.zeros(e.shape[:-1 - r] + (L,), dtype=dtype) for r in range(1, m)])
+             for m, e in blocks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, parts in state:
+            for r in range(1, m):
+                parts[r][..., 0] = _coeff_dot(parts[r - 1], x, 0)
+        for k in range(1, L):
+            c = np.zeros(x.shape[0], dtype=dtype)
+            for m, parts in state:
+                for r in range(1, m):
+                    parts[r][..., k] = _coeff_dot(parts[r - 1], x, k)
+                if m:
+                    c = c + _coeff_dot(parts[m - 1], x, k)
+                elif k < parts[0].shape[-1]:
+                    c = c + parts[0][..., k]
+            x[:, k] = solve(k, c)
+            # x_k enters S_r[k] through S_{r-1}[0] x_k and S_{r-1}[k] x_0
+            for m, parts in state:
+                for r in range(1, m):
+                    term = parts[r - 1][..., 0] @ x[:, k]
+                    delta = term if r == 1 else delta @ x[:, 0] + term
+                    parts[r][..., k] += delta
     return x
 
 

@@ -4,8 +4,9 @@ The coefficients of f(eps, z) = sum_{k>=1} f_k(eps) z^k satisfy a closed
 triangular recursion: f_1 solves (eps*I - A01(eps)) f_1 = A10(eps), and each
 later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j is the
 coefficient of z^j of F(eps, z, f) with f_j set to zero, so only earlier
-coefficients enter.  `series.solve_triangular` forms g_j on the Taylor-jet
-kernel.  Linear systems are solved by dense factorization with an explicit
+coefficients enter.  `series.solve_triangular` forms g_j from partial
+contractions of the blocks that it extends by one coefficient per step, so
+step j costs O(j).  Linear systems are solved by dense factorization with an explicit
 residual check; eps*k landing on an eigenvalue of the linear block is
 reported as a resonance.
 """

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from gevrey_kit import (
     ProblemSpec,
     assemble_B,
     build_T0,
+    builtin_riccati,
     eps_values_at,
     mat_series_inverse,
     solve_a0,
@@ -15,7 +17,9 @@ from gevrey_kit import (
     solve_coeffs_z,
     solve_eps_expansion,
 )
+from gevrey_kit.epssolver import _EpsStepper
 from gevrey_kit.errors import GevreyKitError, InsufficientOrderError
+from gevrey_kit.series import _jet_apply, compositions
 
 
 def half_binomial(k):
@@ -274,7 +278,121 @@ class TestPointValues:
         assert exact.dtype == object
         np.testing.assert_allclose(jets, exact.astype(complex), rtol=1e-8)
 
+    @pytest.mark.parametrize("z", [0.22, 0.24])
+    def test_start_near_the_a0_radius(self, riccati, z):
+        # the a_0 series (radius 1/4) needs order 80 at z = 0.22 and 160 at
+        # z = 0.24 before its value agrees with the Newton root
+        mpmath = pytest.importorskip("mpmath")
+        jets = eps_values_at(riccati, z, 12)
+        with mpmath.workdps(30):
+            exact = eps_values_at(riccati, mpmath.mpf(z), 12)
+            a0 = 0.5 - 1 / (1 + mpmath.sqrt(1 + 4 * mpmath.mpf(z)))
+            assert abs(exact[0, 0] - a0) < 1e-25
+        np.testing.assert_allclose(jets, exact.astype(complex), rtol=1e-10)
+
     def test_start_outside_a0_disc_is_refused(self, riccati):
         # a_0 has branch points at z = +-i/2; its series cannot start Newton at z = 2
         with pytest.raises(GevreyKitError):
             eps_values_at(riccati, 2.0, 4)
+
+    def test_overflowing_a0_series_is_refused(self):
+        # beta = 100 shrinks the radius of a_0 to about 1/400: its series
+        # overflows double precision before order 160, which must end the
+        # search for a start with a typed error and no warning
+        with pytest.raises(GevreyKitError):
+            eps_values_at(builtin_riccati((100.0,)), 0.5, 4)
+
+
+def composition_coeff(blocks, jets, i, L):
+    """Coefficient eps^i of F(eps, z, sum_l a_l eps^l) by the composition
+    sum: every split of i - j into m eps-indices below len(jets)."""
+    nu = jets[0].shape[0]
+    return sum((_jet_apply(e, [jets[l] for l in comp], L)
+                for (j, m), e in blocks.items() if j <= i
+                for comp in compositions(i - j, m, 0) if max(comp, default=0) < len(jets)),
+               np.zeros((nu, L), dtype=jets[0].dtype))
+
+
+class TestEpsStepper:
+    @pytest.mark.parametrize("dtype, seed", [("complex", s) for s in range(12)]
+                             + [("mpmath", s) for s in range(4)])
+    def test_matches_composition_sum(self, seed, dtype):
+        # non-symmetric blocks of arity 0..3 with eps-powers 0..2 and jets
+        # of decreasing length, as the eps recursion carries them; object
+        # arrays of mpmath numbers are slow, so those cases stay small
+        rng = np.random.default_rng(seed)
+        small = dtype == "mpmath"
+        nu, I = int(rng.integers(1, 3 if small else 4)), int(rng.integers(1, 5 if small else 7))
+        L0 = I + int(rng.integers(1, 5))
+
+        def draw(shape, scale=1.0):
+            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        blocks = {(j, m): draw((nu,) * (m + 1) + (int(rng.integers(1, L0 + 3)),), 0.5)
+                  for j in range(3) for m in range(4) if rng.uniform() < 0.6}
+        blocks[(0, 1)] = draw((nu, nu, 2), 0.5)
+        jets = [draw((nu, L0 - l), 0.5) for l in range(I + 1)]
+        precision, tol = contextlib.nullcontext(), 1e-12
+        if dtype == "mpmath":
+            mpmath = pytest.importorskip("mpmath")
+            precision, tol = mpmath.workdps(30), 1e-25
+
+        def close(got, want):
+            err = np.abs(got - want).astype(float).max()
+            assert err <= tol * max(1.0, np.abs(want).astype(float).max())
+
+        with precision:
+            if dtype == "mpmath":
+                work = np.frompyfunc(mpmath.mpc, 1, 1)
+                blocks = {key: work(e) for key, e in blocks.items()}
+                jets = [work(a) for a in jets]
+            stepper = _EpsStepper(blocks, jets[0], I)
+            close(stepper.coeff, composition_coeff(blocks, jets[:1], 0, L0))
+            for i in range(1, I + 1):
+                L = L0 - i
+                close(stepper.forcing(), composition_coeff(blocks, jets[:i], i, L))
+                close(stepper.push(jets[i]), composition_coeff(blocks, jets[: i + 1], i, L))
+
+
+def count_tensordot(monkeypatch):
+    """Record, for every np.tensordot call, its multiply-adds."""
+    calls = []
+    orig = np.tensordot
+
+    def counting(a, b, axes=2):
+        a_axes = range(a.ndim - axes, a.ndim) if isinstance(axes, int) else axes[0]
+        contracted = np.prod([a.shape[ax] for ax in np.atleast_1d(a_axes)])
+        calls.append(a.size * b.size // max(int(contracted), 1))
+        return orig(a, b, axes)
+
+    monkeypatch.setattr(np, "tensordot", counting)
+    return calls
+
+
+class TestOrderCost:
+    """Each new order costs a fixed number of contractions per block; a
+    recursion that recontracts a whole jet or sums over compositions of the
+    order fails these counts."""
+
+    def test_z_step_cost(self, monkeypatch):
+        p = coupled_problem()
+        calls = count_tensordot(monkeypatch)
+        counts, work = [], []
+        for K in (40, 80):
+            calls.clear()
+            solve_coeffs_z(p, 0.1, K)
+            counts.append(len(calls))
+            work.append(sum(calls))
+        # calls per step do not grow, and their work grows linearly in k
+        assert counts[1] - counts[0] <= counts[0]
+        assert work[1] <= 4.5 * work[0]
+
+    def test_eps_order_cost(self, monkeypatch):
+        p = coupled_problem()
+        calls = count_tensordot(monkeypatch)
+        counts = []
+        for I in (0, 10, 20):
+            calls.clear()
+            solve_eps_expansion(p, I, 30)
+            counts.append(len(calls))
+        assert counts[2] - counts[1] <= counts[1] - counts[0]

@@ -211,12 +211,13 @@ class TestNormalizeShift:
             assert np.abs(acc).max() < 1e-12
 
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), 61, 133, 166])
     def test_shifted_rhs_matches_rhs_at_shift(self, seed):
         # F_shifted(eps, z, g) = F(eps, z, s(eps) + g) + O(eps^(k_eps + 1)) on
         # non-symmetric blocks whose shifted eps-coefficients run far beyond
         # k_eps (the cubic ones to degree 32); the small z-power-1 block must
-        # survive the truncation to k_eps
+        # survive the truncation to k_eps.  Seeds 61, 133 and 166 have shifts
+        # with coefficients up to 9e7, whose root residual exceeds 1e-10
         rng = np.random.default_rng(seed)
         nu = int(rng.integers(1, 4))
 

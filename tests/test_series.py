@@ -18,7 +18,7 @@ from gevrey_kit.errors import (
     SingularMatrixError,
     VarMismatchError,
 )
-from gevrey_kit.series import _jet_apply, compositions
+from gevrey_kit.series import _jet_apply, compositions, solve_triangular
 
 
 def vs(coeffs, var="z"):
@@ -214,6 +214,42 @@ class TestJetKernel:
             unit[col, 0] = 1.0
             np.testing.assert_allclose(got[:, col], brute_jet(entries, [unit, x], 6),
                                        atol=1e-12)
+
+
+def lazy_triangular(blocks, x, solve):
+    """The lazy form of `solve_triangular`: every step recontracts the whole
+    jet of sum e(x, ..., x) and keeps only coefficient k."""
+    for k in range(1, x.shape[1]):
+        c = sum(_jet_apply(e, [x[:, : k + 1]] * m, k + 1)[:, k] for m, e in blocks)
+        x[:, k] = solve(k, c)
+    return x
+
+
+class TestOnlineTriangular:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lazy_recontraction(self, seed):
+        # non-symmetric blocks of arity 0..3, some longer than x, a nonzero
+        # start x_0, and a solve that mixes the components
+        rng = np.random.default_rng(seed)
+        nu, L = int(rng.integers(1, 4)), int(rng.integers(1, 10))
+
+        def draw(shape, scale=1.0):
+            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        blocks = [(m, draw((nu,) * (m + 1) + (int(rng.integers(1, L + 4)),), 0.5))
+                  for m in rng.integers(0, 4, size=int(rng.integers(1, 4)))]
+        mix = draw((nu, nu), 0.5)
+
+        def solve(k, c):
+            return mix @ c / k
+
+        start = np.zeros((nu, L), dtype=complex)
+        start[:, 0] = draw(nu, 0.5)
+        want = lazy_triangular(blocks, start.copy(), solve)
+        got = solve_triangular(blocks, start.copy(), solve)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 class TestMatInverse:

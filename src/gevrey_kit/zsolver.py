@@ -6,9 +6,9 @@ later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j is the
 coefficient of z^j of F(eps, z, f) with f_j set to zero, so only earlier
 coefficients enter.  `series.solve_triangular` forms g_j from partial
 contractions of the blocks that it extends by one coefficient per step, so
-step j costs O(j).  Linear systems are solved by dense factorization with an explicit
-residual check; eps*k landing on an eigenvalue of the linear block is
-reported as a resonance.
+step j costs O(j).  Linear systems are solved by dense factorization with
+an explicit residual check; eps*k landing on an eigenvalue of the linear
+block is reported as a resonance.
 """
 from __future__ import annotations
 

@@ -1,89 +1,67 @@
 """Constructive solvers, Gevrey growth certification and Borel-Laplace
 summation for singularly perturbed nonlinear systems eps*z*f' = F(eps, z, f)
-with a regular singularity at z = 0."""
+with a regular singularity at z = 0.
+
+Only `errors` is imported with the package; every other public name is
+loaded from its submodule on first access (PEP 562), so ``import
+gevrey_kit`` does not import numpy.  The command line relies on this to
+set the BLAS thread count before numpy loads.
+"""
 
 __version__ = "0.1.0"
 
 from .errors import *  # noqa: F401,F403
-from .series import (  # noqa: F401
-    CONV_TAMING_A,
-    LemmaConvReport,
-    MatSeries,
-    VecSeries,
-    compositions,
-    lemma_conv_bound,
-    mat_series_inverse,
-    multilinear_apply,
-)
-from .problem import (  # noqa: F401
-    CoeffTensor,
-    NormalizationShift,
-    ProblemSpec,
-    assemble_B,
-    builtin_riccati,
-    normalize_shift,
-    parse_problem,
-    problem_to_dict,
-    problem_to_json,
-    shift_problem,
-)
-from .sector import (  # noqa: F401
-    RadiiReport,
-    ResolventReport,
-    SectorSpec,
-    SiegelCheck,
-    SpectrumReport,
-    check_siegel,
-    gamma_max,
-    radius_estimates,
-    resolvent_bound,
-    spectrum,
-)
-from .zsolver import (  # noqa: F401
-    EvalResult,
-    ZSolution,
-    evaluate_f,
-    ode_residual_z,
-    solve_coeffs_z,
-)
-from .epssolver import (  # noqa: F401
-    EpsFormalSolution,
-    build_T0,
-    contraction_estimate,
-    eps_values_at,
-    solve_a0,
-    solve_ai,
-    solve_eps_expansion,
-)
-from .consistency import (  # noqa: F401
-    CrossReport,
-    cross_consistency,
-    eps_taylor_of_z_coeffs,
-    limit_to_a0,
-)
-from .gevrey import (  # noqa: F401
-    GevreyFit,
-    NagumoNorm,
-    RemainderProfile,
-    gevrey_fit,
-    nagumo_norm,
-    nagumo_property_suite,
-    remainder_profile,
-    sup_norm_disc,
-)
-from .borel import (  # noqa: F401
-    BorelData,
-    PadeApproximant,
-    SummationReport,
-    borel_transform,
-    laplace_sum,
-    optimal_truncation_sum,
-    pade_continue,
-)
-from .riccati import (  # noqa: F401
-    bessel_ratio_cf,
-    ode_residual,
-    phi0,
-    phi_eps,
-    shifted_reference,
-)
+from .errors import __all__ as _error_names
+
+#: submodule -> the public names it serves to the package
+_LAZY = {
+    "series": (
+        "CONV_TAMING_A", "LemmaConvReport", "MatSeries", "VecSeries",
+        "compositions", "lemma_conv_bound", "mat_series_inverse", "multilinear_apply",
+    ),
+    "problem": (
+        "CoeffTensor", "NormalizationShift", "ProblemSpec", "assemble_B",
+        "builtin_riccati", "normalize_shift", "parse_problem", "problem_to_dict",
+        "problem_to_json", "shift_problem",
+    ),
+    "sector": (
+        "RadiiReport", "ResolventReport", "SectorSpec", "SiegelCheck",
+        "SpectrumReport", "check_siegel", "gamma_max", "radius_estimates",
+        "resolvent_bound", "spectrum",
+    ),
+    "zsolver": ("EvalResult", "ZSolution", "evaluate_f", "ode_residual_z", "solve_coeffs_z"),
+    "epssolver": (
+        "EpsFormalSolution", "build_T0", "contraction_estimate", "eps_values_at",
+        "solve_a0", "solve_ai", "solve_eps_expansion",
+    ),
+    "consistency": ("CrossReport", "cross_consistency", "eps_taylor_of_z_coeffs",
+                    "limit_to_a0"),
+    "gevrey": (
+        "GevreyFit", "NagumoNorm", "RemainderProfile", "gevrey_fit", "nagumo_norm",
+        "nagumo_property_suite", "remainder_profile", "sup_norm_disc",
+    ),
+    "borel": (
+        "BorelData", "PadeApproximant", "SummationReport", "borel_transform",
+        "laplace_sum", "optimal_truncation_sum", "pade_continue",
+    ),
+    "riccati": ("bessel_ratio_cf", "ode_residual", "phi0", "phi_eps", "shifted_reference"),
+}
+_HOME = {name: mod for mod, names in _LAZY.items() for name in names}
+
+__all__ = [*_error_names, *_HOME, "errors", *_LAZY]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

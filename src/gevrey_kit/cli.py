@@ -9,8 +9,15 @@ or CSV tables; identical inputs produce byte-identical files (no timestamps
 anywhere), and output files are written atomically.
 
 Exit codes: 0 success or positive verdict, 2 negative mathematical verdict
-(not summable, resonance, pole obstruction, validation failure), 1
-operational error.
+(not summable, resonance, pole obstruction, validation failure, a `solve`
+series that does not satisfy the equation), 1 operational error.
+
+Start-up: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS to 1 unless they are already set, before numpy is
+imported.  Every matrix here is at most MAX_DIMENSION = 8 on a side, too
+small for a BLAS worker thread to help, and an idle worker spins on
+another core.  A process that imported numpy before this module keeps its
+thread pool.  Each subcommand imports only the library layers it runs.
 """
 from __future__ import annotations
 
@@ -24,20 +31,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .borel import borel_transform, laplace_sum, optimal_truncation_sum, pade_continue
-from .epssolver import eps_values_at, solve_a0, solve_eps_expansion
-from .errors import (GevreyKitError, PoleObstructionError, ResonanceError,
-                     SectorTooWideError)
-from .gevrey import gevrey_fit, remainder_profile, sup_norm_disc
-from .problem import builtin_riccati, parse_problem
-from .riccati import ode_residual, shifted_reference
-from .sector import check_siegel, gamma_max, spectrum
-from .zsolver import evaluate_f, ode_residual_z, solve_coeffs_z
+from .errors import GevreyKitError, PoleObstructionError, ResonanceError, SectorTooWideError
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (OpenBLAS reads the thread count when numpy loads)
 
 _MATH_ERRORS = (ResonanceError, PoleObstructionError, SectorTooWideError)
+#: `solve` reports a block whose ODE residual exceeds this times
+#: max(1, max|f|) as not solved: z outside the disc of convergence, or
+#: eps*k near an eigenvalue so that the coefficients blow up
+_SOLVE_RESIDUAL_RTOL = 1e-8
 
 
 def _float_list(text: str) -> list[float]:
@@ -100,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(args):
+    from .problem import builtin_riccati, parse_problem
+
     if getattr(args, "builtin", None):
         return builtin_riccati()
     return parse_problem(Path(args.problem))
@@ -177,6 +185,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_sector(args) -> int:
+    from .sector import check_siegel, gamma_max, spectrum
+
     p = _load_problem(args)
     eigs = spectrum(p.a01(0.0))
     rep = gamma_max(eigs, args.theta)
@@ -203,15 +213,20 @@ def _cmd_check_sector(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .zsolver import evaluate_f, ode_residual_z, solve_coeffs_z
+
     p = _load_problem(args)
     rows = []
     blocks = []
+    verdict = "ok"
     for eps in args.eps:
         sol = solve_coeffs_z(p, eps, args.K)
         resid = ode_residual_z(p, sol, [z for z in args.z if abs(z) > 0])
         points = []
+        f_max = 0.0
         for z in args.z:
             res = evaluate_f(sol, z)
+            f_max = max(f_max, float(np.abs(res.value).max()))
             for comp in range(p.nu):
                 v = res.value[comp]
                 rows.append([eps, z, comp, float(v.real), float(v.imag),
@@ -223,15 +238,22 @@ def _cmd_solve(args) -> int:
                 "tail_valid": res.tail_valid,
             })
         blocks.append({"eps": eps, "max_ode_residual": resid, "points": points})
+        # a NaN residual fails too
+        if not resid <= _SOLVE_RESIDUAL_RTOL * max(1.0, f_max):
+            verdict = "residual-too-large"
     data = {"K": args.K, "eps_blocks": blocks}
     if args.format == "csv":
         _emit(args, _csv_text(["eps", "z", "component", "re", "im", "tail_bound"], rows))
     else:
-        _emit(args, _json_text(_report(args, "ok", data)))
-    return 0
+        _emit(args, _json_text(_report(args, verdict, data)))
+    return 0 if verdict == "ok" else 2
 
 
 def _cmd_resum(args) -> int:
+    from .borel import borel_transform, laplace_sum, optimal_truncation_sum, pade_continue
+    from .epssolver import eps_values_at
+    from .riccati import shifted_reference
+
     p = _load_problem(args)
     L = args.L if args.L is not None else (args.I - 1) // 2
     M = args.M if args.M is not None else args.I - 1 - L
@@ -275,6 +297,9 @@ def _cmd_resum(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .epssolver import solve_eps_expansion
+    from .gevrey import gevrey_fit, remainder_profile, sup_norm_disc
+
     p = _load_problem(args)
     if args.I < 9:
         raise ValueError("diagnose needs --I >= 9 for a meaningful fit")
@@ -319,6 +344,11 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_validate_riccati(args) -> int:
+    from .epssolver import solve_a0
+    from .problem import builtin_riccati
+    from .riccati import ode_residual, shifted_reference
+    from .zsolver import evaluate_f, solve_coeffs_z
+
     p = builtin_riccati()
     checks = []
 

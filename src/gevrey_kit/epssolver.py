@@ -269,15 +269,20 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
     stepper = _EpsStepper(assemble_B(p), a0.coeffs, I)
     a_list = [a0]
     residuals = [0.0]
-    for i in range(1, I + 1):
-        za_prime = _lin_rhs(a_list[i - 1].coeffs, 0.0, K_z - i + 1)
-        ai = _forward_substitute(za_prime - stepper.forcing(), t0.coeffs, t0_inv)
-        resid = za_prime - stepper.push(ai)
-        rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
-        if rel > _RESIDUAL_RTOL:
-            raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e}")
-        residuals.append(rel)
-        a_list.append(VecSeries(ai, var="z"))
+    # overflow is detected on a_i and on the residual, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, I + 1):
+            za_prime = _lin_rhs(a_list[i - 1].coeffs, 0.0, K_z - i + 1)
+            ai = _forward_substitute(za_prime - stepper.forcing(), t0.coeffs, t0_inv)
+            if not np.all(np.isfinite(ai)):
+                raise GevreyKitError(
+                    f"a_{i} overflows double precision at truncation K_z = {K_z}")
+            resid = za_prime - stepper.push(ai)
+            rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
+            if not rel <= _RESIDUAL_RTOL:
+                raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e}")
+            residuals.append(rel)
+            a_list.append(VecSeries(ai, var="z"))
     return EpsFormalSolution(a=tuple(a_list), T0=t0, K_z=K_z, residuals=tuple(residuals))
 
 

@@ -6,9 +6,10 @@ later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j is the
 coefficient of z^j of F(eps, z, f) with f_j set to zero, so only earlier
 coefficients enter.  `series.solve_triangular` forms g_j from partial
 contractions of the blocks that it extends by one coefficient per step, so
-step j costs O(j).  Linear systems are solved by dense factorization with
-an explicit residual check; eps*k landing on an eigenvalue of the linear
-block is reported as a resonance.
+step j costs O(j).  The K matrices eps*k*I - A01 are factored by one
+batched SVD before the recursion; step k takes its resonance check and its
+solution from those factors, with an explicit residual check.  eps*k
+landing on an eigenvalue of the linear block is reported as a resonance.
 """
 from __future__ import annotations
 
@@ -43,13 +44,15 @@ class ZSolution:
     """Coefficients f_1..f_K at a fixed eps.
 
     ``coeffs[k-1]`` is the nu-vector f_k.  `residuals` records the relative
-    residual of each linear solve.  `radii` optionally carries the majorant
-    data used for tail bounds.
+    residual of each linear solve, and `smallest_singular` the smallest
+    singular value of its matrix eps*k*I - A01.  `radii` optionally carries
+    the majorant data used for tail bounds.
     """
 
     eps: complex
     coeffs: np.ndarray
     residuals: np.ndarray
+    smallest_singular: np.ndarray
     radii: RadiiReport | None = None
 
     @property
@@ -80,15 +83,17 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
         e[..., t.n] = t.at_eps(eps)
 
     residuals = np.zeros(K)
+    mats = eps * np.arange(1, K + 1)[:, None, None] * eye - a01
+    u, svals, vh = np.linalg.svd(mats)
+    uh, v = u.conj().swapaxes(1, 2), vh.conj().swapaxes(1, 2)
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
-        mat = eps * k * eye - a01
-        svals = np.linalg.svd(mat, compute_uv=False)
-        if float(svals[-1]) <= _RESONANCE_RTOL * max(1.0, float(svals[0])):
+        mat, s = mats[k - 1], svals[k - 1]
+        if float(s[-1]) <= _RESONANCE_RTOL * max(1.0, float(s[0])):
             raise ResonanceError(
                 f"eps*k = {eps * k:.6g} collides with an eigenvalue of the linear "
                 f"block at k = {k}", k=k, eps=eps)
-        x = np.linalg.solve(mat, rhs)
+        x = v[k - 1] @ ((uh[k - 1] @ rhs) / s)
         # max-abs norms: a 2-norm squares the entries and overflows first,
         # and a NaN residual must fail the check, not pass it
         res = float(np.abs(mat @ x - rhs).max()) / (1.0 + float(np.abs(rhs).max()))
@@ -100,7 +105,8 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
     f = solve_triangular(list(blocks.items()), np.zeros((nu, K + 1), dtype=np.complex128),
                          solve_linear)
     coeffs = np.ascontiguousarray(f[:, 1:].T)
-    return ZSolution(eps=eps, coeffs=coeffs, residuals=residuals, radii=radii)
+    return ZSolution(eps=eps, coeffs=coeffs, residuals=residuals,
+                     smallest_singular=svals[:, -1], radii=radii)
 
 
 def evaluate_f(sol: ZSolution, z: complex) -> EvalResult:

@@ -69,6 +69,20 @@ class TestSolve:
         jsonschema.validate(rep, report_schema)
         assert rep["error"]["code"] == "resonance"
 
+    @pytest.mark.parametrize("eps, z", [
+        ("-0.25000001", "0.05"),   # eps*4 next to the eigenvalue -1
+        ("0.1", "0.5"),            # outside the disc of convergence
+    ])
+    def test_large_residual_is_not_ok(self, tmp_path, report_schema, eps, z):
+        code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati", f"--eps={eps}",
+                                        "--z", z, "--K", "60"])
+        assert code == 2
+        jsonschema.validate(rep, report_schema)
+        assert rep["verdict"] == "residual-too-large"
+        block = rep["data"]["eps_blocks"][0]
+        value = abs(complex(*block["points"][0]["value"][0]))
+        assert block["max_ode_residual"] > 1e-8 * max(1.0, value)
+
     def test_overflow_exits_operational(self, tmp_path, capsys):
         code = main(["solve", "--builtin", "riccati", "--K", "1000"])
         assert code == 1

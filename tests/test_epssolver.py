@@ -189,6 +189,13 @@ class TestAi:
         sol = solve_eps_expansion(riccati, 8, 30)
         assert max(sol.residuals) <= 1e-10
 
+    def test_overflow_is_a_typed_error(self, riccati):
+        # the a_i grow factorially in i and geometrically in z-order; by
+        # i = 100 at K_z = 230 they pass the double range
+        with pytest.raises(GevreyKitError, match="overflows") as exc:
+            solve_eps_expansion(riccati, 100, 230)
+        assert not isinstance(exc.value, ValueError)
+
     def test_zero_problem_stays_zero(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
             CoeffTensor(0, 1, np.array([[[-1.0 + 0j]]])),))

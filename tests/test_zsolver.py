@@ -69,9 +69,18 @@ class TestRecursion:
         assert sol.residuals.max() <= 1e-10
 
     def test_overflow_raises(self, riccati):
-        # past the double range the residual is NaN, which must fail the check
-        with pytest.raises(GevreyKitError):
+        # past the double range the residual is NaN, which must fail the
+        # check, at the first step that overflows
+        with pytest.raises(GevreyKitError, match="k = 876 "):
             solve_coeffs_z(riccati, 0.1, 1000)
+
+    def test_smallest_singular_values(self, riccati):
+        # the linear block is -1, so eps*k*I - A01 = 1 + eps*k
+        sol = solve_coeffs_z(riccati, 0.1, 5)
+        np.testing.assert_allclose(sol.smallest_singular, 1.0 + 0.1 * np.arange(1, 6),
+                                   rtol=1e-15)
+        near = solve_coeffs_z(riccati, -0.25000001, 6)
+        assert near.smallest_singular[3] == pytest.approx(4e-8, rel=1e-6)
 
     def test_zero_problem(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(

@@ -14,10 +14,10 @@ series that does not satisfy the equation), 1 operational error.
 
 Start-up: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 unless they are already set, before numpy is
-imported.  Every matrix here is at most MAX_DIMENSION = 8 on a side, too
-small for a BLAS worker thread to help, and an idle worker spins on
-another core.  A process that imported numpy before this module keeps its
-thread pool.  Each subcommand imports only the library layers it runs.
+imported.  The blocks have at most MAX_DIMENSION = 8 entries per slot, and
+a second BLAS thread does not shorten a job; its idle worker only spins
+on another core.  A process that imported numpy before this module keeps
+its thread pool.  Each subcommand imports only the library layers it runs.
 """
 from __future__ import annotations
 

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationFailedError, GevreyKitError, PoleObstructionError
+from .errors import GevreyKitError, PoleObstructionError
 
 #: kernel decay target at the integration cutoff
 _ETA = 1e-16
 _SAFETY = 1.5
 _POLE_SAFETY = 1e-3
+_RCOND = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +94,6 @@ class SummationReport:
     theta: float
     eps: complex
     I_star: int | None = None
-    reference_error: float | None = None
 
 
 def borel_transform(a_values: np.ndarray, z: complex | None = None) -> BorelData:
@@ -118,36 +118,30 @@ def borel_transform(a_values: np.ndarray, z: complex | None = None) -> BorelData
     return BorelData(a0_value=arr[0].copy(), b_coeffs=arr[1:] * inv_fact[:, None], z=z)
 
 
-def _pade_component(c: np.ndarray, L: int, M: int,
-                    rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray, int]:
+def _pade_component(c: np.ndarray, L: int, M: int) -> tuple[np.ndarray, np.ndarray, int]:
     """[L/M] Pade of one coefficient sequence, reducing M on degeneracy.
 
     Returns (numerator, denominator, effective_M).  The denominator is
     normalized to q_0 = 1; the numerator is the truncated product (c * q).
+    Degree m_eff solves the leading m_eff block of the M x M Toeplitz system
+    c[L + s - j] q_j = -c[L + s] (c = 0 below index 0), s, j = 1..M.
     """
+    idx = L + np.arange(M)[:, None] - np.arange(M)[None, :]
+    rows = np.where(idx >= 0, c[np.maximum(idx, 0)], 0.0)
+    rhs = -c[L + 1: L + M + 1]
     for m_eff in range(M, 0, -1):
-        if L + m_eff + 1 > c.size:
+        block = rows[:m_eff, :m_eff]
+        svals = np.linalg.svd(block, compute_uv=False)
+        if svals[-1] <= _RCOND * max(1.0, float(svals[0])):
             continue
-        rows = np.empty((m_eff, m_eff), dtype=np.complex128)
-        rhs = np.empty(m_eff, dtype=np.complex128)
-        for s in range(1, m_eff + 1):
-            for j in range(1, m_eff + 1):
-                idx = L + s - j
-                rows[s - 1, j - 1] = c[idx] if idx >= 0 else 0.0
-            rhs[s - 1] = -c[L + s]
-        svals = np.linalg.svd(rows, compute_uv=False)
-        if svals[-1] <= rcond * max(1.0, float(svals[0])):
-            continue
-        q = np.concatenate([[1.0 + 0.0j], np.linalg.solve(rows, rhs)])
+        q = np.concatenate([[1.0 + 0.0j], np.linalg.solve(block, rhs[:m_eff])])
         num = np.convolve(c[: L + m_eff + 1], q)[: L + 1]
         return num, q, m_eff
     # no stable rational block: fall back to the Taylor polynomial
-    if L + 1 > c.size:
-        raise ContinuationFailedError("not enough coefficients for any order")
     return c[: L + 1].copy(), np.array([1.0 + 0.0j]), 0
 
 
-def pade_continue(b: BorelData, L: int, M: int, rcond: float = 1e-12) -> PadeApproximant:
+def pade_continue(b: BorelData, L: int, M: int) -> PadeApproximant:
     """Componentwise [L/M] rational continuation of the transform.
 
     Requires L + M + 1 <= I.  Components whose Toeplitz block is numerically
@@ -161,7 +155,7 @@ def pade_continue(b: BorelData, L: int, M: int, rcond: float = 1e-12) -> PadeApp
     nums, dens, poles, orders = [], [], [], []
     for comp in range(b.nu):
         c = b.b_coeffs[:, comp]
-        num, den, m_eff = _pade_component(c, L, M, rcond)
+        num, den, m_eff = _pade_component(c, L, M)
         nums.append(num)
         dens.append(den)
         orders.append((L, m_eff))
@@ -199,13 +193,13 @@ def _gauss_panels(func, t_max: float, panels: int, nodes: int = 24) -> np.ndarra
 
 
 def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
-                theta: float = 0.0, pole_safety: float = _POLE_SAFETY) -> SummationReport:
+                theta: float = 0.0) -> SummationReport:
     """Laplace integral of the continued transform along direction theta.
 
     The cutoff t_max = |eps| * ln(1/eta) * safety keeps the dropped tail at
     kernel level; its bound e^(-t_max/|eps|) * sup|P| joins the quadrature
     refinement difference in the reported error estimate.  A continuation
-    pole within `pole_safety` of the integration segment raises
+    pole within _POLE_SAFETY of the integration segment raises
     :class:`PoleObstructionError` (non-summability in this direction, or
     not enough coefficients).
     """
@@ -216,7 +210,7 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
     t_max = abs(eps) * math.log(1.0 / _ETA) * _SAFETY
     poles = pade.all_poles()
     clearance = _segment_clearance(poles, theta, t_max)
-    if clearance <= pole_safety:
+    if clearance <= _POLE_SAFETY:
         dists = [_segment_clearance(np.array([pl]), theta, t_max) for pl in poles]
         worst = complex(poles[int(np.argmin(dists))]) if poles.size else None
         raise PoleObstructionError(

@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--theta", type=float, default=0.0)
     sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--E", type=float, default=0.1)
 
     sp = sub.add_parser("solve", help="fixed-eps z-series values and residuals")
     common(sp)

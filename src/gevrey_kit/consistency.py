@@ -16,6 +16,8 @@ from .epssolver import solve_a0, solve_eps_expansion
 from .problem import ProblemSpec
 from .zsolver import evaluate_f, solve_coeffs_z
 
+_LIMIT_K = 60
+
 
 @dataclass(frozen=True, eq=False)
 class CrossReport:
@@ -80,17 +82,17 @@ def cross_consistency(p: ProblemSpec, I: int, K: int,
                        eps_taylor=fourier)
 
 
-def limit_to_a0(p: ProblemSpec, eps_list, z: complex, K: int = 60,
-                K_z: int = 60) -> list[tuple[complex, float]]:
-    """Table of ||f(eps_j, z) - a_0(z)|| along a sequence eps_j -> 0."""
-    a0 = solve_a0(p, K_z)
+def limit_to_a0(p: ProblemSpec, eps_list, z: complex) -> list[tuple[complex, float]]:
+    """Table of ||f(eps_j, z) - a_0(z)|| along a sequence eps_j -> 0, both
+    sides summed from z-series of order _LIMIT_K."""
+    a0 = solve_a0(p, _LIMIT_K)
     target = a0.evaluate(z)
     out = []
     for eps in eps_list:
         if eps == 0:
             out.append((complex(eps), 0.0))
             continue
-        sol = solve_coeffs_z(p, eps, K)
+        sol = solve_coeffs_z(p, eps, _LIMIT_K)
         val = evaluate_f(sol, z).value
         out.append((complex(eps), float(np.linalg.norm(val - target))))
     return out

@@ -23,7 +23,7 @@ substitution against the coefficients of T_0; the partials are then
 refreshed by the terms linear in a_i, which gives the whole eps^i
 coefficient.  The stepper serves the z-series at 0 (`solve_eps_expansion`,
 and `solve_ai` for one order) and the jets at a point z (`eps_values_at`).
-`solve_eps_expansion` checks every order against that whole coefficient.
+Both run `_solve_orders`, which checks every a_i against that coefficient.
 
 Each a_i is delivered to z-order K_z - i: one order is reserved per
 eps-step, and the honest order is recorded on the returned series.
@@ -40,18 +40,18 @@ from .problem import ProblemSpec, assemble_B
 from .series import MatSeries, VecSeries, _fit, _jet_apply, _series_dot, solve_triangular
 
 _RESIDUAL_RTOL = 1e-10
+_CONTRACTION_SAMPLES = 33
 
 
 @dataclass(frozen=True, eq=False)
 class EpsFormalSolution:
     """Coefficients a_0..a_I of the formal eps-expansion at truncation K_z.
 
-    ``a[i]`` is a z-VecSeries delivered to order K_z - i; T0 is the
-    linearized operator along a_0 that every order is solved against.
+    ``a[i]`` is a z-VecSeries delivered to order K_z - i; ``residuals[i]``
+    is the relative residual of its defining relation.
     """
 
     a: tuple[VecSeries, ...]
-    T0: MatSeries
     K_z: int
     residuals: tuple[float, ...]
 
@@ -82,7 +82,11 @@ def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
     p.require_normalized()
     a01 = p.a01(0.0)
     a0 = np.zeros((p.nu, K_z + 1), dtype=np.complex128)
-    solve_triangular(_blocks0(p), a0, lambda k, c: -np.linalg.solve(a01, c))
+    # overflow is detected on the coefficients, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        solve_triangular(_blocks0(p), a0, lambda k, c: -np.linalg.solve(a01, c))
+    if not np.all(np.isfinite(a0)):
+        raise GevreyKitError(f"a_0 overflows double precision at truncation K_z = {K_z}")
     return VecSeries(a0, var="z")
 
 
@@ -104,15 +108,15 @@ def build_T0(p: ProblemSpec, a0: VecSeries, K_z: int) -> MatSeries:
     return MatSeries(_T0_jet(_blocks0(p), a0.coeffs, K_z + 1), var="z")
 
 
-def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float,
-                         n_samples: int = 33) -> float:
+def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) -> float:
     """Sampled estimate of c * (||B01(z) - B01(0)|| + sum_m m ||B0m(z)||
     ||a_0(z)||^{m-1}) on |z| <= kappa, the contraction quantity controlling
-    invertibility of T_0 on that disc (< 1 means safely invertible)."""
+    invertibility of T_0 on that disc (< 1 means safely invertible), sampled
+    at _CONTRACTION_SAMPLES radii."""
     b_map = assemble_B(p)
     worst = 0.0
-    for s in range(1, n_samples + 1):
-        z = kappa * s / n_samples
+    for s in range(1, _CONTRACTION_SAMPLES + 1):
+        z = kappa * s / _CONTRACTION_SAMPLES
         total = 0.0
         a0z = float(np.linalg.norm(a0.evaluate(z)))
         for (j, m), block in b_map.items():
@@ -233,8 +237,30 @@ def _forward_substitute(rhs: np.ndarray, t0: np.ndarray, t0_inv: np.ndarray) -> 
     return ai
 
 
-def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int,
-             T0: MatSeries | None = None) -> VecSeries:
+def _solve_orders(stepper: _EpsStepper, z0, t0: np.ndarray, t0_inv: np.ndarray,
+                  where: str) -> list[float]:
+    """Orders 1..I of the stepper from T_0 a_i = (z0 + h) a'_{i-1} - R_i, a_i to
+    h-length L_0 - i, each checked for overflow and against the whole eps^i
+    coefficient; returns the relative residuals of a_0..a_I."""
+    orders, _, L0 = stepper.a.shape
+    residuals = [0.0]
+    # overflow is detected on a_i and on the residual, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, orders):
+            za_prime = _lin_rhs(stepper.a[i - 1], z0, L0 - i)
+            ai = _forward_substitute(za_prime - stepper.forcing(), t0, t0_inv)
+            if ai.dtype != object and not np.all(np.isfinite(ai)):
+                raise GevreyKitError(f"a_{i} overflows double precision {where}")
+            resid = za_prime - stepper.push(ai)
+            rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
+            if not rel <= _RESIDUAL_RTOL:
+                raise GevreyKitError(
+                    f"defining relation for a_{i} left residual {rel:.3e} {where}")
+            residuals.append(rel)
+    return residuals
+
+
+def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> VecSeries:
     """Next coefficient a_i from T_0 a_i = z a'_{i-1} - R_i, delivered to
     z-order K_z - i."""
     if i < 1 or len(a_so_far) != i:
@@ -243,9 +269,7 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int,
     if target < 1:
         raise InsufficientOrderError(
             f"truncation K_z = {K_z} cannot support order-{i} coefficients")
-    if T0 is None:
-        T0 = build_T0(p, a_so_far[0], K_z)
-    t0 = T0.coeffs
+    t0 = build_T0(p, a_so_far[0], K_z).coeffs
     stepper = _EpsStepper(assemble_B(p), a_so_far[0].coeffs[:, : K_z + 1], i)
     for l, a in enumerate(a_so_far[1:], start=1):
         stepper.forcing()
@@ -264,26 +288,12 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
             f"truncation K_z = {K_z} cannot deliver {I} eps-orders")
     p.require_normalized()
     a0 = solve_a0(p, K_z)
-    t0 = build_T0(p, a0, K_z)
-    t0_inv = np.linalg.inv(t0.coeffs[:, :, 0])
+    t0 = build_T0(p, a0, K_z).coeffs
     stepper = _EpsStepper(assemble_B(p), a0.coeffs, I)
-    a_list = [a0]
-    residuals = [0.0]
-    # overflow is detected on a_i and on the residual, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, I + 1):
-            za_prime = _lin_rhs(a_list[i - 1].coeffs, 0.0, K_z - i + 1)
-            ai = _forward_substitute(za_prime - stepper.forcing(), t0.coeffs, t0_inv)
-            if not np.all(np.isfinite(ai)):
-                raise GevreyKitError(
-                    f"a_{i} overflows double precision at truncation K_z = {K_z}")
-            resid = za_prime - stepper.push(ai)
-            rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
-            if not rel <= _RESIDUAL_RTOL:
-                raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e}")
-            residuals.append(rel)
-            a_list.append(VecSeries(ai, var="z"))
-    return EpsFormalSolution(a=tuple(a_list), T0=t0, K_z=K_z, residuals=tuple(residuals))
+    residuals = _solve_orders(stepper, 0.0, t0, np.linalg.inv(t0[:, :, 0]),
+                              f"at truncation K_z = {K_z}")
+    a = tuple(VecSeries(stepper.a[i, :, : K_z - i + 1], var="z") for i in range(I + 1))
+    return EpsFormalSolution(a=a, K_z=K_z, residuals=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +336,8 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
       it leads to within 1e-6.
     * The h-coefficients of a_0 and, for i >= 1, of T_0(z + h) a_i =
       (z + h) a'_{i-1} - R_i are found one at a time from triangular
-      systems with the constant matrix T_0(z), by the online stepper that
-      `solve_eps_expansion` runs at z = 0.
+      systems with the constant matrix T_0(z), by the stepper and the
+      checked order loop that `solve_eps_expansion` runs at z = 0.
     * a_i is carried to h-order I - i, exactly what the next order needs.
 
     Arithmetic is complex128 for a Python or numpy `z`, and the current
@@ -387,7 +397,7 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 start = solve_a0(p, order).evaluate(complex(z0))
-            except ValueError:   # the a_0 coefficients overflow
+            except GevreyKitError:   # the a_0 coefficients overflow
                 break
             scale = max(float(np.linalg.norm(start)), 1.0)
             if not np.isfinite(scale):
@@ -409,7 +419,5 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     t0 = _T0_jet(blocks0, a0, I + 1)
 
     stepper = _EpsStepper(blocks, a0, I)
-    for i in range(1, I + 1):
-        rhs = _lin_rhs(stepper.a[i - 1], z0, I - i + 1) - stepper.forcing()
-        stepper.push(_forward_substitute(rhs, t0, t0_inv))
+    _solve_orders(stepper, z0, t0, t0_inv, f"at z = {complex(z0)}")
     return stepper.a[:, :, 0].copy()

@@ -25,6 +25,7 @@ from .series import VecSeries
 from .zsolver import evaluate_f, solve_coeffs_z
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_K_REF = 80
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,6 @@ class GevreyFit:
     r2_compensated: float = 0.0
 
 
-def _majorant(f: VecSeries) -> np.ndarray:
-    return f.norms()
-
-
 def _weighted(gamma: np.ndarray, kappa: float, k: int) -> Callable[[float], float]:
     powers = np.arange(gamma.size)
 
@@ -82,7 +79,7 @@ def nagumo_norm(f: VecSeries, k: int, kappa: float) -> NagumoNorm:
         raise ValueError("kappa must be positive")
     if k < 0:
         raise ValueError("weight index k must be nonnegative")
-    gamma = _majorant(f)
+    gamma = f.norms()
     if not np.any(gamma):
         return NagumoNorm(kappa=kappa, k=k, value=0.0, maximizer=0.0)
     powers = np.arange(gamma.size)
@@ -159,7 +156,7 @@ def sup_norm_disc(f: VecSeries, sigma: float) -> float:
     of ||f|| on the closed disc of radius sigma."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    gamma = _majorant(f)
+    gamma = f.norms()
     return float((gamma * sigma ** np.arange(gamma.size)).sum())
 
 
@@ -238,12 +235,12 @@ def _norm(v) -> float:
 
 
 def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
-                      reference: Callable[[complex, complex], np.ndarray] | None = None,
-                      K_ref: int = 80) -> list[RemainderProfile]:
+                      reference: Callable[[complex, complex], np.ndarray] | None = None
+                      ) -> list[RemainderProfile]:
     """Taylor-remainder table r_I(eps, z) for I = 0..I_max at each eps.
 
     `reference` supplies f(eps, z); the default evaluates the fixed-eps
-    z-series solver at truncation `K_ref`.  The values a_i(z) come from
+    z-series solver at truncation _K_REF.  The values a_i(z) come from
     their Taylor jets at z (`eps_values_at`), not from z-series summed at 0.
 
     The working precision follows the reference's values: float or complex
@@ -256,7 +253,7 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         raise ValueError("I_max must be >= 1")
     if reference is None:
         def reference(eps, zz):
-            return evaluate_f(solve_coeffs_z(p, eps, K_ref), zz).value
+            return evaluate_f(solve_coeffs_z(p, eps, _K_REF), zz).value
 
     refs = [np.asarray(reference(eps, z), dtype=object).ravel() for eps in eps_list]
     if any(is_mpmath(v) for f in refs for v in f):

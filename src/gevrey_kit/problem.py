@@ -9,6 +9,7 @@ the blocks into z-polynomial tensors graded by powers of eps live here too.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -124,10 +125,6 @@ class ProblemSpec:
         return max(t.n for t in self.tensors)
 
     @property
-    def m_max(self) -> int:
-        return max(t.m for t in self.tensors)
-
-    @property
     def is_normalized(self) -> bool:
         return (0, 0) not in self.blocks
 
@@ -167,6 +164,14 @@ class NormalizationShift:
 
 _TOP_KEYS = {"nu", "rho", "rho1", "tensors"}
 _TENSOR_KEYS = {"n", "m", "entries"}
+#: numpy's limit on array axes; a block of arity m needs m + 2
+_MAX_AXES = 64
+
+
+def _is_double(v) -> bool:
+    """A JSON number that is a finite double; bools are not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def parse_problem(document) -> ProblemSpec:
@@ -176,6 +181,9 @@ def parse_problem(document) -> ProblemSpec:
     layout is ``{"nu", "rho", "rho1", "tensors": [{"n", "m", "entries"}]}``
     where ``entries`` is a flat list of length ``nu**(m+1)`` in row-major
     slot order and every entry is a list of ``[re, im]`` eps-coefficients.
+    Numbers must be finite doubles and m + 2 at most _MAX_AXES.  A missing or
+    singular linear block raises `SingularMatrixError`, any other fault
+    `SchemaError`.
     """
     if isinstance(document, (str, Path)):
         try:
@@ -200,8 +208,8 @@ def parse_problem(document) -> ProblemSpec:
     if not isinstance(nu, int) or isinstance(nu, bool) or not 1 <= nu <= MAX_DIMENSION:
         raise SchemaError(f"nu must be an integer in [1, {MAX_DIMENSION}]")
     rho, rho1 = document["rho"], document["rho1"]
-    if not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in (rho, rho1)):
-        raise SchemaError("rho and rho1 must be numbers")
+    if not (_is_double(rho) and _is_double(rho1)):
+        raise SchemaError("rho and rho1 must be finite numbers")
     if not (rho > 0 and rho1 > rho):
         raise SchemaError("radii must satisfy 0 < rho < rho1")
     raw = document["tensors"]
@@ -218,6 +226,8 @@ def parse_problem(document) -> ProblemSpec:
         if (n, m) in seen:
             raise SchemaError(f"duplicate block ({n}, {m})")
         seen.add((n, m))
+        if m + 2 > _MAX_AXES:
+            raise SchemaError(f"block ({n}, {m}) needs {m + 2} array axes, at most {_MAX_AXES}")
         flat = item["entries"]
         want = nu ** (m + 1)
         if not isinstance(flat, list) or len(flat) != want:
@@ -229,10 +239,8 @@ def parse_problem(document) -> ProblemSpec:
                 raise SchemaError("each entry must be a non-empty list of [re, im] pairs")
             coeffs = []
             for pair in entry:
-                if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                   for v in pair)):
-                    raise SchemaError("eps-coefficients must be [re, im] pairs")
+                if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_double, pair)):
+                    raise SchemaError("eps-coefficients must be [re, im] pairs of finite numbers")
                 coeffs.append(complex(pair[0], pair[1]))
             lengths.add(len(coeffs))
             rows.append(coeffs)
@@ -301,11 +309,11 @@ def _shift_blocks(blocks: dict[tuple[int, int], np.ndarray],
     return out
 
 
-def shift_problem(p: ProblemSpec, s: VecSeries, *, drop_tol: float = COEFF_TOL,
+def shift_problem(p: ProblemSpec, s: VecSeries, *,
                   max_eps_order: int | None = None) -> ProblemSpec:
     """Return the problem re-expanded around f = s(eps) + f_new.
 
-    The shifted (0,0) block must vanish below `drop_tol` (scaled); it is then
+    The shifted (0,0) block must vanish below COEFF_TOL (scaled); it is then
     removed exactly.  Blocks that end up numerically zero are dropped, except
     the mandatory (0,1) block.
     """
@@ -322,13 +330,13 @@ def shift_problem(p: ProblemSpec, s: VecSeries, *, drop_tol: float = COEFF_TOL,
     zz = shifted.pop((0, 0), None)
     if zz is not None:
         worst = float(np.abs(zz).max())
-        if worst > drop_tol * scale:
+        if worst > COEFF_TOL * scale:
             raise NormalizationError(
                 f"shift does not remove the constant block (residual {worst:.3e})")
 
     tensors = []
     for (n, m), arr in sorted(shifted.items()):
-        if (n, m) != (0, 1) and float(np.abs(arr).max()) <= drop_tol * scale:
+        if (n, m) != (0, 1) and float(np.abs(arr).max()) <= COEFF_TOL * scale:
             continue
         last = int(np.max(np.nonzero(np.abs(arr).reshape(-1, arr.shape[-1]).max(axis=0)
                                      > 0.0)[0], initial=0))

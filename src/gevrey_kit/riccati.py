@@ -22,7 +22,8 @@ import math
 from .errors import BranchCutError, EvaluationError
 
 _TINY = 1e-30
-_DEFAULT_Z_MAX = 4.0
+_Z_MAX = 4.0
+_H = 1e-6
 
 
 def bessel_ratio_cf(kappa: float, x: float, tol: float = 1e-15,
@@ -66,36 +67,35 @@ def phi0(z: complex) -> complex:
     return -1.0 / (1.0 + cmath.sqrt(w))
 
 
-def phi_eps(eps: float, z: float, *, z_max: float = _DEFAULT_Z_MAX,
-            tol: float = 1e-15, max_depth: int = 10000) -> float:
-    """Bessel-ratio solution at real eps in (0, 2], real z in (0, z_max].
+def phi_eps(eps: float, z: float) -> float:
+    """Bessel-ratio solution at real eps in (0, 2], real z in (0, _Z_MAX].
 
     For z > 0 the value is real and sits in (-1/2, 0).
     """
     if not 0.0 < eps <= 2.0:
         raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    if not 0.0 < z <= z_max:
-        raise ValueError(f"z must lie in (0, {z_max}], got {z}")
+    if not 0.0 < z <= _Z_MAX:
+        raise ValueError(f"z must lie in (0, {_Z_MAX}], got {z}")
     kappa = 1.0 / eps
     sz = math.sqrt(z)
     x = 2.0 * sz / eps
-    ratio = bessel_ratio_cf(kappa, x, tol=tol, max_depth=max_depth)
+    ratio = bessel_ratio_cf(kappa, x)
     return -ratio / (2.0 * sz)
 
 
-def shifted_reference(eps: float, z: float, **kwargs) -> float:
+def shifted_reference(eps: float, z: float) -> float:
     """phi_eps(z) + 1/2: the quantity the normalized solvers must match."""
-    return phi_eps(eps, z, **kwargs) + 0.5
+    return phi_eps(eps, z) + 0.5
 
 
-def ode_residual(eps: float, z: float, h: float = 1e-6) -> float:
+def ode_residual(eps: float, z: float) -> float:
     """|eps*z*phi' + phi - 2*z*phi**2 + 1/2| with phi' from a fourth-order
-    central difference (two-step Richardson refinement of the midpoint rule).
+    central difference of step _H (two-step Richardson refinement of the
+    midpoint rule).
 
     Independent of the series solvers; this is the oracle's self-check.
     """
-    if z - 2 * h <= 0:
-        h = z / 4.0
+    h = _H if z > 2 * _H else z / 4.0
     f = phi_eps(eps, z)
     d1 = (phi_eps(eps, z + h) - phi_eps(eps, z - h)) / (2.0 * h)
     d2 = (phi_eps(eps, z + 2 * h) - phi_eps(eps, z - 2 * h)) / (4.0 * h)

@@ -14,13 +14,16 @@ landing on an eigenvalue of the linear block is reported as a resonance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GevreyKitError, ResonanceError
 from .problem import ProblemSpec
-from .sector import RadiiReport
 from .series import CONV_TAMING_A, solve_triangular
+
+if TYPE_CHECKING:
+    from .sector import RadiiReport
 
 _RESONANCE_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10

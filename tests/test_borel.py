@@ -97,6 +97,33 @@ class TestPade:
         t = 0.5
         assert pade.eval(t)[0].real == pytest.approx(4.0, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["generic", "rational", "polynomial"])
+    def test_toeplitz_blocks_match_the_entrywise_systems(self, kind):
+        # each reduction step solves the leading block of one M x M Toeplitz
+        # matrix: the same numbers, to the bit, as the system built entry by
+        # entry for that degree
+        from gevrey_kit.borel import _RCOND, _pade_component
+
+        rng = np.random.default_rng(7)
+        c = {"generic": rng.standard_normal(24) + 1j * rng.standard_normal(24),
+             "rational": (0.5 ** np.arange(1, 25) - 0.25 ** np.arange(1, 25)) * (1 + 0.5j),
+             "polynomial": np.r_[1.0, -2.0, 0.5, np.zeros(21)].astype(complex)}[kind]
+        L, M = 9, 12
+        for m_eff in range(M, -1, -1):
+            rows = np.array([[c[L + s - j] if L + s - j >= 0 else 0.0
+                              for j in range(1, m_eff + 1)] for s in range(1, m_eff + 1)],
+                            dtype=complex).reshape(m_eff, m_eff)
+            svals = np.linalg.svd(rows, compute_uv=False)
+            if m_eff == 0 or svals[-1] > _RCOND * max(1.0, float(svals[0])):
+                break
+        assert (m_eff == M) == (kind == "generic")
+        num, den, got = _pade_component(c, L, M)
+        assert got == m_eff
+        if m_eff:
+            q = np.linalg.solve(rows, -c[L + 1: L + m_eff + 1])
+            np.testing.assert_array_equal(den, np.concatenate([[1.0], q]))
+        np.testing.assert_array_equal(num, np.convolve(c[: L + m_eff + 1], den)[: L + 1])
+
     def test_needs_enough_coefficients(self):
         b = BorelData(a0_value=np.zeros(1, complex),
                       b_coeffs=np.ones((6, 1), dtype=complex))

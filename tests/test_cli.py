@@ -37,6 +37,11 @@ class TestCheckSector:
         assert code == 2
         assert rep["verdict"] == "not-summable"
 
+    def test_options_are_the_ones_it_reads(self, tmp_path):
+        code, rep = run_json(tmp_path, ["check-sector", "--builtin", "riccati"])
+        assert code == 0
+        assert rep["meta"]["options"] == {"builtin": "riccati", "theta": 0.0}
+
     def test_missing_problem_file(self, tmp_path, capsys):
         code = main(["check-sector", "--problem", str(tmp_path / "nope.json")])
         assert code == 1

@@ -90,6 +90,12 @@ class TestA0:
         sol = solve_coeffs_z(riccati, 0.0, 20)
         np.testing.assert_allclose(a0.coeffs[:, 1:].T, sol.coeffs, atol=1e-12)
 
+    def test_overflow_is_a_typed_error(self, riccati):
+        # the a_0 coefficients grow like 4^k: order 800 passes the double range
+        with pytest.raises(GevreyKitError, match="a_0 overflows") as exc:
+            solve_a0(riccati, 800)
+        assert not isinstance(exc.value, ValueError)
+
 
 class TestT0:
     def test_riccati_is_minus_sqrt(self, riccati):
@@ -308,6 +314,27 @@ class TestPointValues:
         # search for a start with a typed error and no warning
         with pytest.raises(GevreyKitError):
             eps_values_at(builtin_riccati((100.0,)), 0.5, 4)
+
+    def test_overflowing_order_is_a_typed_error(self):
+        # beta = 10 makes the a_i(0.01) grow fast enough to pass the double
+        # range well before order 200; the order that does is named
+        with pytest.raises(GevreyKitError, match=r"a_\d+ overflows double precision at z") \
+                as exc:
+            eps_values_at(builtin_riccati((10.0,)), 0.01, 200)
+        assert not isinstance(exc.value, ValueError)
+
+    def test_every_order_is_checked(self, riccati, monkeypatch):
+        # a wrong a_i no longer satisfies the eps^i equation, and the point
+        # values refuse it as the z-series at 0 do
+        from gevrey_kit import epssolver
+
+        solve = epssolver._forward_substitute
+        monkeypatch.setattr(epssolver, "_forward_substitute",
+                            lambda *args: solve(*args) * (1 + 1e-6))
+        with pytest.raises(GevreyKitError, match="defining relation for a_1"):
+            eps_values_at(riccati, 0.05, 12)
+        with pytest.raises(GevreyKitError, match="defining relation for a_1"):
+            solve_eps_expansion(riccati, 12, 40)
 
 
 def composition_coeff(blocks, jets, i, L):

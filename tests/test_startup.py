@@ -90,6 +90,19 @@ def test_check_sector_loads_only_its_layers(tmp_path):
                       "gevrey_kit.sector", "gevrey_kit.series"]
 
 
+def test_solve_loads_only_its_layers(tmp_path):
+    # the z-solver names the sector's RadiiReport only in annotations
+    out = tmp_path / "solve.json"
+    code = ("import json, sys; from gevrey_kit.cli import main; "
+            f"code = main(['solve', '--builtin', 'riccati', '--out', {str(out)!r}]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.startswith('gevrey_kit.'))]))")
+    exit_code, loaded = run_python(code)
+    assert exit_code == 0
+    assert loaded == ["gevrey_kit.cli", "gevrey_kit.errors", "gevrey_kit.problem",
+                      "gevrey_kit.series", "gevrey_kit.zsolver"]
+
+
 def test_public_names():
     code = ("import json, gevrey_kit; ns = {}; exec('from gevrey_kit import *', ns); "
             "print(json.dumps([sorted(gevrey_kit.__all__), "

@@ -14,16 +14,16 @@ at least two indices below i.  Dropping the latter cross terms is the
 classic mistake; the double-series consistency test against the fixed-eps
 solver pins them down.
 
-The orders come from one online stepper (`_EpsStepper`): every block keeps
-its eps-Cauchy partial contractions against sum_l a_l eps^l, and each order
-extends them by one coefficient with one batched contraction per (block,
-slot), so order i costs O(i) where the composition sum costs O(i^(m-1)).
-Order i is formed with a_i = 0, which is R_i; a_i follows by forward
-substitution against the coefficients of T_0; the partials are then
-refreshed by the terms linear in a_i, which gives the whole eps^i
-coefficient.  The stepper serves the z-series at 0 (`solve_eps_expansion`,
-and `solve_ai` for one order) and the jets at a point z (`eps_values_at`).
-Both run `_solve_orders`, which checks every a_i against that coefficient.
+The orders run on the online kernel `series.solve_triangular` over jets:
+`_eps_series` stacks the blocks (j, m) of each arity into one eps-series,
+and the kernel keeps each block's eps-Cauchy partial contractions against
+sum_l a_l eps^l, so order i costs O(i) where the composition sum costs
+O(i^(m-1)).  Order i is formed with a_i = 0, which is R_i; a_i follows by
+forward substitution against the coefficients of T_0; the kernel then adds
+the terms linear in a_i, which gives the whole eps^i coefficient.  The
+z-series at 0 (`solve_eps_expansion`, and `solve_ai` for one order) and
+the jets at a point z (`eps_values_at`) both run `_solve_orders`, which
+checks every a_i against that coefficient.
 
 Each a_i is delivered to z-order K_z - i: one order is reserved per
 eps-step, and the honest order is recorded on the returned series.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GevreyKitError, InsufficientOrderError, SingularMatrixError
 from .problem import ProblemSpec, assemble_B
-from .series import MatSeries, VecSeries, _fit, _jet_apply, _series_dot, solve_triangular
+from .series import MatSeries, VecSeries, _jet_apply, solve_triangular
 
 _RESIDUAL_RTOL = 1e-10
 _CONTRACTION_SAMPLES = 33
@@ -81,10 +81,12 @@ def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
         raise ValueError("K_z must be >= 1")
     p.require_normalized()
     a01 = p.a01(0.0)
-    a0 = np.zeros((p.nu, K_z + 1), dtype=np.complex128)
+    a0 = np.zeros((p.nu, K_z + 1, 1), dtype=np.complex128)
     # overflow is detected on the coefficients, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        solve_triangular(_blocks0(p), a0, lambda k, c: -np.linalg.solve(a01, c))
+        solve_triangular([(m, e[..., None]) for m, e in _blocks0(p)], a0,
+                         lambda k, c: -np.linalg.solve(a01, c))
+    a0 = a0[..., 0]
     if not np.all(np.isfinite(a0)):
         raise GevreyKitError(f"a_0 overflows double precision at truncation K_z = {K_z}")
     return VecSeries(a0, var="z")
@@ -134,88 +136,23 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) 
     return worst
 
 
-def _stacked_dot(stack: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_l stack[..., l, :, :] * a[l] for series of one length L, with *
-    the contraction of the last slot: one contraction over the merged
-    (l, slot) axis.  `stack` has shape (..., n, nu, L), `a` (n, nu, L)."""
-    L = a.shape[-1]
-    return _series_dot(stack.reshape(stack.shape[:-3] + (-1, L)), a.reshape(-1, L), L)
-
-
-class _EpsStepper:
-    """Online eps-orders of F(eps, z0 + h, sum_l a_l(z0 + h) eps^l).
-
-    `blocks` maps (eps-power j, arity m) to entries whose trailing axis holds
-    h-coefficients; a_l is carried to h-length L_0 - l, with L_0 the length
-    of a_0.  Each block keeps its eps-Cauchy partials
-
-        P_r[n] = sum_{l<=n} P_{r-1}[n - l] * a_l,    P_1[n] = block * a_n,
-
-    (* contracts the last free slot, with the h-product), r = 1..m-1; P_m[n]
-    is the block's share of the eps^(n+j) coefficient.  `forcing` forms the
-    next order i with a_i = 0, which is R_i; `push` takes a_i and refreshes
-    the partials by the terms linear in a_i, which gives the whole eps^i
-    coefficient.  Each order costs one batched contraction per (block, r),
-    over a stacked Toeplitz of a_0..a_n, plus one per (block, r) to refresh.
-    """
-
-    def __init__(self, blocks, a0: np.ndarray, I: int):
-        nu, L0 = a0.shape
-        self.dtype = np.result_type(a0, *blocks.values())
-        self.a = np.zeros((I + 1, nu, L0), dtype=self.dtype)
-        self.a[0] = a0
-        # P_r for r = 1..m-1, shape (nu,) * (m - r) + (orders, nu, L_0)
-        self.parts = [(j, m, [e] + [np.zeros(e.shape[:m - r] + (I + 1 - j, nu, L0),
-                                              dtype=self.dtype) for r in range(1, m)])
-                      for (j, m), e in blocks.items() if j <= I]
-        self.i = 0
-        self.coeff = self._advance()
-
-    def _advance(self) -> np.ndarray:
-        """Coefficient eps^i for i = self.i, with the partials at i - j."""
-        i, (nu, L0) = self.i, self.a.shape[1:]
-        L = L0 - i
-        total = np.zeros((nu, L), dtype=self.dtype)
-        for j, m, parts in self.parts:
-            n = i - j
-            if n < 0:
-                continue
-            if m == 0:
-                if n == 0:
-                    total = total + _fit(parts[0], L)
-                continue
-            t = _series_dot(parts[0], self.a[n], L)
-            for r in range(2, m + 1):
-                parts[r - 1][..., n, :, :L] = t
-                t = _stacked_dot(parts[r - 1][..., : n + 1, :, :L], self.a[n::-1, :, :L])
-            total = total + t
-        return total
-
-    def forcing(self) -> np.ndarray:
-        """R_i for the next order i: coefficient eps^i with a_i = 0."""
-        self.i += 1
-        self.coeff = self._advance()
-        return self.coeff
-
-    def push(self, ai: np.ndarray) -> np.ndarray:
-        """Take a_i for the order `forcing` formed; return the whole eps^i
-        coefficient, a_i included."""
-        i = self.i
-        L = ai.shape[1]
-        self.a[i, :, :L] = ai
-        pair = self.a[[0, i], :, :L]
-        total = self.coeff
-        # a_i enters P_r[i] through P_{r-1}[0] * a_i and P_{r-1}[i] * a_0
-        for j, m, parts in self.parts:
-            if j or not m:
-                continue
-            delta = _series_dot(parts[0], ai, L)
-            for r in range(2, m + 1):
-                parts[r - 1][..., i, :, :L] += delta
-                delta = _stacked_dot(np.stack([delta, parts[r - 1][..., 0, :, :L]], axis=-3), pair)
-            total = total + delta
-        self.coeff = total
-        return total
+def _eps_series(blocks, orders: int) -> list[tuple[int, np.ndarray]]:
+    """The blocks (j, m) with j < orders stacked by arity into one eps-series
+    of jets: (m, e) with e[..., j, :] the entries of block (j, m), zero-padded
+    to the longest jet of that arity."""
+    by_arity: dict[int, dict[int, np.ndarray]] = {}
+    for (j, m), e in blocks.items():
+        if j < orders:
+            by_arity.setdefault(m, {})[j] = e
+    out = []
+    for m, terms in by_arity.items():
+        L = max(e.shape[-1] for e in terms.values())
+        stacked = np.zeros((next(iter(terms.values())).shape[0],) * (m + 1)
+                           + (max(terms) + 1, L), dtype=np.result_type(*terms.values()))
+        for j, e in terms.items():
+            stacked[..., j, : e.shape[-1]] = e
+        out.append((m, stacked))
+    return out
 
 
 def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
@@ -237,21 +174,27 @@ def _forward_substitute(rhs: np.ndarray, t0: np.ndarray, t0_inv: np.ndarray) -> 
     return ai
 
 
-def _solve_orders(stepper: _EpsStepper, z0, t0: np.ndarray, t0_inv: np.ndarray,
+def _solve_orders(blocks, a: np.ndarray, z0, t0: np.ndarray, t0_inv: np.ndarray,
                   where: str) -> list[float]:
-    """Orders 1..I of the stepper from T_0 a_i = (z0 + h) a'_{i-1} - R_i, a_i to
-    h-length L_0 - i, each checked for overflow and against the whole eps^i
-    coefficient; returns the relative residuals of a_0..a_I."""
-    orders, _, L0 = stepper.a.shape
+    """Fill a = (a_0, ..., a_I), shape (nu, I + 1, L_0) with a_0 given, from
+    T_0 a_i = (z0 + h) a'_{i-1} - R_i, a_i to h-length L_0 - i, each checked
+    for overflow and against the whole eps^i coefficient; returns the
+    relative residuals of a_0..a_I."""
+    orders, L0 = a.shape[1:]
+
+    def solve(i: int, forcing: np.ndarray) -> np.ndarray:
+        ai = _forward_substitute(_lin_rhs(a[:, i - 1], z0, L0 - i) - forcing, t0, t0_inv)
+        if ai.dtype != object and not np.all(np.isfinite(ai)):
+            raise GevreyKitError(f"a_{i} overflows double precision {where}")
+        return ai
+
     residuals = [0.0]
     # overflow is detected on a_i and on the residual, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
+        whole = solve_triangular(_eps_series(blocks, orders), a, solve)
         for i in range(1, orders):
-            za_prime = _lin_rhs(stepper.a[i - 1], z0, L0 - i)
-            ai = _forward_substitute(za_prime - stepper.forcing(), t0, t0_inv)
-            if ai.dtype != object and not np.all(np.isfinite(ai)):
-                raise GevreyKitError(f"a_{i} overflows double precision {where}")
-            resid = za_prime - stepper.push(ai)
+            za_prime = _lin_rhs(a[:, i - 1], z0, L0 - i)
+            resid = za_prime - whole[:, i, : L0 - i]
             rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
             if not rel <= _RESIDUAL_RTOL:
                 raise GevreyKitError(
@@ -270,12 +213,18 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> Vec
         raise InsufficientOrderError(
             f"truncation K_z = {K_z} cannot support order-{i} coefficients")
     t0 = build_T0(p, a_so_far[0], K_z).coeffs
-    stepper = _EpsStepper(assemble_B(p), a_so_far[0].coeffs[:, : K_z + 1], i)
-    for l, a in enumerate(a_so_far[1:], start=1):
-        stepper.forcing()
-        stepper.push(a.coeffs[:, : K_z - l + 1])
-    rhs = _lin_rhs(a_so_far[-1].coeffs, 0.0, target + 1) - stepper.forcing()
-    return VecSeries(_forward_substitute(rhs, t0, np.linalg.inv(t0[:, :, 0])), var="z")
+    t0_inv = np.linalg.inv(t0[:, :, 0])
+    a = np.zeros((p.nu, i + 1, K_z + 1), dtype=np.complex128)
+    a[:, 0] = a_so_far[0].coeffs[:, : K_z + 1]
+
+    def solve(l: int, forcing: np.ndarray) -> np.ndarray:
+        if l < i:
+            return a_so_far[l].coeffs[:, : K_z - l + 1]
+        return _forward_substitute(_lin_rhs(a[:, i - 1], 0.0, target + 1) - forcing,
+                                   t0, t0_inv)
+
+    solve_triangular(_eps_series(assemble_B(p), i + 1), a, solve)
+    return VecSeries(a[:, i, : target + 1], var="z")
 
 
 def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
@@ -289,11 +238,13 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
     p.require_normalized()
     a0 = solve_a0(p, K_z)
     t0 = build_T0(p, a0, K_z).coeffs
-    stepper = _EpsStepper(assemble_B(p), a0.coeffs, I)
-    residuals = _solve_orders(stepper, 0.0, t0, np.linalg.inv(t0[:, :, 0]),
+    a = np.zeros((p.nu, I + 1, K_z + 1), dtype=np.complex128)
+    a[:, 0] = a0.coeffs
+    residuals = _solve_orders(assemble_B(p), a, 0.0, t0, np.linalg.inv(t0[:, :, 0]),
                               f"at truncation K_z = {K_z}")
-    a = tuple(VecSeries(stepper.a[i, :, : K_z - i + 1], var="z") for i in range(I + 1))
-    return EpsFormalSolution(a=a, K_z=K_z, residuals=tuple(residuals))
+    return EpsFormalSolution(a=tuple(VecSeries(a[:, i, : K_z - i + 1], var="z")
+                                     for i in range(I + 1)),
+                             K_z=K_z, residuals=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +287,7 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
       it leads to within 1e-6.
     * The h-coefficients of a_0 and, for i >= 1, of T_0(z + h) a_i =
       (z + h) a'_{i-1} - R_i are found one at a time from triangular
-      systems with the constant matrix T_0(z), by the stepper and the
+      systems with the constant matrix T_0(z), by the kernel and the
       checked order loop that `solve_eps_expansion` runs at z = 0.
     * a_i is carried to h-order I - i, exactly what the next order needs.
 
@@ -413,11 +364,13 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
 
     # h-jet of a_0: order k is linear in a_0[k] through T_0(z)
     t0_inv = jacobian_inverse(c)
-    a0 = np.zeros((nu, I + 1), dtype=c.dtype)
-    a0[:, 0] = c
-    solve_triangular(blocks0, a0, lambda k, rhs: -(t0_inv @ rhs))
-    t0 = _T0_jet(blocks0, a0, I + 1)
+    jet = np.zeros((nu, I + 1, 1), dtype=c.dtype)
+    jet[:, 0, 0] = c
+    solve_triangular([(m, e[..., None]) for m, e in blocks0], jet,
+                     lambda k, rhs: -(t0_inv @ rhs))
+    t0 = _T0_jet(blocks0, jet[..., 0], I + 1)
 
-    stepper = _EpsStepper(blocks, a0, I)
-    _solve_orders(stepper, z0, t0, t0_inv, f"at z = {complex(z0)}")
-    return stepper.a[:, :, 0].copy()
+    a = np.zeros((nu, I + 1, I + 1), dtype=c.dtype)
+    a[:, 0] = jet[..., 0]
+    _solve_orders(blocks, a, z0, t0, t0_inv, f"at z = {complex(z0)}")
+    return a[:, :, 0].T.copy()

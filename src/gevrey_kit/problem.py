@@ -166,6 +166,10 @@ _TOP_KEYS = {"nu", "rho", "rho1", "tensors"}
 _TENSOR_KEYS = {"n", "m", "entries"}
 #: numpy's limit on array axes; a block of arity m needs m + 2
 _MAX_AXES = 64
+#: largest z-power n of a block: the solvers hold every block of an arity on a
+#: dense z-axis of length n_max + 1, and a few hundred powers is far beyond
+#: any truncation order they are run at
+_MAX_Z_POWER = 256
 
 
 def _is_double(v) -> bool:
@@ -181,8 +185,9 @@ def parse_problem(document) -> ProblemSpec:
     layout is ``{"nu", "rho", "rho1", "tensors": [{"n", "m", "entries"}]}``
     where ``entries`` is a flat list of length ``nu**(m+1)`` in row-major
     slot order and every entry is a list of ``[re, im]`` eps-coefficients.
-    Numbers must be finite doubles and m + 2 at most _MAX_AXES.  A missing or
-    singular linear block raises `SingularMatrixError`, any other fault
+    Numbers must be finite doubles, n at most _MAX_Z_POWER and m + 2 at most
+    _MAX_AXES.  A missing or singular linear block raises
+    `SingularMatrixError`, any other fault, an unreadable file included,
     `SchemaError`.
     """
     if isinstance(document, (str, Path)):
@@ -191,7 +196,10 @@ def parse_problem(document) -> ProblemSpec:
         except OSError:
             is_file = False
         if is_file:
-            text = Path(document).read_text(encoding="utf-8")
+            try:
+                text = Path(document).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as e:
+                raise SchemaError(f"cannot read problem file {document}: {e}") from e
         elif isinstance(document, str):
             text = document
         else:
@@ -226,6 +234,8 @@ def parse_problem(document) -> ProblemSpec:
         if (n, m) in seen:
             raise SchemaError(f"duplicate block ({n}, {m})")
         seen.add((n, m))
+        if n > _MAX_Z_POWER:
+            raise SchemaError(f"block ({n}, {m}) has z-power above {_MAX_Z_POWER}")
         if m + 2 > _MAX_AXES:
             raise SchemaError(f"block ({n}, {m}) needs {m + 2} array axes, at most {_MAX_AXES}")
         flat = item["entries"]
@@ -362,8 +372,10 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
     a01_0 = p.a01(0.0)
     # the z-constant blocks, with their eps-polynomial entries as series in eps
     zero_blocks = [(t.m, t.entries) for t in p.tensors if t.n == 0]
-    s = np.zeros((p.nu, k_eps + 1), dtype=np.complex128)
-    solve_triangular(zero_blocks, s, lambda j, c: -np.linalg.solve(a01_0, c))
+    s = np.zeros((p.nu, k_eps + 1, 1), dtype=np.complex128)
+    solve_triangular([(m, e[..., None]) for m, e in zero_blocks], s,
+                     lambda j, c: -np.linalg.solve(a01_0, c))
+    s = s[..., 0]
 
     # the root check is relative to the largest block term A_{0,m}(s, ..., s)
     terms = [_jet_apply(e, [s] * m, k_eps + 1) for m, e in zero_blocks]

@@ -9,17 +9,19 @@ zero-extension is available through :meth:`VecSeries.pad_to` for data known
 to be polynomial.  A scalar series is a `VecSeries` with nu = 1.
 
 Every solver recursion runs on one Taylor-jet kernel (Taylor-mode
-arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13):
-`_jet_apply` contracts a dense block whose entries are truncated series
-with one vector series per slot, in any dtype numpy can multiply (complex128
-or object arrays of mpmath numbers), and `solve_triangular` solves for the
-coefficients of an unknown series one at a time on top of it.  It keeps the
-partial contractions of every block and extends them by one coefficient per
-step (the online scheme of van der Hoeven), so step k costs O(k).  The
-normalization shift of `problem` contracts its blocks with the same kernel.
-The composition sum (`compositions` with `multilinear_apply`) and the
-Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
-remain as brute-force references.
+arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+`_cauchy` contracts the last slot of a block whose entries are truncated
+series with series, by one matrix product against a Toeplitz array, in any
+dtype numpy can multiply (complex128 or object arrays of mpmath numbers);
+`_jet_apply` fills every slot with it.  `solve_triangular` solves for the
+coefficients of an unknown series one at a time, each coefficient a vector
+of jets.  It keeps the partial contractions of every block and extends them
+by one coefficient per step (the online scheme of van der Hoeven), so step
+k costs O(k).  With jets of length 1 it runs the z-recursion, a_0 and the
+normalization shift; with jets in h it runs the eps-orders.  The
+composition sum (`compositions` with `multilinear_apply`) and the Neumann
+inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`) remain as
+brute-force references.
 """
 from __future__ import annotations
 
@@ -283,17 +285,22 @@ def _fit(t: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _series_dot(t: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
-    """Contract the last slot of `t` (shape (..., nu, A), trailing series
-    axis) with the vector series `x` (nu, B), truncated to length L.
-
-    One tensordot against the Toeplitz array X[j, a, q] = x[j, q - a]."""
-    A = min(t.shape[-1], L)
-    n = min(x.shape[1], L)
-    padded = np.zeros((x.shape[0], A - 1 + L), dtype=np.result_type(t, x))
-    padded[:, A - 1:A - 1 + n] = x[:, :n]
-    toeplitz = sliding_window_view(padded, L, axis=1)[:, ::-1]
-    return np.tensordot(t[..., :A], toeplitz, axes=([-2, -1], [0, 1]))
+def _cauchy(s: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
+    """sum_t s[..., :, t, :] * x[:, t, :] truncated to length L, with * the
+    contraction of the last slot of `s` (shape (..., nu, n, A), trailing
+    series axis) with the series x[:, t] (x has shape (nu, n, B)) by the
+    truncated Cauchy product: one matrix product against the Toeplitz
+    array T[j, t, a, q] = x[j, t, q - a]."""
+    A = min(s.shape[-1], L)
+    if L == 1:
+        t = x[..., :1, None]
+    else:
+        n = min(x.shape[-1], L)
+        padded = np.zeros(x.shape[:-1] + (A - 1 + L,), dtype=x.dtype)
+        padded[..., A - 1:A - 1 + n] = x[..., :n]
+        t = sliding_window_view(padded, L, axis=-1)[..., ::-1, :]
+    flat = s[..., :A].reshape(-1, t.shape[0] * t.shape[1] * A)
+    return (flat @ t.reshape(-1, L)).reshape(s.shape[:-3] + (L,))
 
 
 def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.ndarray:
@@ -302,61 +309,81 @@ def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.nda
     length L; leading slots that get no factor stay free."""
     t = entries
     for x in reversed(factors):
-        t = _series_dot(t, x, L)
+        t = _cauchy(t[..., None, :], x[:, None, :], L)
     return _fit(t, L) if not factors else t
-
-
-def _coeff_dot(s: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """Coefficient k of the series `s` (shape (..., nu, A)) contracted in
-    its last slot with the vector series `x` (nu, >= k + 1)."""
-    n = min(k + 1, s.shape[-1])
-    return np.tensordot(s[..., :n], x[:, k::-1][:, :n], axes=([-2, -1], [0, 1]))
 
 
 def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
                      solve: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Fill the coefficients x[:, 1:] of a vector series in place, in order.
+    """Fill the coefficients x[:, 1:] of a series in place, in order, and
+    return the whole coefficients of sum e(x, ..., x), shape of x.
 
-    `blocks` lists (m, e) with e a block of arity m whose entries are
-    series.  At step k the coefficient k of sum e(x, ..., x) is formed with
-    x_k still zero, and ``solve(k, c)`` returns x_k.  This fits every
-    recursion in which x_k enters coefficient k only through a linear term
-    that `solve` inverts.  x[:, 0] is the given start; the later columns
-    must be zero on entry.
+    Coefficient k of the unknown is a vector of jets: x has shape
+    (nu, K, L), and coefficient k is carried to jet length L_k =
+    max(L - k, 1).  `blocks` lists (m, e) with e a block of arity m, shape
+    (nu,) * (m + 1) + (J, L_e): its coefficient j in the recursion variable
+    is e[..., j, :], with jets of length L_e as entries.  Products are
+    truncated Cauchy products of jets; with L = 1 they are plain products.  At step k the coefficient k
+    of sum e(x, ..., x) is formed with x_k still zero, and ``solve(k, c)``
+    returns x_k, of shape (nu, L_k).  This fits every recursion in which
+    x_k enters coefficient k only through a linear term that `solve`
+    inverts.  x[:, 0] is the given start; the later coefficients must be
+    zero on entry.
 
     The scheme is online (van der Hoeven, *Relax, but don't be too lazy*,
     JSC 2002): each block keeps its partial contractions S_r, r = 1..m-1,
     the block with its r trailing slots contracted against x, and step k
-    adds coefficient k to each of them, so a step costs O(k), not a
-    recontraction of the whole jet.  Overflow is left to `solve`, which
-    sees the non-finite coefficient.
+    adds coefficient k to each of them with one matrix product, so a step
+    costs O(k), not a recontraction of the whole series.  Overflow is left
+    to `solve`, which sees the non-finite coefficient.
     """
-    L = x.shape[1]
+    nu, K, L = x.shape
     dtype = np.result_type(x, *(e for _, e in blocks))
-    # parts[r] = S_r with shape (nu,) * (m + 1 - r) + (L,); parts[0] is the block
-    state = [(m, [e] + [np.zeros(e.shape[:-1 - r] + (L,), dtype=dtype) for r in range(1, m)])
-             for m, e in blocks]
+    whole = np.zeros((nu, K, L), dtype=dtype)
+    # parts[r] = S_r with shape (nu,) * (m + 1 - r) + (K, L); parts[0] is the block
+    state = [(m, [e] + [np.zeros(e.shape[:m + 1 - r] + (K, L), dtype=dtype)
+                        for r in range(1, m)]) for m, e in blocks]
+    x0_zero = not np.any(x[:, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, parts in state:
-            for r in range(1, m):
-                parts[r][..., 0] = _coeff_dot(parts[r - 1], x, 0)
-        for k in range(1, L):
-            c = np.zeros(x.shape[0], dtype=dtype)
+        for k in range(K):
+            Lk = max(L - k, 1)
+            # S_r[k] = sum_t S_{r-1}[t] * x_{k-t}, without t = 0 (x_k) past the start
+            first = 1 if k else 0
+            back = x[:, k - first::-1]
+            c = np.zeros((nu, Lk), dtype=dtype)
             for m, parts in state:
-                for r in range(1, m):
-                    parts[r][..., k] = _coeff_dot(parts[r - 1], x, k)
-                if m:
-                    c = c + _coeff_dot(parts[m - 1], x, k)
-                elif k < parts[0].shape[-1]:
-                    c = c + parts[0][..., k]
-            x[:, k] = solve(k, c)
-            # x_k enters S_r[k] through S_{r-1}[0] x_k and S_{r-1}[k] x_0
+                if not m:
+                    if k < parts[0].shape[-2]:
+                        c = c + _fit(parts[0][..., k, :], Lk)
+                    continue
+                for r in range(1, m + 1):
+                    n = min(k + 1, parts[r - 1].shape[-2]) - first
+                    t = (_cauchy(parts[r - 1][..., first:first + n, :], back[:, :n], Lk)
+                         if n > 0 else 0)
+                    if r < m:
+                        parts[r][..., k, :Lk] = t
+                    else:
+                        c = c + t
+            if not k:
+                whole[:, 0] = c
+                continue
+            x[:, k, :Lk] = solve(k, c)
+            # x_k enters S_r[k] through S_{r-1}[0] x_k and S_{r-1}[k] x_0;
+            # with x_0 = 0 only the first term of S_1 is left
+            pair = x[:, [k, 0], :Lk]
             for m, parts in state:
+                if not m:
+                    continue
+                delta = _cauchy(parts[0][..., :1, :], pair[:, :1], Lk)
                 for r in range(1, m):
-                    term = parts[r - 1][..., 0] @ x[:, k]
-                    delta = term if r == 1 else delta @ x[:, 0] + term
-                    parts[r][..., k] += delta
-    return x
+                    parts[r][..., k, :Lk] += delta
+                    if x0_zero:
+                        break
+                    delta = _cauchy(np.stack([parts[r][..., 0, :Lk], delta], axis=-2), pair, Lk)
+                else:
+                    c = c + delta
+            whole[:, k, :Lk] = c
+    return whole
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ The coefficients of f(eps, z) = sum_{k>=1} f_k(eps) z^k satisfy a closed
 triangular recursion: f_1 solves (eps*I - A01(eps)) f_1 = A10(eps), and each
 later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j is the
 coefficient of z^j of F(eps, z, f) with f_j set to zero, so only earlier
-coefficients enter.  `series.solve_triangular` forms g_j from partial
-contractions of the blocks that it extends by one coefficient per step, so
-step j costs O(j).  The K matrices eps*k*I - A01 are factored by one
-batched SVD before the recursion; step k takes its resonance check and its
-solution from those factors, with an explicit residual check.  eps*k
-landing on an eigenvalue of the linear block is reported as a resonance.
+coefficients enter.  `series.solve_triangular`, on jets of length 1, forms
+g_j from partial contractions of the blocks that it extends by one
+coefficient per step, so step j costs O(j).  The K matrices eps*k*I - A01
+are factored by one batched SVD before the recursion; step k takes its
+resonance check and its solution from those factors, with an explicit
+residual check.  eps*k landing on an eigenvalue of the linear block is
+reported as a resonance.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
     uh, v = u.conj().swapaxes(1, 2), vh.conj().swapaxes(1, 2)
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
-        mat, s = mats[k - 1], svals[k - 1]
+        mat, s, rhs = mats[k - 1], svals[k - 1], rhs[:, 0]
         if float(s[-1]) <= _RESONANCE_RTOL * max(1.0, float(s[0])):
             raise ResonanceError(
                 f"eps*k = {eps * k:.6g} collides with an eigenvalue of the linear "
@@ -103,11 +104,11 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
         if not res <= _RESIDUAL_RTOL:
             raise GevreyKitError(f"linear solve at k = {k} left residual {res:.3e}")
         residuals[k - 1] = res
-        return x
+        return x[:, None]
 
-    f = solve_triangular(list(blocks.items()), np.zeros((nu, K + 1), dtype=np.complex128),
-                         solve_linear)
-    coeffs = np.ascontiguousarray(f[:, 1:].T)
+    f = np.zeros((nu, K + 1, 1), dtype=np.complex128)
+    solve_triangular([(m, e[..., None]) for m, e in blocks.items()], f, solve_linear)
+    coeffs = np.ascontiguousarray(f[:, 1:, 0].T)
     return ZSolution(eps=eps, coeffs=coeffs, residuals=residuals,
                      smallest_singular=svals[:, -1], radii=radii)
 

@@ -88,6 +88,15 @@ class TestParseSerialize:
         p2 = parse_problem(path)
         assert set(p2.blocks) == set(riccati.blocks)
 
+    def test_unreadable_file_is_a_schema_error(self, tmp_path):
+        # bytes that are not UTF-8 fail before the JSON parser sees them
+        path = tmp_path / "prob.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(SchemaError, match="cannot read"):
+            parse_problem(path)
+        with pytest.raises(SchemaError, match="cannot read"):
+            parse_problem(tmp_path)
+
     def test_non_invertible_linear_block(self):
         doc = {"nu": 1, "rho": 1.0, "rho1": 4.0,
                "tensors": [{"n": 0, "m": 1, "entries": [[[0.0, 0.0]]]}]}
@@ -149,6 +158,19 @@ class TestParseSerialize:
             resources.files("gevrey_kit.schemas").joinpath("problem.schema.json")
             .read_text())
         jsonschema.validate(problem_to_dict(riccati), schema)
+
+    def test_schema_bounds_match_the_parser(self):
+        from importlib import resources
+
+        from gevrey_kit.problem import _MAX_AXES, _MAX_Z_POWER, MAX_DIMENSION
+
+        schema = json.loads(
+            resources.files("gevrey_kit.schemas").joinpath("problem.schema.json")
+            .read_text())
+        block = schema["properties"]["tensors"]["items"]["properties"]
+        assert block["n"]["maximum"] == _MAX_Z_POWER
+        assert block["m"]["maximum"] == _MAX_AXES - 2
+        assert schema["properties"]["nu"]["maximum"] == MAX_DIMENSION
 
 
 class TestNormalizeShift:

@@ -1,12 +1,14 @@
 """Hypothesis fuzz of problem documents: whatever a document holds,
 `parse_problem` returns a `ProblemSpec` or raises `SchemaError` or
-`SingularMatrixError`, and `check-sector --problem FILE` exits 0, 1 or 2.
+`SingularMatrixError`, `check-sector --problem FILE` exits 0, 1 or 2, and
+so do the solvers `solve`, `resum` and `diagnose`, without a RuntimeWarning.
 
 Sizes stay bounded (nu <= 3, arity m <= 80, z-power n <= 5, at most 81
 entries per block), but the arities reach past numpy's 64 array axes, and
 the numbers include NaN, infinities and integers beyond the double range.
 """
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from gevrey_kit import ProblemSpec, parse_problem
 from gevrey_kit.cli import main
 from gevrey_kit.errors import SchemaError, SingularMatrixError
+from gevrey_kit.problem import _MAX_Z_POWER
 
 NUMBERS = st.one_of(st.floats(), st.integers(-10**400, 10**400), st.booleans())
 JUNK = st.one_of(st.none(), st.text(max_size=2), NUMBERS,
@@ -62,6 +65,7 @@ def documents(draw):
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+SOLVER_EXAMPLES = 180
 
 
 @FUZZ
@@ -86,6 +90,39 @@ def test_check_sector_exits_with_a_documented_code(workdir, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check-sector", "--problem", str(path),
                  "--out", str(workdir / "report.json")]) in (0, 1, 2)
+
+
+#: each solver at a small order, so that a document costs milliseconds
+SOLVERS = [("solve", "--K", "8"), ("resum", "--I", "6"), ("diagnose", "--I", "9")]
+
+
+@settings(FUZZ, max_examples=SOLVER_EXAMPLES)
+@given(documents())
+def test_solvers_exit_with_a_documented_code(workdir, doc):
+    # the documents that parse drive every solver through random
+    # non-symmetric blocks, of arities up to the 62 that numpy can hold
+    path = workdir / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command, *options in SOLVERS:
+            assert main([command, "--problem", str(path), *options,
+                         "--out", str(workdir / "report.json")]) in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_z_power_is_bounded():
+    # a dense z-axis of length 10**9 + 1 would not fit in memory; the parser
+    # refuses the power before any solver allocates it
+    def doc(n):
+        return {"nu": 1, "rho": 1.0, "rho1": 4.0, "tensors": [
+            {"n": 0, "m": 1, "entries": [[[-1.0, 0.0]]]},
+            {"n": n, "m": 2, "entries": [[[1.0, 0.0]]]}]}
+
+    assert parse_problem(doc(_MAX_Z_POWER)).n_max == _MAX_Z_POWER
+    for n in (_MAX_Z_POWER + 1, 10**9):
+        with pytest.raises(SchemaError, match="z-power"):
+            parse_problem(doc(n))
 
 
 @pytest.mark.parametrize("nu, m", [(1, 70), (8, 10**5)])

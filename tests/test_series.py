@@ -217,12 +217,13 @@ class TestJetKernel:
 
 
 def lazy_triangular(blocks, x, solve):
-    """The lazy form of `solve_triangular`: every step recontracts the whole
-    jet of sum e(x, ..., x) and keeps only coefficient k."""
+    """The lazy form of `solve_triangular` on jets of length 1: every step
+    recontracts the whole series sum e(x, ..., x) and keeps only coefficient
+    k; returns the whole coefficients."""
     for k in range(1, x.shape[1]):
-        c = sum(_jet_apply(e, [x[:, : k + 1]] * m, k + 1)[:, k] for m, e in blocks)
-        x[:, k] = solve(k, c)
-    return x
+        c = sum(_jet_apply(e[..., 0], [x[:, : k + 1, 0]] * m, k + 1)[:, k] for m, e in blocks)
+        x[:, k] = solve(k, c[:, None])
+    return sum(_jet_apply(e[..., 0], [x[..., 0]] * m, x.shape[1]) for m, e in blocks)[..., None]
 
 
 class TestOnlineTriangular:
@@ -237,19 +238,20 @@ class TestOnlineTriangular:
         def draw(shape, scale=1.0):
             return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-        blocks = [(m, draw((nu,) * (m + 1) + (int(rng.integers(1, L + 4)),), 0.5))
+        blocks = [(m, draw((nu,) * (m + 1) + (int(rng.integers(1, L + 4)), 1), 0.5))
                   for m in rng.integers(0, 4, size=int(rng.integers(1, 4)))]
         mix = draw((nu, nu), 0.5)
 
         def solve(k, c):
             return mix @ c / k
 
-        start = np.zeros((nu, L), dtype=complex)
-        start[:, 0] = draw(nu, 0.5)
-        want = lazy_triangular(blocks, start.copy(), solve)
-        got = solve_triangular(blocks, start.copy(), solve)
-        np.testing.assert_allclose(got, want, rtol=1e-12,
-                                   atol=1e-12 * max(1.0, np.abs(want).max()))
+        start = np.zeros((nu, L, 1), dtype=complex)
+        start[:, 0, 0] = draw(nu, 0.5)
+        want, got = start.copy(), start.copy()
+        want_whole = lazy_triangular(blocks, want, solve)
+        got_whole = solve_triangular(blocks, got, solve)
+        for g, w in ((got, want), (got_whole, want_whole)):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max()))
 
 
 class TestMatInverse:

@@ -153,7 +153,8 @@ def _report(args, verdict, data, error=None) -> dict:
 
 
 def _pyify(obj):
-    """Coerce numpy scalars inside a report to plain Python types."""
+    """Coerce numpy scalars inside a report to plain Python types, and
+    non-finite floats, which JSON cannot hold, to None (null)."""
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -162,13 +163,13 @@ def _pyify(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
 def _json_text(report: dict) -> str:
-    return json.dumps(_pyify(report), indent=2, sort_keys=False) + "\n"
+    return json.dumps(_pyify(report), indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -218,13 +219,11 @@ def _cmd_solve(args) -> int:
     rows = []
     blocks = []
     verdict = "ok"
-    for eps in args.eps:
-        sol = solve_coeffs_z(p, eps, args.K)
+    for eps, sol in zip(args.eps, solve_coeffs_z(p, args.eps, args.K)):
         resid = ode_residual_z(p, sol, [z for z in args.z if abs(z) > 0])
         points = []
         f_max = 0.0
-        for z in args.z:
-            res = evaluate_f(sol, z)
+        for z, res in zip(args.z, evaluate_f(sol, args.z)):
             f_max = max(f_max, float(np.abs(res.value).max()))
             for comp in range(p.nu):
                 v = res.value[comp]

@@ -4,7 +4,8 @@ The fixed-eps z-expansion and the formal eps-expansion are two readings of
 one double series: the eps-Taylor coefficients of f_k(eps) must match the
 z-coefficients of a_i(z).  The extraction of eps-derivatives uses discrete
 Fourier averaging on a circle, which conditions far better than one-sided
-finite differences for high orders.
+finite differences for high orders.  Every eps of a call is solved in one
+batched z-recursion.
 """
 from __future__ import annotations
 
@@ -48,10 +49,8 @@ def eps_taylor_of_z_coeffs(p: ProblemSpec, I: int, K: int,
     if I < 0 or K < 1:
         raise ValueError("need I >= 0 and K >= 1")
     M = 2 * I + 3
-    samples = np.zeros((M, K, p.nu), dtype=np.complex128)
-    for s in range(M):
-        eps = radius * np.exp(2j * np.pi * s / M)
-        samples[s] = solve_coeffs_z(p, eps, K).coeffs
+    circle = [radius * np.exp(2j * np.pi * s / M) for s in range(M)]
+    samples = np.stack([sol.coeffs for sol in solve_coeffs_z(p, circle, K)])
     out = np.zeros((I + 1, K, p.nu), dtype=np.complex128)
     phases = np.exp(-2j * np.pi * np.arange(M) / M)
     for i in range(I + 1):
@@ -87,12 +86,13 @@ def limit_to_a0(p: ProblemSpec, eps_list, z: complex) -> list[tuple[complex, flo
     sides summed from z-series of order _LIMIT_K."""
     a0 = solve_a0(p, _LIMIT_K)
     target = a0.evaluate(z)
+    eps_list = list(eps_list)
+    sols = iter(solve_coeffs_z(p, [eps for eps in eps_list if eps != 0], _LIMIT_K))
     out = []
     for eps in eps_list:
         if eps == 0:
             out.append((complex(eps), 0.0))
             continue
-        sol = solve_coeffs_z(p, eps, _LIMIT_K)
-        val = evaluate_f(sol, z).value
+        val = evaluate_f(next(sols), z).value
         out.append((complex(eps), float(np.linalg.norm(val - target))))
     return out

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .epssolver import eps_values_at, is_mpmath
+from .errors import GevreyKitError
 from .problem import ProblemSpec
 from .series import VecSeries
 from .zsolver import evaluate_f, solve_coeffs_z
@@ -166,15 +167,22 @@ def gevrey_fit(norms: Sequence[float], i_start: int = 0, fit_min: int = 3) -> Ge
     `norms[j]` is the norm at index ``i_start + j``.  Indices below
     `fit_min` are excluded from the least-squares line (small-index
     transients); C is inflated afterwards so the bound holds at every
-    supplied index.
+    supplied index.  A zero norm (a term that vanishes identically) meets
+    every bound and takes no part in the fit or in C.
     """
     norms = np.asarray(norms, dtype=np.float64)
     idx = np.arange(i_start, i_start + norms.size)
-    if np.any(norms <= 0.0) or not np.all(np.isfinite(norms)):
-        raise ValueError("norms must be positive and finite")
-    mask = idx >= fit_min
-    if mask.sum() < 6:
+    if np.any(norms < 0.0) or not np.all(np.isfinite(norms)):
+        raise ValueError("norms must be nonnegative and finite")
+    if np.count_nonzero(idx >= fit_min) < 6:
         raise ValueError("need at least 6 indices at or above fit_min")
+    positive = norms > 0.0
+    mask = (idx >= fit_min) & positive
+    if mask.sum() < 6:
+        raise GevreyKitError(
+            f"the growth fit needs 6 nonzero norms at i >= {fit_min}, found "
+            f"{int(mask.sum())}: {norms.size - int(positive.sum())} of the {norms.size} "
+            "terms a_i vanish identically")
     x = idx[mask].astype(np.float64)
     lgam = np.array([math.lgamma(i + 1.0) for i in x])
     log_norm = np.log(norms[mask])
@@ -193,7 +201,7 @@ def gevrey_fit(norms: Sequence[float], i_start: int = 0, fit_min: int = 3) -> Ge
     r2_comp = _r2(y, fitted)
     mu = math.exp(slope)
     log_c = max(math.log(n) - math.lgamma(i + 1.0) - slope * i
-                for n, i in zip(norms, idx))
+                for n, i in zip(norms[positive], idx[positive]))
     return GevreyFit(C=math.exp(log_c), mu=mu, r2=r2, norms=norms,
                      i_start=i_start, fit_min=fit_min, r2_compensated=r2_comp)
 
@@ -240,8 +248,9 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
     """Taylor-remainder table r_I(eps, z) for I = 0..I_max at each eps.
 
     `reference` supplies f(eps, z); the default evaluates the fixed-eps
-    z-series solver at truncation _K_REF.  The values a_i(z) come from
-    their Taylor jets at z (`eps_values_at`), not from z-series summed at 0.
+    z-series solver at truncation _K_REF, at every eps in one batch.  The
+    values a_i(z) come from their Taylor jets at z (`eps_values_at`), not
+    from z-series summed at 0.
 
     The working precision follows the reference's values: float or complex
     values mean float64, mpmath values mean the current mpmath precision
@@ -252,10 +261,10 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
     if I_max < 1:
         raise ValueError("I_max must be >= 1")
     if reference is None:
-        def reference(eps, zz):
-            return evaluate_f(solve_coeffs_z(p, eps, _K_REF), zz).value
-
-    refs = [np.asarray(reference(eps, z), dtype=object).ravel() for eps in eps_list]
+        refs = [evaluate_f(sol, z).value for sol in solve_coeffs_z(p, list(eps_list), _K_REF)]
+    else:
+        refs = [reference(eps, z) for eps in eps_list]
+    refs = [np.asarray(f, dtype=object).ravel() for f in refs]
     if any(is_mpmath(v) for f in refs for v in f):
         import mpmath
 

@@ -58,9 +58,13 @@ class CoeffTensor:
     def degree(self) -> int:
         return self.entries.shape[-1] - 1
 
-    def at_eps(self, eps: complex) -> np.ndarray:
-        """Evaluate the eps-polynomial entries at a numeric eps (Horner)."""
-        acc = np.zeros(self.entries.shape[:-1], dtype=np.complex128)
+    def at_eps(self, eps) -> np.ndarray:
+        """Evaluate the eps-polynomial entries at a numeric eps (Horner), or
+        at an array of them in one pass; the result leads with eps's shape."""
+        shape = np.shape(eps)
+        if shape:
+            eps = np.reshape(eps, shape + (1,) * (self.entries.ndim - 1))
+        acc = np.zeros(shape + self.entries.shape[:-1], dtype=np.complex128)
         for j in range(self.degree, -1, -1):
             acc = acc * eps + self.entries[..., j]
         return acc

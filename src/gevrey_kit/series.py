@@ -15,9 +15,11 @@ series with series, by one matrix product against a Toeplitz array, in any
 dtype numpy can multiply (complex128 or object arrays of mpmath numbers);
 `_jet_apply` fills every slot with it.  `solve_triangular` solves for the
 coefficients of an unknown series one at a time, each coefficient a vector
-of jets.  It keeps the partial contractions of every block and extends them
-by one coefficient per step (the online scheme of van der Hoeven), so step
-k costs O(k).  With jets of length 1 it runs the z-recursion, a_0 and the
+of jets.  It keeps the partial contractions of every block and extends
+them by one coefficient per step (the online scheme of van der Hoeven), so
+step k costs O(k).  Leading batch axes carry independent problems through
+the same steps (the vector mode of Taylor arithmetic, ibid.).  With jets
+of length 1 it runs the z-recursion at every eps of a batch, a_0 and the
 normalization shift; with jets in h it runs the eps-orders.  The
 composition sum (`compositions` with `multilinear_apply`) and the Neumann
 inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`) remain as
@@ -290,7 +292,11 @@ def _cauchy(s: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
     contraction of the last slot of `s` (shape (..., nu, n, A), trailing
     series axis) with the series x[:, t] (x has shape (nu, n, B)) by the
     truncated Cauchy product: one matrix product against the Toeplitz
-    array T[j, t, a, q] = x[j, t, q - a]."""
+    array T[j, t, a, q] = x[j, t, q - a].
+
+    Leading axes of x beyond these three are batch axes, which `s` leads
+    with too: independent problems, contracted by one batched matrix
+    product."""
     A = min(s.shape[-1], L)
     if L == 1:
         t = x[..., :1, None]
@@ -299,8 +305,9 @@ def _cauchy(s: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
         padded = np.zeros(x.shape[:-1] + (A - 1 + L,), dtype=x.dtype)
         padded[..., A - 1:A - 1 + n] = x[..., :n]
         t = sliding_window_view(padded, L, axis=-1)[..., ::-1, :]
-    flat = s[..., :A].reshape(-1, t.shape[0] * t.shape[1] * A)
-    return (flat @ t.reshape(-1, L)).reshape(s.shape[:-3] + (L,))
+    batch = x.shape[:-3]
+    flat = s[..., :A].reshape(batch + (-1, t.shape[-4] * t.shape[-3] * A))
+    return (flat @ t.reshape(batch + (-1, L))).reshape(s.shape[:-3] + (L,))
 
 
 def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.ndarray:
@@ -323,34 +330,41 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
     max(L - k, 1).  `blocks` lists (m, e) with e a block of arity m, shape
     (nu,) * (m + 1) + (J, L_e): its coefficient j in the recursion variable
     is e[..., j, :], with jets of length L_e as entries.  Products are
-    truncated Cauchy products of jets; with L = 1 they are plain products.  At step k the coefficient k
-    of sum e(x, ..., x) is formed with x_k still zero, and ``solve(k, c)``
-    returns x_k, of shape (nu, L_k).  This fits every recursion in which
-    x_k enters coefficient k only through a linear term that `solve`
-    inverts.  x[:, 0] is the given start; the later coefficients must be
-    zero on entry.
+    truncated Cauchy products of jets; with L = 1 they are plain products.
+    At step k the coefficient k of sum e(x, ..., x) is formed with x_k
+    still zero, and ``solve(k, c)`` returns x_k, of shape (nu, L_k).  This
+    fits every recursion in which x_k enters coefficient k only through a
+    linear term that `solve` inverts.  x[..., 0, :] is the given start; the
+    later coefficients must be zero on entry.
+
+    Independent problems run as one: x of shape batch + (nu, K, L) and
+    blocks that lead with the same batch axes share every step, each
+    contraction one batched matrix product, and c and x_k lead with the
+    batch axes too.  Without batch axes nothing changes.
 
     The scheme is online (van der Hoeven, *Relax, but don't be too lazy*,
     JSC 2002): each block keeps its partial contractions S_r, r = 1..m-1,
     the block with its r trailing slots contracted against x, and step k
     adds coefficient k to each of them with one matrix product, so a step
     costs O(k), not a recontraction of the whole series.  Overflow is left
-    to `solve`, which sees the non-finite coefficient.
+    to the caller, which sees the non-finite coefficient in `solve` or in
+    x.
     """
-    nu, K, L = x.shape
+    K, L = x.shape[-2:]
+    nb = x.ndim - 3
     dtype = np.result_type(x, *(e for _, e in blocks))
-    whole = np.zeros((nu, K, L), dtype=dtype)
-    # parts[r] = S_r with shape (nu,) * (m + 1 - r) + (K, L); parts[0] is the block
-    state = [(m, [e] + [np.zeros(e.shape[:m + 1 - r] + (K, L), dtype=dtype)
+    whole = np.zeros(x.shape, dtype=dtype)
+    # parts[r] = S_r with shape batch + (nu,) * (m + 1 - r) + (K, L); parts[0] is the block
+    state = [(m, [e] + [np.zeros(e.shape[:nb + m + 1 - r] + (K, L), dtype=dtype)
                         for r in range(1, m)]) for m, e in blocks]
-    x0_zero = not np.any(x[:, 0])
+    x0_zero = not np.any(x[..., 0, :])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             Lk = max(L - k, 1)
             # S_r[k] = sum_t S_{r-1}[t] * x_{k-t}, without t = 0 (x_k) past the start
             first = 1 if k else 0
-            back = x[:, k - first::-1]
-            c = np.zeros((nu, Lk), dtype=dtype)
+            back = x[..., k - first::-1, :]
+            c = np.zeros(x.shape[:-2] + (Lk,), dtype=dtype)
             for m, parts in state:
                 if not m:
                     if k < parts[0].shape[-2]:
@@ -358,23 +372,23 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
                     continue
                 for r in range(1, m + 1):
                     n = min(k + 1, parts[r - 1].shape[-2]) - first
-                    t = (_cauchy(parts[r - 1][..., first:first + n, :], back[:, :n], Lk)
+                    t = (_cauchy(parts[r - 1][..., first:first + n, :], back[..., :n, :], Lk)
                          if n > 0 else 0)
                     if r < m:
                         parts[r][..., k, :Lk] = t
                     else:
                         c = c + t
             if not k:
-                whole[:, 0] = c
+                whole[..., 0, :] = c
                 continue
-            x[:, k, :Lk] = solve(k, c)
+            x[..., k, :Lk] = solve(k, c)
             # x_k enters S_r[k] through S_{r-1}[0] x_k and S_{r-1}[k] x_0;
             # with x_0 = 0 only the first term of S_1 is left
-            pair = x[:, [k, 0], :Lk]
+            pair = x[..., [k, 0], :Lk]
             for m, parts in state:
                 if not m:
                     continue
-                delta = _cauchy(parts[0][..., :1, :], pair[:, :1], Lk)
+                delta = _cauchy(parts[0][..., :1, :], pair[..., :1, :], Lk)
                 for r in range(1, m):
                     parts[r][..., k, :Lk] += delta
                     if x0_zero:
@@ -382,7 +396,7 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
                     delta = _cauchy(np.stack([parts[r][..., 0, :Lk], delta], axis=-2), pair, Lk)
                 else:
                     c = c + delta
-            whole[:, k, :Lk] = c
+            whole[..., k, :Lk] = c
     return whole
 
 

@@ -6,16 +6,24 @@ later f_j solves (eps*j*I - A01(eps)) f_j = g_j, where g_j is the
 coefficient of z^j of F(eps, z, f) with f_j set to zero, so only earlier
 coefficients enter.  `series.solve_triangular`, on jets of length 1, forms
 g_j from partial contractions of the blocks that it extends by one
-coefficient per step, so step j costs O(j).  The K matrices eps*k*I - A01
-are factored by one batched SVD before the recursion; step k takes its
-resonance check and its solution from those factors, with an explicit
-residual check.  eps*k landing on an eigenvalue of the linear block is
-reported as a resonance.
+coefficient per step, so step j costs O(j).
+
+`solve_coeffs_z` takes one eps or a sequence of them.  A sequence runs as
+one batch: the blocks at every eps come from one Horner pass, the matrices
+eps*k*I - A01 at every eps and k are factored by one batched SVD, and one
+recursion carries all eps, each contraction one batched matrix product.
+Each eps gets the bits it would get alone.  Step k takes its solution
+from those factors; after the recursion every step is checked for
+resonance (eps*k landing on an eigenvalue of the linear block, from the
+singular values) and by an explicit residual, and a batch raises the error
+that solving its eps one by one, in order, would raise first.
+`evaluate_f` and `ode_residual_z` sum the series at all their points by
+one Horner pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -68,83 +76,125 @@ class ZSolution:
         return self.coeffs.shape[1]
 
 
-def solve_coeffs_z(p: ProblemSpec, eps: complex, K: int,
-                   radii: RadiiReport | None = None) -> ZSolution:
-    """Run the coefficient recursion up to order K at numeric eps."""
+def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
+                   radii: RadiiReport | None = None) -> ZSolution | list[ZSolution]:
+    """Run the coefficient recursion up to order K at numeric eps.
+
+    `eps` is a number, which gives one ZSolution, or a sequence of numbers,
+    which gives one ZSolution per entry, in order, from one batched
+    recursion."""
     if K < 1:
         raise ValueError("K must be >= 1")
     p.require_normalized()
-    nu = p.nu
-    eps = complex(eps)
-    a01 = p.a01(eps)
-    eye = np.eye(nu, dtype=np.complex128)
+    # batch shape () for one eps, (B,) for a sequence
+    batch = np.asarray(eps, dtype=np.complex128)
+    if batch.ndim > 1:
+        raise ValueError("eps must be a number or a sequence of numbers")
+    if not batch.size:
+        return []
+    listed = batch.ndim == 1
+    if batch.shape == (1,):
+        # a batch axis of length 1 would only slow each step down
+        batch = batch.reshape(())
+    eye = np.eye(p.nu, dtype=np.complex128)
 
-    # blocks at this eps, by arity, with z-polynomial entries
+    # blocks at every eps, by arity, with z-polynomial entries
     blocks: dict[int, np.ndarray] = {}
     for t in p.tensors:
-        e = blocks.setdefault(t.m, np.zeros(t.entries.shape[:-1] + (p.n_max + 1,),
-                                            dtype=np.complex128))
-        e[..., t.n] = t.at_eps(eps)
+        e = blocks.setdefault(t.m, np.zeros(batch.shape + t.entries.shape[:-1]
+                                            + (p.n_max + 1,), dtype=np.complex128))
+        e[..., t.n] = t.at_eps(batch)
 
-    residuals = np.zeros(K)
-    mats = eps * np.arange(1, K + 1)[:, None, None] * eye - a01
+    # k leads the factors, so step k takes them by one plain index
+    ks = np.arange(1, K + 1).reshape((K,) + (1,) * (batch.ndim + 2))
+    mats = batch[..., None, None] * ks * eye - p.a01(batch)
     u, svals, vh = np.linalg.svd(mats)
-    uh, v = u.conj().swapaxes(1, 2), vh.conj().swapaxes(1, 2)
+    uh, v = u.conj().swapaxes(-1, -2), vh.conj().swapaxes(-1, -2)
+    resonant = svals[..., -1] <= _RESONANCE_RTOL * np.maximum(1.0, svals[..., 0])
+    # a resonant step divides by 1, not by 0; it fails below all the same
+    scale = (np.where(resonant[..., None], 1.0, svals) if resonant.any() else svals)[..., None]
+    rhs_k = np.zeros((K,) + batch.shape + (p.nu, 1), dtype=np.complex128)
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
-        mat, s, rhs = mats[k - 1], svals[k - 1], rhs[:, 0]
-        if float(s[-1]) <= _RESONANCE_RTOL * max(1.0, float(s[0])):
-            raise ResonanceError(
-                f"eps*k = {eps * k:.6g} collides with an eigenvalue of the linear "
-                f"block at k = {k}", k=k, eps=eps)
-        x = v[k - 1] @ ((uh[k - 1] @ rhs) / s)
-        # max-abs norms: a 2-norm squares the entries and overflows first,
-        # and a NaN residual must fail the check, not pass it
-        res = float(np.abs(mat @ x - rhs).max()) / (1.0 + float(np.abs(rhs).max()))
-        if not res <= _RESIDUAL_RTOL:
-            raise GevreyKitError(f"linear solve at k = {k} left residual {res:.3e}")
-        residuals[k - 1] = res
-        return x[:, None]
+        rhs_k[k - 1] = rhs
+        return v[k - 1] @ ((uh[k - 1] @ rhs) / scale[k - 1])
 
-    f = np.zeros((nu, K + 1, 1), dtype=np.complex128)
+    f = np.zeros(batch.shape + (p.nu, K + 1, 1), dtype=np.complex128)
     solve_triangular([(m, e[..., None]) for m, e in blocks.items()], f, solve_linear)
-    coeffs = np.ascontiguousarray(f[:, 1:, 0].T)
-    return ZSolution(eps=eps, coeffs=coeffs, residuals=residuals,
-                     smallest_singular=svals[:, -1], radii=radii)
+    # the residual of every step, (K,) + batch; max-abs norms, since a
+    # 2-norm squares the entries and overflows first
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (np.abs(mats @ np.moveaxis(f[..., 1:, :], -2, 0) - rhs_k).max(axis=(-2, -1))
+                     / (1.0 + np.abs(rhs_k).max(axis=(-2, -1))))
+    # a NaN residual must fail the check, not pass it
+    failed = resonant | ~(residuals <= _RESIDUAL_RTOL)
+    if failed.any():
+        _raise_first(batch, failed, resonant, residuals)
+    coeffs = np.ascontiguousarray(f[..., 1:, 0].swapaxes(-1, -2))
+    if not batch.ndim:
+        sol = ZSolution(eps=complex(batch), coeffs=coeffs, residuals=residuals,
+                        smallest_singular=svals[:, -1], radii=radii)
+        return [sol] if listed else sol
+    return [ZSolution(eps=complex(e), coeffs=coeffs[b], residuals=residuals[:, b].copy(),
+                      smallest_singular=svals[:, b, -1].copy(), radii=radii)
+            for b, e in enumerate(batch)]
 
 
-def evaluate_f(sol: ZSolution, z: complex) -> EvalResult:
+def _raise_first(batch: np.ndarray, failed: np.ndarray, resonant: np.ndarray,
+                 residuals: np.ndarray) -> None:
+    """Raise the error that solving the eps one at a time, in order, raises
+    first: that of the first failing eps, at its first failing step, where
+    a resonance is found before the residual."""
+    K = failed.shape[0]
+    failed, resonant, residuals = (a.reshape(K, -1) for a in (failed, resonant, residuals))
+    b = int(np.flatnonzero(failed.any(axis=0))[0])
+    k = int(np.argmax(failed[:, b])) + 1
+    eps = complex(batch.flat[b])
+    if resonant[k - 1, b]:
+        raise ResonanceError(
+            f"eps*k = {eps * k:.6g} collides with an eigenvalue of the linear "
+            f"block at k = {k}", k=k, eps=eps)
+    raise GevreyKitError(f"linear solve at k = {k} left residual {residuals[k - 1, b]:.3e}")
+
+
+def _partial_sums(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_{k<=K} coeffs[k-1] z^k at every z of a 1-D array, shape
+    (points, nu), by one Horner pass."""
+    z = z[:, None]
+    acc = np.zeros((z.shape[0], coeffs.shape[1]), dtype=np.complex128)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc * z
+
+
+def evaluate_f(sol: ZSolution, z) -> EvalResult | list[EvalResult]:
     """Partial sum sum_{k<=K} f_k z^k plus the closed-form tail estimate
     ``alpha*A*(|z|/kappa)^(K+1) / ((K+1)^2 (1 - |z|/kappa))`` when majorant
-    radii are attached and |z| < kappa."""
-    z = complex(z)
-    acc = np.zeros(sol.nu, dtype=np.complex128)
-    for k in range(sol.K, 0, -1):
-        acc = acc * z + sol.coeffs[k - 1]
-    acc = acc * z
+    radii are attached and |z| < kappa.
 
-    if sol.radii is None:
-        return EvalResult(value=acc, tail_bound=None, tail_valid=False)
-    q = abs(z) / sol.radii.kappa
-    if q >= 1.0:
-        return EvalResult(value=acc, tail_bound=None, tail_valid=False)
-    kk = sol.K + 1
-    bound = sol.radii.alpha * CONV_TAMING_A * q**kk / (kk**2 * (1.0 - q))
-    return EvalResult(value=acc, tail_bound=bound, tail_valid=True)
+    `z` is a number, which gives one EvalResult, or a sequence of numbers,
+    which gives one per entry, in order."""
+    points = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    out = []
+    for zz, value in zip(points, _partial_sums(sol.coeffs, points)):
+        if sol.radii is None or (q := abs(complex(zz)) / sol.radii.kappa) >= 1.0:
+            out.append(EvalResult(value=value, tail_bound=None, tail_valid=False))
+            continue
+        kk = sol.K + 1
+        bound = sol.radii.alpha * CONV_TAMING_A * q**kk / (kk**2 * (1.0 - q))
+        out.append(EvalResult(value=value, tail_bound=bound, tail_valid=True))
+    return out if np.ndim(z) else out[0]
 
 
 def ode_residual_z(p: ProblemSpec, sol: ZSolution, z_grid) -> float:
     """Max over the grid of ||eps*z*f'(z) - F(eps, z, f(z))|| with f' from
     exact differentiation of the partial sum."""
+    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=np.complex128))
+    vals = _partial_sums(sol.coeffs, z_grid)
+    # z f'(z) = sum k f_k z^k
+    z_dvals = _partial_sums(np.arange(1, sol.K + 1)[:, None] * sol.coeffs, z_grid)
     worst = 0.0
-    for z in np.atleast_1d(np.asarray(z_grid, dtype=np.complex128)):
-        val = np.zeros(sol.nu, dtype=np.complex128)
-        dval = np.zeros(sol.nu, dtype=np.complex128)
-        for k in range(sol.K, 0, -1):
-            val = val * z + sol.coeffs[k - 1]
-            dval = dval * z + k * sol.coeffs[k - 1]
-        val = val * z
-        dval_times_z = dval * z  # z * f'(z), since dval = sum k f_k z^(k-1)
-        resid = sol.eps * dval_times_z - p.eval_F(sol.eps, z, val)
+    for z, val, z_dval in zip(z_grid, vals, z_dvals):
+        resid = sol.eps * z_dval - p.eval_F(sol.eps, z, val)
         worst = max(worst, float(np.linalg.norm(resid)))
     return worst

@@ -16,6 +16,21 @@ def report_schema():
         .read_text())
 
 
+#: eps*z*f' = -f + eps*z + 2*z*f^2: a_0 vanishes identically
+VANISHING_A0 = {"nu": 1, "rho": 1.0, "rho1": 4.0, "tensors": [
+    {"n": 0, "m": 1, "entries": [[[-1.0, 0.0]]]},
+    {"n": 1, "m": 0, "entries": [[[0.0, 0.0], [1.0, 0.0]]]},
+    {"n": 1, "m": 2, "entries": [[[2.0, 0.0]]]}]}
+#: eps*z*f' = -f: every a_i vanishes identically
+ONE_BLOCK = {"nu": 1, "rho": 1.0, "rho1": 4.0, "tensors": VANISHING_A0["tensors"][:1]}
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 def run_json(tmp_path, args, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -149,8 +164,36 @@ class TestResum:
         assert code == 2
         assert rep["error"]["code"] == "pole-obstruction"
 
+    def test_strict_json_without_poles(self, tmp_path, report_schema):
+        # every a_i vanishes, the Pade denominator has no root and the pole
+        # clearance is infinite: the report writes null, not Infinity
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        out = tmp_path / "out.json"
+        code = main(["resum", "--problem", write_doc(tmp_path, ONE_BLOCK),
+                     "--eps", "0.1", "--z", "0.05", "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text(), parse_constant=refuse)
+        jsonschema.validate(rep, report_schema)
+        assert rep["data"]["points"][0]["pole_clearance"] is None
+
 
 class TestDiagnose:
+    def test_vanishing_a0(self, tmp_path, report_schema):
+        code, rep = run_json(tmp_path, ["diagnose", "--problem",
+                                        write_doc(tmp_path, VANISHING_A0)])
+        assert code == 0
+        jsonschema.validate(rep, report_schema)
+        assert rep["data"]["norms"][0]["norm"] == 0.0
+        fit = rep["data"]["fit"]
+        assert all(math.isfinite(fit[k]) and fit[k] > 0 for k in ("C", "mu"))
+
+    def test_every_term_vanishes(self, tmp_path, capsys):
+        code = main(["diagnose", "--problem", write_doc(tmp_path, ONE_BLOCK)])
+        assert code == 1
+        assert "31 of the 31 terms a_i vanish identically" in capsys.readouterr().err
+
     def test_json_report(self, tmp_path, report_schema):
         code, rep = run_json(tmp_path, ["diagnose", "--builtin", "riccati",
                                         "--I", "30", "--eps", "0.1",

@@ -432,6 +432,19 @@ class TestOrderCost:
         assert counts[1] - counts[0] <= counts[0]
         assert work[1] <= 4.5 * work[0]
 
+    def test_z_batch_shares_the_steps(self, monkeypatch):
+        # the eps of a batch share every contraction: a solve at 8 eps makes
+        # the calls of a solve at one
+        p = coupled_problem()
+        calls = count_contractions(monkeypatch)
+        counts = []
+        for eps in (0.1, [0.1], [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.85, 1.0]):
+            calls.clear()
+            solve_coeffs_z(p, eps, 40)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1] == counts[2]
+
     def test_eps_order_cost(self, monkeypatch):
         p = coupled_problem()
         calls = count_contractions(monkeypatch)

@@ -12,6 +12,7 @@ from gevrey_kit import (
     solve_eps_expansion,
     sup_norm_disc,
 )
+from gevrey_kit.errors import GevreyKitError
 from gevrey_kit.series import VecSeries
 
 
@@ -141,9 +142,27 @@ class TestGevreyFit:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            gevrey_fit([1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+            gevrey_fit([1.0, 2.0, -1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        with pytest.raises(ValueError):
+            gevrey_fit([1.0, 2.0, math.nan, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         with pytest.raises(ValueError):
             gevrey_fit([1.0] * 5)  # too few fitted indices
+
+    def test_vanishing_terms_drop_out(self):
+        # a zero norm is a term that vanishes identically: it meets every
+        # bound and leaves the fit of the others as it is
+        norms = [3.0 * math.factorial(i) * 0.5**i for i in range(25)]
+        with_zeros = list(norms)
+        with_zeros[0] = with_zeros[7] = 0.0
+        fit = gevrey_fit(with_zeros)
+        assert fit.mu == pytest.approx(0.5, rel=1e-10)
+        assert fit.C == pytest.approx(3.0, rel=1e-10)
+        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_too_many_vanishing_terms(self):
+        norms = [0.0] * 5 + [1.0] * 5
+        with pytest.raises(GevreyKitError, match="found 5: 5 of the 10 terms a_i vanish"):
+            gevrey_fit(norms)
 
     def test_riccati_norms(self, riccati):
         sol = solve_eps_expansion(riccati, 30, 90)

@@ -254,6 +254,35 @@ class TestOnlineTriangular:
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max()))
 
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_one_by_one(self, seed):
+        # independent problems on leading batch axes, with jets, nonzero
+        # starts and blocks of arity 0..3, give what each gives alone
+        rng = np.random.default_rng(seed)
+        nu, L, K, B = (int(rng.integers(1, 4)), int(rng.integers(1, 6)),
+                       int(rng.integers(1, 9)), int(rng.integers(1, 4)))
+
+        def draw(shape, scale=1.0):
+            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        arities = rng.integers(0, 4, size=int(rng.integers(1, 4)))
+        blocks = [(int(m), draw((B,) + (nu,) * (m + 1) + (int(rng.integers(1, K + 3)),
+                                                             int(rng.integers(1, L + 2))), 0.5))
+                  for m in arities]
+        mix = draw((B, nu, nu), 0.5)
+        start = np.zeros((B, nu, K, L), dtype=complex)
+        start[:, :, 0] = draw((B, nu, L), 0.5)
+        got = start.copy()
+        got_whole = solve_triangular(blocks, got, lambda k, c: mix @ c / k)
+        for b in range(B):
+            want = start[b].copy()
+            want_whole = solve_triangular([(m, e[b]) for m, e in blocks], want,
+                                          lambda k, c: mix[b] @ c / k)
+            np.testing.assert_array_equal(got[b], want)
+            np.testing.assert_array_equal(got_whole[b], want_whole)
+
+
 class TestMatInverse:
     def test_geometric(self):
         t = MatSeries(np.array([[[1.0, 1.0, 0.0, 0.0]]], dtype=complex))

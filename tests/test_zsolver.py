@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevrey_kit import (
     CoeffTensor,
     ProblemSpec,
+    ZSolution,
     evaluate_f,
     ode_residual_z,
     radius_estimates,
@@ -161,3 +164,100 @@ class TestOdeResidual:
         r_lo = ode_residual_z(riccati, sol, [1e-4])
         slope = math.log10(r_hi / r_lo)
         assert slope >= 1.8  # residual decays at least quadratically at 0
+
+
+def first_error(call):
+    """(type, message) of the error a call raises, or None."""
+    try:
+        call()
+    except GevreyKitError as e:
+        return type(e), str(e)
+    return None
+
+
+def one_by_one(p, eps_list, K):
+    """The per-eps loop that a batch replaces: the solutions, or the first
+    error it raises."""
+    sols = []
+    for eps in eps_list:
+        err = first_error(lambda: sols.append(solve_coeffs_z(p, eps, K)))
+        if err:
+            return err
+    return sols
+
+
+def random_problem(rng):
+    """nu <= 3, non-symmetric blocks of arity 0..3 with eps-polynomial
+    entries, and a linear block near -1."""
+    nu = int(rng.integers(1, 4))
+
+    def draw(shape, scale):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    a01 = draw((nu, nu, 2), 0.1)
+    a01[..., 0] -= np.eye(nu)
+    tensors = {(0, 1): CoeffTensor(0, 1, a01)}
+    for _ in range(int(rng.integers(1, 5))):
+        n, m = int(rng.integers(0, 3)), int(rng.integers(0, 4))
+        if (n, m) not in ((0, 0), (0, 1)):
+            tensors[n, m] = CoeffTensor(n, m, draw((nu,) * (m + 1) + (int(rng.integers(1, 3)),), 0.3))
+    return ProblemSpec(nu=nu, rho=1.0, rho1=4.0, tensors=tuple(tensors.values()))
+
+
+class TestBatch:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_one_by_one(self, seed):
+        # bit for bit, or the same first error
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng)
+        K = int(rng.integers(1, 25))
+        n = int(rng.integers(1, 6))
+        eps_list = list(0.3 * (rng.standard_normal(n)
+                               + 1j * rng.standard_normal(n) * rng.integers(0, 2)))
+        want = one_by_one(p, eps_list, K)
+        got = []
+        err = first_error(lambda: got.extend(solve_coeffs_z(p, eps_list, K)))
+        if not isinstance(want, list):
+            assert err == want
+            return
+        assert err is None and len(got) == len(eps_list)
+        for g, w in zip(got, want):
+            assert g.eps == w.eps
+            for field in ("coeffs", "residuals", "smallest_singular"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("eps_list", [
+        [0.1, -0.5], [-0.5, 0.1], [0.3, -0.5, 0.1], [0.3, 0.1, -0.5], [0.1, 0.1],
+        [-0.25, -0.5],
+    ])
+    def test_first_error_of_the_loop(self, riccati, eps_list):
+        # riccati: eps = 0.1 overflows at k = 876 of K = 1000, -0.5 and
+        # -0.25 resonate at k = 2 and 4; the batch raises what the per-eps
+        # loop raises first
+        want = one_by_one(riccati, eps_list, 1000)
+        assert not isinstance(want, list)
+        assert first_error(lambda: solve_coeffs_z(riccati, eps_list, 1000)) == want
+
+    def test_shapes(self, riccati):
+        one = solve_coeffs_z(riccati, 0.1, 7)
+        assert isinstance(one, ZSolution) and one.coeffs.shape == (7, 1)
+        for eps in ([0.1], (0.1, 0.2), np.array([0.1, 0.2, 0.3])):
+            sols = solve_coeffs_z(riccati, eps, 7)
+            assert [s.eps for s in sols] == [complex(e) for e in eps]
+            assert all(s.coeffs.shape == (7, 1) and s.residuals.shape == (7,)
+                       and s.smallest_singular.shape == (7,) for s in sols)
+        assert solve_coeffs_z(riccati, [], 7) == []
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            solve_coeffs_z(riccati, [[0.1]], 7)
+
+    def test_points_match_one_by_one(self, riccati):
+        sol = solve_coeffs_z(riccati, 0.1 + 0.05j, 60)
+        grid = [0.01, 0.05, 0.03 - 0.02j, 0.0]
+        for got, z in zip(evaluate_f(sol, grid), grid):
+            want = evaluate_f(sol, z)
+            assert got.value.tobytes() == want.value.tobytes()
+        assert ode_residual_z(riccati, sol, grid) == max(
+            ode_residual_z(riccati, sol, [z]) for z in grid)
+        assert evaluate_f(sol, []) == []

@@ -14,10 +14,13 @@ at least two indices below i.  Dropping the latter cross terms is the
 classic mistake; the double-series consistency test against the fixed-eps
 solver pins them down.
 
-The orders run on the online kernel `series.solve_triangular` over jets:
-`_eps_series` stacks the blocks (j, m) of each arity into one eps-series,
-and the kernel keeps each block's eps-Cauchy partial contractions against
-sum_l a_l eps^l, so order i costs O(i) where the composition sum costs
+All of it reads the (eps, z) coefficient arrays of `problem.assemble_B`:
+a_0 and T_0 their eps-constant slices e[..., 0, :], the orders through I
+the slices e[..., :I + 1, :].  The orders run on the online kernel
+`series.solve_triangular` over jets, with eps as the recursion variable
+and the z-coefficients as entries; the kernel keeps each block's
+eps-Cauchy partial contractions against sum_l a_l eps^l, so order i
+costs O(i) where the composition sum costs
 O(i^(m-1)).  Order i is formed with a_i = 0, which is R_i; a_i follows by
 forward substitution against the coefficients of T_0; the kernel then adds
 the terms linear in a_i, which gives the whole eps^i coefficient.  The
@@ -67,7 +70,7 @@ class EpsFormalSolution:
 
 def _blocks0(p: ProblemSpec) -> list[tuple[int, np.ndarray]]:
     """The eps-constant blocks as (arity, z-polynomial entries)."""
-    return [(m, b) for (j, m), b in assemble_B(p).items() if j == 0]
+    return [(m, e[..., 0, :]) for m, e in assemble_B(p).items()]
 
 
 def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
@@ -115,15 +118,13 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) 
     ||a_0(z)||^{m-1}) on |z| <= kappa, the contraction quantity controlling
     invertibility of T_0 on that disc (< 1 means safely invertible), sampled
     at _CONTRACTION_SAMPLES radii."""
-    b_map = assemble_B(p)
+    blocks0 = [(m, e) for m, e in _blocks0(p) if m >= 1]
     worst = 0.0
     for s in range(1, _CONTRACTION_SAMPLES + 1):
         z = kappa * s / _CONTRACTION_SAMPLES
         total = 0.0
         a0z = float(np.linalg.norm(a0.evaluate(z)))
-        for (j, m), block in b_map.items():
-            if j != 0 or m < 1:
-                continue
+        for m, block in blocks0:
             flat = block.reshape(-1, block.shape[-1])
             vals = flat @ (z ** np.arange(flat.shape[1]))
             if m == 1:
@@ -134,25 +135,6 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) 
                 total += m * float(np.linalg.norm(vals)) * a0z ** (m - 1)
         worst = max(worst, c * total)
     return worst
-
-
-def _eps_series(blocks, orders: int) -> list[tuple[int, np.ndarray]]:
-    """The blocks (j, m) with j < orders stacked by arity into one eps-series
-    of jets: (m, e) with e[..., j, :] the entries of block (j, m), zero-padded
-    to the longest jet of that arity."""
-    by_arity: dict[int, dict[int, np.ndarray]] = {}
-    for (j, m), e in blocks.items():
-        if j < orders:
-            by_arity.setdefault(m, {})[j] = e
-    out = []
-    for m, terms in by_arity.items():
-        L = max(e.shape[-1] for e in terms.values())
-        stacked = np.zeros((next(iter(terms.values())).shape[0],) * (m + 1)
-                           + (max(terms) + 1, L), dtype=np.result_type(*terms.values()))
-        for j, e in terms.items():
-            stacked[..., j, : e.shape[-1]] = e
-        out.append((m, stacked))
-    return out
 
 
 def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
@@ -174,12 +156,13 @@ def _forward_substitute(rhs: np.ndarray, t0: np.ndarray, t0_inv: np.ndarray) -> 
     return ai
 
 
-def _solve_orders(blocks, a: np.ndarray, z0, t0: np.ndarray, t0_inv: np.ndarray,
-                  where: str) -> list[float]:
+def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarray,
+                  t0_inv: np.ndarray, where: str) -> list[float]:
     """Fill a = (a_0, ..., a_I), shape (nu, I + 1, L_0) with a_0 given, from
     T_0 a_i = (z0 + h) a'_{i-1} - R_i, a_i to h-length L_0 - i, each checked
     for overflow and against the whole eps^i coefficient; returns the
-    relative residuals of a_0..a_I."""
+    relative residuals of a_0..a_I.  `blocks` are the arrays of
+    `assemble_B`, their z-axis in h = z - z0."""
     orders, L0 = a.shape[1:]
 
     def solve(i: int, forcing: np.ndarray) -> np.ndarray:
@@ -191,7 +174,8 @@ def _solve_orders(blocks, a: np.ndarray, z0, t0: np.ndarray, t0_inv: np.ndarray,
     residuals = [0.0]
     # overflow is detected on a_i and on the residual, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = solve_triangular(_eps_series(blocks, orders), a, solve)
+        whole = solve_triangular([(m, e[..., :orders, :]) for m, e in blocks.items()],
+                                 a, solve)
         for i in range(1, orders):
             za_prime = _lin_rhs(a[:, i - 1], z0, L0 - i)
             resid = za_prime - whole[:, i, : L0 - i]
@@ -223,7 +207,7 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> Vec
         return _forward_substitute(_lin_rhs(a[:, i - 1], 0.0, target + 1) - forcing,
                                    t0, t0_inv)
 
-    solve_triangular(_eps_series(assemble_B(p), i + 1), a, solve)
+    solve_triangular([(m, e[..., : i + 1, :]) for m, e in assemble_B(p).items()], a, solve)
     return VecSeries(a[:, i, : target + 1], var="z")
 
 
@@ -315,8 +299,8 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
         def inverse(m: np.ndarray) -> np.ndarray:
             return np.linalg.inv(m)
 
-    blocks = {key: _recentre(work(b), z0) for key, b in assemble_B(p).items()}
-    blocks0 = [(m, e) for (j, m), e in blocks.items() if j == 0]
+    blocks = {m: _recentre(work(e), z0) for m, e in assemble_B(p).items()}
+    blocks0 = [(m, e[..., 0, :]) for m, e in blocks.items()]
 
     def jacobian_inverse(c: np.ndarray) -> np.ndarray:
         jac = _T0_jet(blocks0, c[:, None], 1)[..., 0]

@@ -61,10 +61,6 @@ class InsufficientOrderError(GevreyKitError):
     """The requested expansion index exceeds what the truncation supports."""
 
 
-class ContinuationFailedError(GevreyKitError):
-    """Every rational continuation order was degenerate."""
-
-
 class PoleObstructionError(GevreyKitError):
     """A continuation pole sits too close to the integration ray."""
 
@@ -94,7 +90,6 @@ __all__ = [
     "RadiiInfeasibleError",
     "ResonanceError",
     "InsufficientOrderError",
-    "ContinuationFailedError",
     "PoleObstructionError",
     "EvaluationError",
     "BranchCutError",

@@ -161,6 +161,15 @@ def sup_norm_disc(f: VecSeries, sigma: float) -> float:
     return float((gamma * sigma ** np.arange(gamma.size)).sum())
 
 
+def _r2(observed: np.ndarray, predicted: np.ndarray) -> float:
+    """Coefficient of determination of a fitted line."""
+    ss_res = float(((observed - predicted) ** 2).sum())
+    ss_tot = float(((observed - observed.mean()) ** 2).sum())
+    if ss_tot <= 1e-300:
+        return 1.0 if ss_res <= 1e-12 else 0.0
+    return 1.0 - ss_res / ss_tot
+
+
 def gevrey_fit(norms: Sequence[float], i_start: int = 0, fit_min: int = 3) -> GevreyFit:
     """Fit C, mu in ``norm_i <= C * i! * mu**i`` from a norm sequence.
 
@@ -189,14 +198,6 @@ def gevrey_fit(norms: Sequence[float], i_start: int = 0, fit_min: int = 3) -> Ge
     y = log_norm - lgam
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
-
-    def _r2(observed, predicted):
-        ss_res = float(((observed - predicted) ** 2).sum())
-        ss_tot = float(((observed - observed.mean()) ** 2).sum())
-        if ss_tot <= 1e-300:
-            return 1.0 if ss_res <= 1e-12 else 0.0
-        return 1.0 - ss_res / ss_tot
-
     r2 = _r2(log_norm, fitted + lgam)
     r2_comp = _r2(y, fitted)
     mu = math.exp(slope)
@@ -294,14 +295,8 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         xs = np.arange(1, upto + 1, dtype=np.float64)
         ys = np.array([math.log(max(abs_r[int(i)], 1e-300)) - math.lgamma(i + 1.0)
                        for i in xs])
-        if xs.size >= 2:
-            slope, intercept = np.polyfit(xs, ys, 1)
-            fitted = slope * xs + intercept
-            ss_res = float(((ys - fitted) ** 2).sum())
-            ss_tot = float(((ys - ys.mean()) ** 2).sum())
-            r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-        else:
-            slope, r2 = 0.0, 1.0
+        slope, intercept = np.polyfit(xs, ys, 1)
+        r2 = _r2(ys, slope * xs + intercept)
         out.append(RemainderProfile(eps=complex(eps_in), z=complex(z), abs_r=abs_r,
                                     abs_r_eps=abs_r_eps, I_star=i_star,
                                     I_star_term=i_star_term,

@@ -3,8 +3,12 @@
 F is a finite family of dense coefficient tensors: block (n, m) multiplies
 z**n and m copies of f, with entries polynomial in eps.  The model is
 normalized so that the constant block vanishes identically; the solvers
-assume that normal form.  A built-in Riccati problem and the reindexing of
-the blocks into z-polynomial tensors graded by powers of eps live here too.
+assume that normal form.  A built-in Riccati problem lives here too.
+
+`assemble_B` is the one place that lays the blocks out for the solvers:
+one array per arity m holding the coefficient of eps**j z**n of block
+(n, m) at [..., j, n].  Each recursion reads a slice of it, so the
+z-recursion at fixed eps and the formal eps-recursion share one layout.
 """
 from __future__ import annotations
 
@@ -69,11 +73,6 @@ class CoeffTensor:
             acc = acc * eps + self.entries[..., j]
         return acc
 
-    def eps_coeff(self, j: int) -> np.ndarray:
-        if j > self.degree:
-            return np.zeros(self.entries.shape[:-1], dtype=np.complex128)
-        return self.entries[..., j].copy()
-
     def frobenius_bound(self, radius: float) -> float:
         """Upper bound for the operator norm on the closed eps-disc of the
         given radius: triangle inequality over eps-coefficients, Frobenius
@@ -125,10 +124,6 @@ class ProblemSpec:
         return {(t.n, t.m): t for t in self.tensors}
 
     @property
-    def n_max(self) -> int:
-        return max(t.n for t in self.tensors)
-
-    @property
     def is_normalized(self) -> bool:
         return (0, 0) not in self.blocks
 
@@ -170,9 +165,9 @@ _TOP_KEYS = {"nu", "rho", "rho1", "tensors"}
 _TENSOR_KEYS = {"n", "m", "entries"}
 #: numpy's limit on array axes; a block of arity m needs m + 2
 _MAX_AXES = 64
-#: largest z-power n of a block: the solvers hold every block of an arity on a
-#: dense z-axis of length n_max + 1, and a few hundred powers is far beyond
-#: any truncation order they are run at
+#: largest z-power n of a block: `assemble_B` holds every block of an arity
+#: on a dense z-axis of length N_m + 1, and a few hundred powers is far beyond
+#: any truncation order the solvers are run at
 _MAX_Z_POWER = 256
 
 
@@ -375,7 +370,7 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
 
     a01_0 = p.a01(0.0)
     # the z-constant blocks, with their eps-polynomial entries as series in eps
-    zero_blocks = [(t.m, t.entries) for t in p.tensors if t.n == 0]
+    zero_blocks = [(m, e[..., 0]) for m, e in assemble_B(p).items()]
     s = np.zeros((p.nu, k_eps + 1, 1), dtype=np.complex128)
     solve_triangular([(m, e[..., None]) for m, e in zero_blocks], s,
                      lambda j, c: -np.linalg.solve(a01_0, c))
@@ -427,29 +422,30 @@ def builtin_riccati(beta: Sequence[complex] = (1.0,), *, rho: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# reindexing into z-polynomial blocks graded by eps-powers
+# the blocks of each arity as one array of (eps, z) coefficients
 # ---------------------------------------------------------------------------
 
-def assemble_B(p: ProblemSpec) -> dict[tuple[int, int], np.ndarray]:
-    """Reindex the blocks into z-polynomial tensors graded by eps-power.
+def assemble_B(p: ProblemSpec) -> dict[int, np.ndarray]:
+    """The blocks of each arity as one array of bivariate coefficients.
 
-    ``B[(j, m)]`` collects, for each z-power n, the eps-coefficient j of block
-    (n, m): a frozen array in the layout of :class:`CoeffTensor` whose
-    trailing axis holds z-coefficients.  Absent keys are identically zero.
-    The z-degree of every returned tensor is the problem's maximal z-power
-    for that arity.
+    ``B[m]`` is a frozen array of shape ``(nu,) * (m + 1) + (J_m + 1, N_m + 1)``
+    in the slot layout of :class:`CoeffTensor`: ``B[m][..., j, n]`` is the
+    coefficient of eps**j z**n of block (n, m).  N_m is the largest z-power
+    of arity m and J_m its last eps-power with a nonzero coefficient.  An
+    arity whose blocks all vanish is left out.  Every recursion slices these
+    arrays: the z-recursion sums the eps axis at its eps, the eps-orders
+    read it from the front, the limit equation at eps = 0 reads ``[..., 0, :]``
+    and the normalization shift, at z = 0, ``[..., 0]``.
     """
-    out: dict[tuple[int, int], np.ndarray] = {}
-    zdeg_by_m = {}
+    shapes: dict[int, tuple[int, int]] = {}
     for t in p.tensors:
-        zdeg_by_m[t.m] = max(zdeg_by_m.get(t.m, 0), t.n)
+        nonzero = np.flatnonzero(t.entries.reshape(-1, t.degree + 1).any(axis=0))
+        J, N = shapes.get(t.m, (-1, 0))
+        shapes[t.m] = (max(J, int(nonzero.max(initial=-1))), max(N, t.n))
+    out = {m: np.zeros((p.nu,) * (m + 1) + (J + 1, N + 1), dtype=np.complex128)
+           for m, (J, N) in sorted(shapes.items()) if J >= 0}
     for t in p.tensors:
-        for j in range(t.degree + 1):
-            coef = t.eps_coeff(j)
-            if float(np.abs(coef).max()) == 0.0:
-                continue
-            key = (j, t.m)
-            if key not in out:
-                out[key] = np.zeros(coef.shape + (zdeg_by_m[t.m] + 1,), dtype=np.complex128)
-            out[key][..., t.n] += coef
-    return {key: _freeze(arr) for key, arr in sorted(out.items())}
+        if t.m in out:
+            J = out[t.m].shape[-2]
+            out[t.m][..., : t.degree + 1, t.n] = t.entries[..., :J]
+    return {m: _freeze(arr) for m, arr in out.items()}

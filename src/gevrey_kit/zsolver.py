@@ -9,7 +9,8 @@ g_j from partial contractions of the blocks that it extends by one
 coefficient per step, so step j costs O(j).
 
 `solve_coeffs_z` takes one eps or a sequence of them.  A sequence runs as
-one batch: the blocks at every eps come from one Horner pass, the matrices
+one batch: the blocks at every eps come from one Horner pass along the eps
+axis of the (eps, z) coefficient arrays of `problem.assemble_B`, the matrices
 eps*k*I - A01 at every eps and k are factored by one batched SVD, and one
 recursion carries all eps, each contraction one batched matrix product.
 Each eps gets the bits it would get alone.  Step k takes its solution
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import GevreyKitError, ResonanceError
-from .problem import ProblemSpec
+from .problem import ProblemSpec, assemble_B
 from .series import CONV_TAMING_A, solve_triangular
 
 if TYPE_CHECKING:
@@ -98,16 +99,19 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
         batch = batch.reshape(())
     eye = np.eye(p.nu, dtype=np.complex128)
 
-    # blocks at every eps, by arity, with z-polynomial entries
+    # blocks at every eps, by arity, with z-polynomial entries: Horner along
+    # the eps axis
     blocks: dict[int, np.ndarray] = {}
-    for t in p.tensors:
-        e = blocks.setdefault(t.m, np.zeros(batch.shape + t.entries.shape[:-1]
-                                            + (p.n_max + 1,), dtype=np.complex128))
-        e[..., t.n] = t.at_eps(batch)
+    for m, e in assemble_B(p).items():
+        x = batch.reshape(batch.shape + (1,) * (m + 2))
+        acc = np.zeros(batch.shape + e.shape[:-2] + e.shape[-1:], dtype=np.complex128)
+        for j in range(e.shape[-2] - 1, -1, -1):
+            acc = acc * x + e[..., j, :]
+        blocks[m] = acc
 
     # k leads the factors, so step k takes them by one plain index
     ks = np.arange(1, K + 1).reshape((K,) + (1,) * (batch.ndim + 2))
-    mats = batch[..., None, None] * ks * eye - p.a01(batch)
+    mats = batch[..., None, None] * ks * eye - blocks[1][..., 0]
     u, svals, vh = np.linalg.svd(mats)
     uh, v = u.conj().swapaxes(-1, -2), vh.conj().swapaxes(-1, -2)
     resonant = svals[..., -1] <= _RESONANCE_RTOL * np.maximum(1.0, svals[..., 0])
@@ -196,5 +200,16 @@ def ode_residual_z(p: ProblemSpec, sol: ZSolution, z_grid) -> float:
     worst = 0.0
     for z, val, z_dval in zip(z_grid, vals, z_dvals):
         resid = sol.eps * z_dval - p.eval_F(sol.eps, z, val)
-        worst = max(worst, float(np.linalg.norm(resid)))
+        worst = max(worst, _norm2(resid))
     return worst
+
+
+def _norm2(v: np.ndarray) -> float:
+    """2-norm of a vector; when squaring its finite entries overflows, it is
+    taken of the vector scaled by its largest real or imaginary part."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if np.isinf(norm) and np.all(np.isfinite(v)):
+        big = max(float(np.abs(v.real).max()), float(np.abs(v.imag).max()))
+        norm = big * float(np.linalg.norm(v / big))
+    return norm

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -102,6 +103,19 @@ class TestSolve:
         block = rep["data"]["eps_blocks"][0]
         value = abs(complex(*block["points"][0]["value"][0]))
         assert block["max_ode_residual"] > 1e-8 * max(1.0, value)
+
+    def test_overflowing_residual_norm_is_finite(self, tmp_path, report_schema):
+        # at eps*4 next to the eigenvalue -1 the residual at z = 0.5 is about
+        # 7.6e191: its squared entries overflow a double, its 2-norm does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati",
+                                            "--eps=-0.25000001,0.1", "--z", "0.05,0.5"])
+        assert code == 2
+        jsonschema.validate(rep, report_schema)
+        assert rep["verdict"] == "residual-too-large"
+        resid = rep["data"]["eps_blocks"][0]["max_ode_residual"]
+        assert resid is not None and 1e191 < resid < math.inf
 
     def test_overflow_exits_operational(self, tmp_path, capsys):
         code = main(["solve", "--builtin", "riccati", "--K", "1000"])

@@ -21,6 +21,12 @@ class TestCrossConsistency:
         rep = cross_consistency(linear_problem, 6, 4, radius=1e-2)
         assert rep.max_scaled_discrepancy <= 1e-12
 
+    def test_staggered_eps_degrees(self, staggered):
+        # the cubic arity enters only at eps^1, so the eps-recursion reads
+        # it from order 1 on, and the z-recursion at every eps
+        rep = cross_consistency(staggered, 4, 8, radius=1e-2)
+        assert rep.max_scaled_discrepancy <= 1e-8
+
     def test_table_shapes(self, riccati):
         rep = cross_consistency(riccati, 4, 5)
         assert rep.table.shape == (5, 5)

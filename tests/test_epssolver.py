@@ -18,7 +18,6 @@ from gevrey_kit import (
     solve_eps_expansion,
 )
 from gevrey_kit import series
-from gevrey_kit.epssolver import _eps_series
 from gevrey_kit.errors import GevreyKitError, InsufficientOrderError
 from gevrey_kit.series import _jet_apply, compositions, solve_triangular
 
@@ -281,6 +280,13 @@ class TestPointValues:
         series = solve_eps_expansion(p, 8, 40).values_at(0.02)
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
+    def test_staggered_problem_matches_z_series(self, staggered):
+        # the cubic arity enters only at eps^1 and the (1,1) block ends in
+        # a zero eps-coefficient; recentring keeps both
+        jets = eps_values_at(staggered, 0.02, 8)
+        series = solve_eps_expansion(staggered, 8, 40).values_at(0.02)
+        np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
+
     def test_double_against_50_digits(self, riccati):
         mpmath = pytest.importorskip("mpmath")
         jets = eps_values_at(riccati, 0.05, 40)
@@ -340,10 +346,11 @@ class TestPointValues:
 
 def composition_coeff(blocks, jets, i, L):
     """Coefficient eps^i of F(eps, z, sum_l a_l eps^l) by the composition
-    sum: every split of i - j into m eps-indices below len(jets)."""
+    sum: every split of i - j into m eps-indices below len(jets), with
+    e[..., j, :] the eps^j coefficient of the arity-m array e."""
     nu = jets[0].shape[0]
-    return sum((_jet_apply(e, [jets[l] for l in comp], L)
-                for (j, m), e in blocks.items() if j <= i
+    return sum((_jet_apply(e[..., j, :], [jets[l] for l in comp], L)
+                for m, e in blocks.items() for j in range(min(i + 1, e.shape[-2]))
                 for comp in compositions(i - j, m, 0) if max(comp, default=0) < len(jets)),
                np.zeros((nu, L), dtype=jets[0].dtype))
 
@@ -352,7 +359,8 @@ class TestEpsStepper:
     @pytest.mark.parametrize("dtype, seed", [("complex", s) for s in range(12)]
                              + [("mpmath", s) for s in range(4)])
     def test_matches_composition_sum(self, seed, dtype):
-        # non-symmetric blocks of arity 0..3 with eps-powers 0..2 and jets
+        # per-arity arrays of non-symmetric blocks of arity 0..3, with
+        # eps-axes of length 1..3 in which some eps-powers vanish, and jets
         # of decreasing length, as the eps recursion carries them; object
         # arrays of mpmath numbers are slow, so those cases stay small
         rng = np.random.default_rng(seed)
@@ -363,9 +371,13 @@ class TestEpsStepper:
         def draw(shape, scale=1.0):
             return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-        blocks = {(j, m): draw((nu,) * (m + 1) + (int(rng.integers(1, L0 + 3)),), 0.5)
-                  for j in range(3) for m in range(4) if rng.uniform() < 0.6}
-        blocks[(0, 1)] = draw((nu, nu, 2), 0.5)
+        blocks = {}
+        for m in range(4):
+            if m == 1 or rng.uniform() < 0.75:
+                e = draw((nu,) * (m + 1) + (int(rng.integers(1, 4)),
+                                            int(rng.integers(1, L0 + 3))), 0.5)
+                e[..., rng.uniform(size=e.shape[-2]) < 0.3, :] = 0.0
+                blocks[m] = e
         jets = [draw((nu, L0 - l), 0.5) for l in range(I + 1)]
         precision, tol = contextlib.nullcontext(), 1e-12
         if dtype == "mpmath":
@@ -379,7 +391,7 @@ class TestEpsStepper:
         with precision:
             if dtype == "mpmath":
                 work = np.frompyfunc(mpmath.mpc, 1, 1)
-                blocks = {key: work(e) for key, e in blocks.items()}
+                blocks = {m: work(e) for m, e in blocks.items()}
                 jets = [work(a) for a in jets]
             solved = []
 
@@ -391,7 +403,8 @@ class TestEpsStepper:
 
             a = np.zeros((nu, I + 1, L0), dtype=jets[0].dtype)
             a[:, 0] = jets[0]
-            whole = solve_triangular(_eps_series(blocks, I + 1), a, solve)
+            whole = solve_triangular([(m, e[..., : I + 1, :]) for m, e in blocks.items()],
+                                     a, solve)
             assert solved == list(range(1, I + 1))
             close(whole[:, 0], composition_coeff(blocks, jets[:1], 0, L0))
             for i in range(1, I + 1):

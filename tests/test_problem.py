@@ -229,7 +229,7 @@ class TestNormalizeShift:
                 for d in range(min(j, t.degree) + 1):
                     for comp in compositions(j - d, t.m, 0):
                         acc += multilinear_apply(
-                            t.eps_coeff(d), [ns.s.coeffs[:, l] for l in comp])
+                            t.entries[..., d], [ns.s.coeffs[:, l] for l in comp])
             assert np.abs(acc).max() < 1e-12
 
 
@@ -265,31 +265,48 @@ class TestNormalizeShift:
 
 class TestAssembleB:
     def test_riccati_blocks(self, riccati):
+        # B[m][..., j, n] is the eps^j z^n coefficient of block (n, m)
         b = assemble_B(riccati)
-        assert set(b) == {(0, 0), (0, 1), (0, 2)}
-        np.testing.assert_allclose(b[(0, 1)][0, 0], [-1.0, -2.0])
-        np.testing.assert_allclose(b[(0, 2)][0, 0, 0], [0.0, 2.0])
-        np.testing.assert_allclose(b[(0, 0)][0], [0.0, 0.5])
+        assert set(b) == {0, 1, 2}
+        assert [e.shape for e in b.values()] == [(1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 1, 2)]
+        np.testing.assert_allclose(b[1][0, 0, 0], [-1.0, -2.0])
+        np.testing.assert_allclose(b[2][0, 0, 0, 0], [0.0, 2.0])
+        np.testing.assert_allclose(b[0][0, 0], [0.0, 0.5])
+        assert not any(e.flags.writeable for e in b.values())
 
     def test_eps_linear_block(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
             CoeffTensor(0, 1, np.array([[[-1.0, 1.0]]], dtype=complex)),))
         b = assemble_B(p)
-        np.testing.assert_allclose(b[(1, 1)][0, 0], [1.0])
-        np.testing.assert_allclose(b[(0, 1)][0, 0], [-1.0])
+        assert b[1].shape == (1, 1, 2, 1)
+        np.testing.assert_allclose(b[1][0, 0, :, 0], [-1.0, 1.0])
 
     def test_no_spurious_eps_blocks(self, riccati):
-        b = assemble_B(riccati)
-        assert all(j == 0 for (j, m) in b)
+        # an eps-axis ends at the last nonzero coefficient of its arity, and
+        # an arity whose blocks all vanish is left out
+        assert all(e.shape[-2] == 1 for e in assemble_B(riccati).values())
+        p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
+            CoeffTensor(0, 1, np.array([[[-1.0, 0.5, 0.0, 0.0]]], dtype=complex)),
+            CoeffTensor(1, 1, np.zeros((1, 1, 3), dtype=complex)),
+            CoeffTensor(3, 2, np.zeros((1, 1, 1, 2), dtype=complex))))
+        b = assemble_B(p)
+        assert set(b) == {1}
+        np.testing.assert_array_equal(b[1][0, 0], [[-1.0, 0.0], [0.5, 0.0]])
 
-    def test_round_trip_to_A(self, riccati):
-        b = assemble_B(riccati)
-        # reassemble: A_{n,m}[..., j] = B[(j, m)][..., n]
-        for (n, m), t in riccati.blocks.items():
+    def test_round_trip_to_A(self, staggered):
+        # A_{n,m}[..., j] == B[m][..., j, n], with zeros elsewhere; the
+        # cubic arity has only eps^1, the (1,1) block a zero eps^2
+        b = assemble_B(staggered)
+        assert set(b) == {0, 1, 2, 3}
+        assert b[1].shape == (2, 2, 2, 2) and b[3].shape == (2,) * 4 + (2, 3)
+        for (n, m), t in staggered.blocks.items():
             for j in range(t.degree + 1):
-                blk = b.get((j, m))
-                got = blk[..., n] if blk is not None else 0.0
-                np.testing.assert_allclose(got, t.eps_coeff(j))
+                got = b[m][..., j, n] if j < b[m].shape[-2] else 0.0
+                np.testing.assert_array_equal(got, t.entries[..., j])
+        for m, e in b.items():
+            for n in range(e.shape[-1]):
+                t = staggered.tensor(n, m)
+                assert not e[..., 0 if t is None else t.degree + 1:, n].any()
 
 
 class TestEvalF:

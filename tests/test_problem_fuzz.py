@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gevrey_kit import ProblemSpec, parse_problem
+from gevrey_kit import ProblemSpec, assemble_B, parse_problem
 from gevrey_kit.cli import main
 from gevrey_kit.errors import SchemaError, SingularMatrixError
 from gevrey_kit.problem import _MAX_Z_POWER
@@ -119,7 +119,7 @@ def test_z_power_is_bounded():
             {"n": 0, "m": 1, "entries": [[[-1.0, 0.0]]]},
             {"n": n, "m": 2, "entries": [[[1.0, 0.0]]]}]}
 
-    assert parse_problem(doc(_MAX_Z_POWER)).n_max == _MAX_Z_POWER
+    assert assemble_B(parse_problem(doc(_MAX_Z_POWER)))[2].shape[-1] == _MAX_Z_POWER + 1
     for n in (_MAX_Z_POWER + 1, 10**9):
         with pytest.raises(SchemaError, match="z-power"):
             parse_problem(doc(n))

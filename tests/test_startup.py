@@ -20,7 +20,7 @@ SRC = str(Path(gevrey_kit.__file__).resolve().parents[1])
 #: names and the submodules
 PUBLIC_NAMES = sorted([
     "ArityMismatchError", "BorelData", "BranchCutError", "CONV_TAMING_A", "CoeffTensor",
-    "ContinuationFailedError", "CrossReport", "DegenerateSpectrumError",
+    "CrossReport", "DegenerateSpectrumError",
     "EpsFormalSolution", "EvalResult", "EvaluationError", "GevreyFit", "GevreyKitError",
     "InsufficientOrderError", "LemmaConvReport", "MatSeries", "NagumoNorm",
     "NormalizationError", "NormalizationShift", "PadeApproximant", "PoleObstructionError",

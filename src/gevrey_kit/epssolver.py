@@ -1,8 +1,8 @@
 """Formal eps-expansion: a_0 from the algebraic limit equation, then the
-linear recursion for a_i, all as truncated z-series.
+linear recursion for a_i, all as truncated Taylor jets at one centre.
 
-a_0 solves F(0, z, a_0(z)) = 0 with a_0(0) = 0 by a triangular coefficient
-recursion.  For i >= 1 the coefficient of eps^i in the equation isolates
+a_0 solves F(0, z, a_0(z)) = 0.  For i >= 1 the coefficient of eps^i in
+the equation isolates
 
     T_0(z) a_i = z a'_{i-1}(z) - R_i(z),
 
@@ -14,22 +14,29 @@ at least two indices below i.  Dropping the latter cross terms is the
 classic mistake; the double-series consistency test against the fixed-eps
 solver pins them down.
 
-All of it reads the (eps, z) coefficient arrays of `problem.assemble_B`:
-a_0 and T_0 their eps-constant slices e[..., 0, :], the orders through I
-the slices e[..., :I + 1, :].  The orders run on the online kernel
-`series.solve_triangular` over jets, with eps as the recursion variable
-and the z-coefficients as entries; the kernel keeps each block's
-eps-Cauchy partial contractions against sum_l a_l eps^l, so order i
-costs O(i) where the composition sum costs
-O(i^(m-1)).  Order i is formed with a_i = 0, which is R_i; a_i follows by
-forward substitution against the coefficients of T_0; the kernel then adds
-the terms linear in a_i, which gives the whole eps^i coefficient.  The
-z-series at 0 (`solve_eps_expansion`, and `solve_ai` for one order) and
-the jets at a point z (`eps_values_at`) both run `_solve_orders`, which
-checks every a_i against that coefficient.
+One driver, `_jets_at(p, z, I, L, where)`, runs this recursion at a centre
+z on jets in h = z' - z and returns a_0..a_I, a_i to h-length L - i, with
+their residuals.  It works in complex128, or at the current mpmath
+precision when z is an mpmath number, on the (eps, z) coefficient arrays
+of `problem.assemble_B`, recentred at z when z != 0.  a_0(z) is 0 at the
+origin (the problem is normalized) and elsewhere a Newton root started
+from the a_0 series at 0.  The h-coefficients of a_0 follow one at a time
+against T_0(z)^-1, and from them the jet of T_0.  The orders run on the
+online kernel `series.solve_triangular` over jets, with eps as the
+recursion variable and the h-coefficients as entries; the kernel keeps
+each block's eps-Cauchy partial contractions against sum_l a_l eps^l, so
+order i costs O(i) where the composition sum costs O(i^(m-1)).  Order i is
+formed with a_i = 0, which is R_i; a_i follows by forward substitution
+against the coefficients of T_0; the kernel then adds the terms linear in
+a_i, which gives the whole eps^i coefficient, and every a_i is checked for
+overflow and against it.
 
-Each a_i is delivered to z-order K_z - i: one order is reserved per
-eps-step, and the honest order is recorded on the returned series.
+`solve_a0` (I = 0) and `solve_eps_expansion` (L = K_z + 1) are the driver
+at 0, whose jets are the z-series; `solve_ai` is one order of
+`solve_eps_expansion`; `eps_values_at` is the driver at z with L = I + 1,
+read at h = 0.  Each a_i of the z-series is delivered to z-order K_z - i:
+one order is reserved per eps-step, and the honest order is recorded on
+the returned series.
 """
 from __future__ import annotations
 
@@ -71,28 +78,6 @@ class EpsFormalSolution:
 def _blocks0(p: ProblemSpec) -> list[tuple[int, np.ndarray]]:
     """The eps-constant blocks as (arity, z-polynomial entries)."""
     return [(m, e[..., 0, :]) for m, e in assemble_B(p).items()]
-
-
-def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
-    """Power-series solution of F(0, z, a_0(z)) = 0 with a_0(0) = 0.
-
-    Triangular recursion on the coefficients: a_0[k] enters coefficient k
-    only through the linear block at z = eps = 0, which is solved against
-    everything else (earlier coefficients only, since a_0(0) = 0).
-    """
-    if K_z < 1:
-        raise ValueError("K_z must be >= 1")
-    p.require_normalized()
-    a01 = p.a01(0.0)
-    a0 = np.zeros((p.nu, K_z + 1, 1), dtype=np.complex128)
-    # overflow is detected on the coefficients, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        solve_triangular([(m, e[..., None]) for m, e in _blocks0(p)], a0,
-                         lambda k, c: -np.linalg.solve(a01, c))
-    a0 = a0[..., 0]
-    if not np.all(np.isfinite(a0)):
-        raise GevreyKitError(f"a_0 overflows double precision at truncation K_z = {K_z}")
-    return VecSeries(a0, var="z")
 
 
 def _T0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
@@ -187,52 +172,8 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
     return residuals
 
 
-def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> VecSeries:
-    """Next coefficient a_i from T_0 a_i = z a'_{i-1} - R_i, delivered to
-    z-order K_z - i."""
-    if i < 1 or len(a_so_far) != i:
-        raise ValueError("need exactly the coefficients a_0..a_{i-1}")
-    target = K_z - i
-    if target < 1:
-        raise InsufficientOrderError(
-            f"truncation K_z = {K_z} cannot support order-{i} coefficients")
-    t0 = build_T0(p, a_so_far[0], K_z).coeffs
-    t0_inv = np.linalg.inv(t0[:, :, 0])
-    a = np.zeros((p.nu, i + 1, K_z + 1), dtype=np.complex128)
-    a[:, 0] = a_so_far[0].coeffs[:, : K_z + 1]
-
-    def solve(l: int, forcing: np.ndarray) -> np.ndarray:
-        if l < i:
-            return a_so_far[l].coeffs[:, : K_z - l + 1]
-        return _forward_substitute(_lin_rhs(a[:, i - 1], 0.0, target + 1) - forcing,
-                                   t0, t0_inv)
-
-    solve_triangular([(m, e[..., : i + 1, :]) for m, e in assemble_B(p).items()], a, solve)
-    return VecSeries(a[:, i, : target + 1], var="z")
-
-
-def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
-    """Compute a_0..a_I and check each a_i against the whole coefficient of
-    eps^i in eps z f' = F(eps, z, f), a_i included."""
-    if I < 0:
-        raise ValueError("I must be >= 0")
-    if K_z - I < 1 and I >= 1:
-        raise InsufficientOrderError(
-            f"truncation K_z = {K_z} cannot deliver {I} eps-orders")
-    p.require_normalized()
-    a0 = solve_a0(p, K_z)
-    t0 = build_T0(p, a0, K_z).coeffs
-    a = np.zeros((p.nu, I + 1, K_z + 1), dtype=np.complex128)
-    a[:, 0] = a0.coeffs
-    residuals = _solve_orders(assemble_B(p), a, 0.0, t0, np.linalg.inv(t0[:, :, 0]),
-                              f"at truncation K_z = {K_z}")
-    return EpsFormalSolution(a=tuple(VecSeries(a[:, i, : K_z - i + 1], var="z")
-                                     for i in range(I + 1)),
-                             K_z=K_z, residuals=tuple(residuals))
-
-
 # ---------------------------------------------------------------------------
-# point values a_i(z) from Taylor jets at z
+# the driver: jets of a_0..a_I at a centre z
 # ---------------------------------------------------------------------------
 
 #: z-orders of the a_0 series tried in turn to start the Newton iteration for a_0(z)
@@ -259,29 +200,22 @@ def is_mpmath(x) -> bool:
     return type(x).__module__.split(".")[0] == "mpmath"
 
 
-def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
-    """Point values a_0(z)..a_I(z) of the formal eps-expansion, shape (I+1, nu).
+def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray, list[float]]:
+    """h-jets of a_0..a_I at the centre z, shape (nu, I + 1, L) with a_i to
+    length L - i (L > I), and the relative residuals of their defining
+    relations; `where` names the centre or truncation in errors.
 
-    `EpsFormalSolution.values_at` sums the z-series at 0, which loses every
-    digit that the terms a_{i,k} z^k outgrow a_i(z) by.  This works at z
-    itself, on jets in h = z' - z:
-
-    * Newton solves F(0, z, a_0) = 0, started from the a_0 series at 0 of
+    * Arithmetic is complex128 for a Python or numpy `z`, and the current
+      mpmath precision (object arrays of mpc) when `z` is an mpmath number.
+    * a_0(z) is 0 at z = 0, where the problem is normalized.  Elsewhere
+      Newton solves F(0, z, a_0) = 0, started from the a_0 series at 0 of
       order 40, 80, 160 or 320: the first whose value agrees with the root
       it leads to within 1e-6.
-    * The h-coefficients of a_0 and, for i >= 1, of T_0(z + h) a_i =
-      (z + h) a'_{i-1} - R_i are found one at a time from triangular
-      systems with the constant matrix T_0(z), by the kernel and the
-      checked order loop that `solve_eps_expansion` runs at z = 0.
-    * a_i is carried to h-order I - i, exactly what the next order needs.
-
-    Arithmetic is complex128 for a Python or numpy `z`, and the current
-    mpmath precision (object arrays of mpc) when `z` is an mpmath number.
+    * The h-coefficients of a_0 are found one at a time, each against
+      T_0(z)^-1, and checked for overflow; `_solve_orders` then forms the
+      a_i against the jet of T_0.
     """
-    if I < 0:
-        raise ValueError("I must be >= 0")
     p.require_normalized()
-    nu = p.nu
     if is_mpmath(z):
         import mpmath
 
@@ -295,11 +229,11 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
         z0 = complex(z)
         unit = 2.0 ** -53
         work = np.asarray
+        inverse = np.linalg.inv
 
-        def inverse(m: np.ndarray) -> np.ndarray:
-            return np.linalg.inv(m)
-
-    blocks = {m: _recentre(work(e), z0) for m, e in assemble_B(p).items()}
+    blocks = {m: work(e) for m, e in assemble_B(p).items()}
+    if z0 != 0:
+        blocks = {m: _recentre(e, z0) for m, e in blocks.items()}
     blocks0 = [(m, e[..., 0, :]) for m, e in blocks.items()]
 
     def jacobian_inverse(c: np.ndarray) -> np.ndarray:
@@ -325,36 +259,86 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
                 return c
         return None
 
-    # a_0(z) by Newton, started from ever longer double-precision a_0 series
-    # until the start agrees with the root it leads to
-    c = None
-    for order in _A0_START_ORDERS:
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                start = solve_a0(p, order).evaluate(complex(z0))
-            except GevreyKitError:   # the a_0 coefficients overflow
-                break
-            scale = max(float(np.linalg.norm(start)), 1.0)
-            if not np.isfinite(scale):
-                break
-            root = newton(start, scale)
-        if root is not None and \
-                float(np.linalg.norm(root.astype(np.complex128) - start)) <= 1e-6 * scale:
-            c = root
-            break
-    if c is None:
-        raise GevreyKitError(
-            f"the a_0 series up to order {order} does not resolve a_0 at z = {complex(z0)}")
+    def a0_by_newton() -> np.ndarray:
+        """a_0(z) by Newton, started from ever longer double-precision a_0
+        series until the start agrees with the root it leads to."""
+        for order in _A0_START_ORDERS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    start = solve_a0(p, order).evaluate(complex(z0))
+                except GevreyKitError:   # the a_0 coefficients overflow
+                    break
+                scale = max(float(np.linalg.norm(start)), 1.0)
+                if not np.isfinite(scale):
+                    break
+                root = newton(start, scale)
+            if root is not None and \
+                    float(np.linalg.norm(root.astype(np.complex128) - start)) <= 1e-6 * scale:
+                return root
+        raise GevreyKitError(f"the a_0 series up to order {order} does not resolve a_0 {where}")
 
+    c = work(np.zeros(p.nu, dtype=np.complex128)) if z0 == 0 else a0_by_newton()
     # h-jet of a_0: order k is linear in a_0[k] through T_0(z)
     t0_inv = jacobian_inverse(c)
-    jet = np.zeros((nu, I + 1, 1), dtype=c.dtype)
+    jet = np.zeros((p.nu, L, 1), dtype=c.dtype)
     jet[:, 0, 0] = c
-    solve_triangular([(m, e[..., None]) for m, e in blocks0], jet,
-                     lambda k, rhs: -(t0_inv @ rhs))
-    t0 = _T0_jet(blocks0, jet[..., 0], I + 1)
-
-    a = np.zeros((nu, I + 1, I + 1), dtype=c.dtype)
+    # overflow is detected on the coefficients, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        solve_triangular([(m, e[..., None]) for m, e in blocks0], jet,
+                         lambda k, rhs: -(t0_inv @ rhs))
+    if jet.dtype != object and not np.all(np.isfinite(jet)):
+        raise GevreyKitError(f"a_0 overflows double precision {where}")
+    a = np.zeros((p.nu, I + 1, L), dtype=c.dtype)
     a[:, 0] = jet[..., 0]
-    _solve_orders(blocks, a, z0, t0, t0_inv, f"at z = {complex(z0)}")
+    if not I:   # a_0 alone needs neither the T_0 jet nor the order loop
+        return a, [0.0]
+    residuals = _solve_orders(blocks, a, z0, _T0_jet(blocks0, a[:, 0], L), t0_inv, where)
+    return a, residuals
+
+
+def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
+    """Power-series solution of F(0, z, a_0(z)) = 0 with a_0(0) = 0, through
+    z-order K_z: the driver at 0 with I = 0."""
+    if K_z < 1:
+        raise ValueError("K_z must be >= 1")
+    a, _ = _jets_at(p, 0.0, 0, K_z + 1, f"at truncation K_z = {K_z}")
+    return VecSeries(a[:, 0], var="z")
+
+
+def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
+    """Compute a_0..a_I as z-series and check each a_i against the whole
+    coefficient of eps^i in eps z f' = F(eps, z, f), a_i included."""
+    if I < 0:
+        raise ValueError("I must be >= 0")
+    if K_z - I < 1:
+        raise InsufficientOrderError(
+            f"truncation K_z = {K_z} cannot deliver {I} eps-orders")
+    a, residuals = _jets_at(p, 0.0, I, K_z + 1, f"at truncation K_z = {K_z}")
+    return EpsFormalSolution(a=tuple(VecSeries(a[:, i, : K_z - i + 1], var="z")
+                                     for i in range(I + 1)),
+                             K_z=K_z, residuals=tuple(residuals))
+
+
+def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> VecSeries:
+    """Coefficient a_i of `solve_eps_expansion(p, i, K_z)`, delivered to
+    z-order K_z - i and checked as every order there; `a_so_far` holds
+    a_0..a_{i-1}."""
+    if i < 1 or len(a_so_far) != i:
+        raise ValueError("need exactly the coefficients a_0..a_{i-1}")
+    return solve_eps_expansion(p, i, K_z).a[i]
+
+
+def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
+    """Point values a_0(z)..a_I(z) of the formal eps-expansion, shape (I+1, nu).
+
+    `EpsFormalSolution.values_at` sums the z-series at 0, which loses every
+    digit that the terms a_{i,k} z^k outgrow a_i(z) by.  This is the driver
+    at z itself, with a_i carried to h-order I - i, exactly what the next
+    order needs, and read at h = 0.  Arithmetic is complex128 for a Python
+    or numpy `z`, and the current mpmath precision when `z` is an mpmath
+    number.
+    """
+    if I < 0:
+        raise ValueError("I must be >= 0")
+    a, _ = _jets_at(p, z, I, I + 1, f"at z = {complex(z)}")
     return a[:, :, 0].T.copy()

@@ -223,8 +223,7 @@ class RemainderProfile:
     `I_star_term` is the superasymptotic proxy argmin_I ||a_I(z)|| |eps|^I
     from the term sizes alone; it needs no reference, but it is only as
     good as the point values a_I(z), whose relative error in double
-    precision grows with I.  `shape_slope` and `shape_r2` describe the line
-    fitted to log|r_I| - log(I!) up to I_star.
+    precision grows with I.
     """
 
     eps: complex
@@ -233,8 +232,6 @@ class RemainderProfile:
     abs_r_eps: np.ndarray
     I_star: int
     I_star_term: int
-    shape_slope: float
-    shape_r2: float
     floor: float
     I_star_on_floor: bool
 
@@ -290,17 +287,8 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         term_sizes = a_norms * eps_powers
         i_star_term = int(np.argmin(term_sizes))
         floor = (i_star + 1) * unit * (_norm(f_ref) + float(term_sizes[:i_star].sum()))
-        # factorial-compensated shape of the remainder up to the optimum
-        upto = max(i_star, 2)
-        xs = np.arange(1, upto + 1, dtype=np.float64)
-        ys = np.array([math.log(max(abs_r[int(i)], 1e-300)) - math.lgamma(i + 1.0)
-                       for i in xs])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        r2 = _r2(ys, slope * xs + intercept)
         out.append(RemainderProfile(eps=complex(eps_in), z=complex(z), abs_r=abs_r,
                                     abs_r_eps=abs_r_eps, I_star=i_star,
-                                    I_star_term=i_star_term,
-                                    shape_slope=float(slope), shape_r2=float(r2),
-                                    floor=floor,
+                                    I_star_term=i_star_term, floor=floor,
                                     I_star_on_floor=bool(abs_r_eps[i_star] <= floor)))
     return out

@@ -311,7 +311,8 @@ class TestPointValues:
         np.testing.assert_allclose(jets, exact.astype(complex), rtol=1e-10)
 
     def test_start_outside_a0_disc_is_refused(self, riccati):
-        # a_0 has branch points at z = +-i/2; its series cannot start Newton at z = 2
+        # a_0 = 1/2 - 1/(1 + sqrt(1 + 4z)) has its only branch point at z = -1/4,
+        # so its series (radius 1/4) cannot start Newton at z = 2
         with pytest.raises(GevreyKitError):
             eps_values_at(riccati, 2.0, 4)
 
@@ -330,9 +331,17 @@ class TestPointValues:
             eps_values_at(builtin_riccati((10.0,)), 0.01, 200)
         assert not isinstance(exc.value, ValueError)
 
+    def test_overflowing_a0_jet_is_a_typed_error(self):
+        # with beta = 10 the h-jet of a_0 at 0.01 passes the double range
+        # before h-order 260: that is named, and nothing is warned about
+        with pytest.raises(GevreyKitError, match="a_0 overflows double precision at z") \
+                as exc:
+            eps_values_at(builtin_riccati((10.0,)), 0.01, 260)
+        assert not isinstance(exc.value, ValueError)
+
     def test_every_order_is_checked(self, riccati, monkeypatch):
         # a wrong a_i no longer satisfies the eps^i equation, and the point
-        # values refuse it as the z-series at 0 do
+        # values and the single order refuse it as the z-series at 0 do
         from gevrey_kit import epssolver
 
         solve = epssolver._forward_substitute
@@ -342,6 +351,8 @@ class TestPointValues:
             eps_values_at(riccati, 0.05, 12)
         with pytest.raises(GevreyKitError, match="defining relation for a_1"):
             solve_eps_expansion(riccati, 12, 40)
+        with pytest.raises(GevreyKitError, match="defining relation for a_1"):
+            solve_ai(riccati, [solve_a0(riccati, 40)], 1, 40)
 
 
 def composition_coeff(blocks, jets, i, L):

@@ -15,36 +15,29 @@ from .errors import __all__ as _error_names
 
 #: submodule -> the public names it serves to the package
 _LAZY = {
-    "series": (
-        "CONV_TAMING_A", "LemmaConvReport", "MatSeries", "VecSeries",
-        "compositions", "lemma_conv_bound", "mat_series_inverse", "multilinear_apply",
-    ),
+    "series": ("CONV_TAMING_A", "MatSeries", "VecSeries", "mat_series_inverse",
+               "multilinear_apply"),
     "problem": (
         "CoeffTensor", "NormalizationShift", "ProblemSpec", "assemble_B",
         "builtin_riccati", "normalize_shift", "parse_problem", "problem_to_dict",
         "problem_to_json", "shift_problem",
     ),
     "sector": (
-        "RadiiReport", "ResolventReport", "SectorSpec", "SiegelCheck",
-        "SpectrumReport", "check_siegel", "gamma_max", "radius_estimates",
-        "resolvent_bound", "spectrum",
+        "RadiiReport", "SiegelCheck", "SpectrumReport", "check_siegel", "gamma_max",
+        "radius_estimates", "spectrum",
     ),
     "zsolver": ("EvalResult", "ZSolution", "evaluate_f", "ode_residual_z", "solve_coeffs_z"),
     "epssolver": (
-        "EpsFormalSolution", "build_T0", "contraction_estimate", "eps_values_at",
-        "solve_a0", "solve_ai", "solve_eps_expansion",
+        "EpsFormalSolution", "build_T0", "eps_values_at", "solve_a0", "solve_ai",
+        "solve_eps_expansion",
     ),
-    "consistency": ("CrossReport", "cross_consistency", "eps_taylor_of_z_coeffs",
-                    "limit_to_a0"),
-    "gevrey": (
-        "GevreyFit", "NagumoNorm", "RemainderProfile", "gevrey_fit", "nagumo_norm",
-        "nagumo_property_suite", "remainder_profile", "sup_norm_disc",
-    ),
+    "gevrey": ("GevreyFit", "RemainderProfile", "gevrey_fit", "remainder_profile",
+               "sup_norm_disc"),
     "borel": (
         "BorelData", "PadeApproximant", "SummationReport", "borel_transform",
         "laplace_sum", "optimal_truncation_sum", "pade_continue",
     ),
-    "riccati": ("bessel_ratio_cf", "ode_residual", "phi0", "phi_eps", "shifted_reference"),
+    "riccati": ("bessel_ratio_cf", "ode_residual", "phi_eps", "shifted_reference"),
 }
 _HOME = {name: mod for mod, names in _LAZY.items() for name in names}
 

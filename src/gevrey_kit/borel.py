@@ -29,6 +29,8 @@ _ETA = 1e-16
 _SAFETY = 1.5
 _POLE_SAFETY = 1e-3
 _RCOND = 1e-12
+#: nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1]
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +183,13 @@ def _segment_clearance(poles: np.ndarray, theta: float, t_max: float) -> float:
     return best
 
 
-def _gauss_panels(func, t_max: float, panels: int, nodes: int = 24) -> np.ndarray:
-    """Composite Gauss-Legendre rule on [0, t_max]; `func` maps an array of
-    s to values of shape s.shape + (nu,) and is called once."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_panels(func, t_max: float, panels: int) -> np.ndarray:
+    """Composite 24-point Gauss-Legendre rule on [0, t_max]; `func` maps an
+    array of s to values of shape s.shape + (nu,) and is called once."""
     edges = np.linspace(0.0, t_max, panels + 1)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    s = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
+    s = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
+    weights = (half[:, None] * _GAUSS_W).ravel()
     return weights @ func(s)
 
 

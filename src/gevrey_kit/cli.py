@@ -224,7 +224,8 @@ def _cmd_solve(args) -> int:
         points = []
         f_max = 0.0
         for z, res in zip(args.z, evaluate_f(sol, args.z)):
-            f_max = max(f_max, float(np.abs(res.value).max()))
+            # np.max, unlike max, keeps a NaN
+            f_max = float(np.max(np.abs(res.value), initial=f_max))
             for comp in range(p.nu):
                 v = res.value[comp]
                 rows.append([eps, z, comp, float(v.real), float(v.imag),
@@ -236,8 +237,8 @@ def _cmd_solve(args) -> int:
                 "tail_valid": res.tail_valid,
             })
         blocks.append({"eps": eps, "max_ode_residual": resid, "points": points})
-        # a NaN residual fails too
-        if not resid <= _SOLVE_RESIDUAL_RTOL * max(1.0, f_max):
+        # an overflowing value fails, and so does a NaN residual
+        if not (math.isfinite(f_max) and resid <= _SOLVE_RESIDUAL_RTOL * max(1.0, f_max)):
             verdict = "residual-too-large"
     data = {"K": args.K, "eps_blocks": blocks}
     if args.format == "csv":
@@ -404,10 +405,20 @@ _DISPATCH = {
 }
 
 
+def _check_finite(args) -> None:
+    """Refuse a nan or inf, which float() takes, in a float option."""
+    for name in ("eps", "z", "theta", "gamma", "sigma"):
+        value = getattr(args, name, None)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"--{name} must be finite, got {v}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_finite(args)
         return _DISPATCH[args.command](args)
     except _MATH_ERRORS as e:
         code = {

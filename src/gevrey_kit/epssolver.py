@@ -40,6 +40,7 @@ the returned series.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,7 +51,6 @@ from .problem import ProblemSpec, assemble_B
 from .series import MatSeries, VecSeries, _jet_apply, solve_triangular
 
 _RESIDUAL_RTOL = 1e-10
-_CONTRACTION_SAMPLES = 33
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,30 +96,6 @@ def build_T0(p: ProblemSpec, a0: VecSeries, K_z: int) -> MatSeries:
     """
     p.require_normalized()
     return MatSeries(_T0_jet(_blocks0(p), a0.coeffs, K_z + 1), var="z")
-
-
-def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) -> float:
-    """Sampled estimate of c * (||B01(z) - B01(0)|| + sum_m m ||B0m(z)||
-    ||a_0(z)||^{m-1}) on |z| <= kappa, the contraction quantity controlling
-    invertibility of T_0 on that disc (< 1 means safely invertible), sampled
-    at _CONTRACTION_SAMPLES radii."""
-    blocks0 = [(m, e) for m, e in _blocks0(p) if m >= 1]
-    worst = 0.0
-    for s in range(1, _CONTRACTION_SAMPLES + 1):
-        z = kappa * s / _CONTRACTION_SAMPLES
-        total = 0.0
-        a0z = float(np.linalg.norm(a0.evaluate(z)))
-        for m, block in blocks0:
-            flat = block.reshape(-1, block.shape[-1])
-            vals = flat @ (z ** np.arange(flat.shape[1]))
-            if m == 1:
-                b01z = vals.reshape(p.nu, p.nu)
-                const = flat[:, 0].reshape(p.nu, p.nu)
-                total += float(np.linalg.norm(b01z - const, 2))
-            else:
-                total += m * float(np.linalg.norm(vals)) * a0z ** (m - 1)
-        worst = max(worst, c * total)
-    return worst
 
 
 def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
@@ -207,6 +183,8 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
 
     * Arithmetic is complex128 for a Python or numpy `z`, and the current
       mpmath precision (object arrays of mpc) when `z` is an mpmath number.
+      A non-finite `z` raises ValueError, and blocks that overflow double
+      precision when recentred at `z` raise GevreyKitError.
     * a_0(z) is 0 at z = 0, where the problem is normalized.  Elsewhere
       Newton solves F(0, z, a_0) = 0, started from the a_0 series at 0 of
       order 40, 80, 160 or 320: the first whose value agrees with the root
@@ -219,6 +197,7 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
     if is_mpmath(z):
         import mpmath
 
+        finite = mpmath.isfinite(z)
         z0 = mpmath.mpc(z)
         unit = 2.0 ** -mpmath.mp.prec
         work = np.frompyfunc(mpmath.mpc, 1, 1)
@@ -227,13 +206,24 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
             return np.array(mpmath.inverse(mpmath.matrix(m.tolist())).tolist(), dtype=object)
     else:
         z0 = complex(z)
+        finite = cmath.isfinite(z0)
         unit = 2.0 ** -53
         work = np.asarray
         inverse = np.linalg.inv
+    if not finite:
+        raise ValueError(f"the centre z = {z} is not finite")
 
     blocks = {m: work(e) for m, e in assemble_B(p).items()}
     if z0 != 0:
-        blocks = {m: _recentre(e, z0) for m, e in blocks.items()}
+        # overflow is detected on the recentred blocks, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                blocks = {m: _recentre(e, z0) for m, e in blocks.items()}
+            except OverflowError:   # a power of z0 leaves the double range
+                blocks = None
+        if blocks is None or not all(e.dtype == object or np.all(np.isfinite(e))
+                                     for e in blocks.values()):
+            raise GevreyKitError(f"the blocks recentred {where} overflow double precision")
     blocks0 = [(m, e[..., 0, :]) for m, e in blocks.items()]
 
     def jacobian_inverse(c: np.ndarray) -> np.ndarray:

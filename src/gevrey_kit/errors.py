@@ -74,10 +74,6 @@ class EvaluationError(GevreyKitError):
     """A special-function evaluation failed to converge."""
 
 
-class BranchCutError(GevreyKitError, ValueError):
-    """Evaluation point falls on a branch cut."""
-
-
 __all__ = [
     "GevreyKitError",
     "VarMismatchError",
@@ -92,5 +88,4 @@ __all__ = [
     "InsufficientOrderError",
     "PoleObstructionError",
     "EvaluationError",
-    "BranchCutError",
 ]

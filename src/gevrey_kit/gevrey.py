@@ -1,15 +1,9 @@
-"""Nagumo-norm calculus, disc sup-norm estimates, factorial growth fitting,
-and the Taylor-remainder profile of the formal expansion.
+"""Disc sup-norm estimates, factorial growth fitting, and the
+Taylor-remainder profile of the formal expansion.
 
-The implemented Nagumo norm is the coefficient-majorant variant: with
-M(r) = sum_n ||c_n|| r^n,
-
-    ||f||_k = sup_{0 <= r < kappa} (kappa - r)^k M(r).
-
-M dominates the sup of ||f|| on the circle |z| = r, so this is an upper
-bound for the sup-based norm, it is computable from coefficients alone, and
-all four calculus properties (subadditivity, product, derivative with the
-e*(k+1) factor, radius monotonicity) hold for it verbatim.
+The sup-norm estimate is the coefficient majorant M(sigma) = sum_n
+||c_n|| sigma^n.  The Nagumo-norm calculus built on the same majorant is a
+test oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -25,16 +19,7 @@ from .problem import ProblemSpec
 from .series import VecSeries
 from .zsolver import evaluate_f, solve_coeffs_z
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _K_REF = 80
-
-
-@dataclass(frozen=True)
-class NagumoNorm:
-    kappa: float
-    k: int
-    value: float
-    maximizer: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,99 +42,6 @@ class GevreyFit:
     i_start: int
     fit_min: int
     r2_compensated: float = 0.0
-
-
-def _weighted(gamma: np.ndarray, kappa: float, k: int) -> Callable[[float], float]:
-    powers = np.arange(gamma.size)
-
-    def g(r: float) -> float:
-        return (kappa - r) ** k * float((gamma * r**powers).sum())
-
-    return g
-
-
-def nagumo_norm(f: VecSeries, k: int, kappa: float) -> NagumoNorm:
-    """Coefficient-majorant Nagumo norm of a polynomial vector series.
-
-    For k = 0 the weight is absent and the sup is M(kappa) itself.  For
-    k >= 1 a coarse scan brackets the maximizer of (kappa - r)^k M(r) and
-    golden-section refines it; the endpoint r = 0 is always compared
-    against the refined interior value.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if k < 0:
-        raise ValueError("weight index k must be nonnegative")
-    gamma = f.norms()
-    if not np.any(gamma):
-        return NagumoNorm(kappa=kappa, k=k, value=0.0, maximizer=0.0)
-    powers = np.arange(gamma.size)
-    if k == 0:
-        return NagumoNorm(kappa=kappa, k=0,
-                          value=float((gamma * kappa**powers).sum()), maximizer=kappa)
-
-    g = _weighted(gamma, kappa, k)
-    n_scan = 257
-    grid = kappa * np.arange(n_scan) / n_scan
-    m_vals = np.polynomial.polynomial.polyval(grid, gamma)
-    vals = (kappa - grid) ** k * m_vals
-    best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, n_scan - 1)]
-    if best == n_scan - 1:
-        hi = kappa * (1.0 - 1e-12)
-
-    # golden-section maximization on [lo, hi]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    while hi - lo > 1e-12 * kappa:
-        if g1 < g2:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + _GOLDEN * (hi - lo)
-            g2 = g(x2)
-        else:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - _GOLDEN * (hi - lo)
-            g1 = g(x1)
-    r_star = 0.5 * (lo + hi)
-    v_star = g(r_star)
-    if g(0.0) >= v_star:
-        return NagumoNorm(kappa=kappa, k=k, value=g(0.0), maximizer=0.0)
-    return NagumoNorm(kappa=kappa, k=k, value=v_star, maximizer=r_star)
-
-
-def nagumo_property_suite(f: VecSeries, g: VecSeries, k: int, l: int,
-                          kappa: float, slack: float = 1e-9) -> dict[str, bool]:
-    """Check the four norm properties on one pair of scalar polynomials:
-
-      1. ||f + g||_k <= ||f||_k + ||g||_k
-      2. ||f g||_{k+l} <= ||f||_k ||g||_l
-      3. ||f'||_{k+1} <= e (k+1) ||f||_k
-      4. ||f||_k <= kappa ||f||_{k-1}   (k >= 1)
-    """
-    if f.nu != 1 or g.nu != 1:
-        raise ValueError("the product property needs scalar series")
-    deg = f.order + g.order  # polynomial data, so the product is exact here
-    sum_fg = f.pad_to(deg) + g.pad_to(deg)
-    prod_fg = VecSeries(np.convolve(f.coeffs[0], g.coeffs[0])[None, :], f.var)
-
-    nf_k = nagumo_norm(f, k, kappa).value
-    ng_k = nagumo_norm(g, k, kappa).value
-    ng_l = nagumo_norm(g, l, kappa).value
-    df = f.derivative()
-    out = {
-        "sum": nagumo_norm(sum_fg, k, kappa).value <= nf_k + ng_k + slack,
-        "product": nagumo_norm(prod_fg, k + l, kappa).value <= nf_k * ng_l + slack,
-        "derivative": nagumo_norm(df, k + 1, kappa).value
-        <= math.e * (k + 1) * nf_k + slack,
-    }
-    if k >= 1:
-        out["radius"] = nagumo_norm(f, k, kappa).value \
-            <= kappa * nagumo_norm(f, k - 1, kappa).value + slack
-    else:
-        out["radius"] = True
-    return out
 
 
 def sup_norm_disc(f: VecSeries, sigma: float) -> float:
@@ -220,10 +112,6 @@ class RemainderProfile:
     count the error of the reference itself.  `I_star_on_floor` is set when
     abs_r_eps[I_star] does not rise above that floor: the minimum is then
     rounding noise and the true optimal index may well be larger.
-    `I_star_term` is the superasymptotic proxy argmin_I ||a_I(z)|| |eps|^I
-    from the term sizes alone; it needs no reference, but it is only as
-    good as the point values a_I(z), whose relative error in double
-    precision grows with I.
     """
 
     eps: complex
@@ -231,7 +119,6 @@ class RemainderProfile:
     abs_r: np.ndarray
     abs_r_eps: np.ndarray
     I_star: int
-    I_star_term: int
     floor: float
     I_star_on_floor: bool
 
@@ -285,10 +172,8 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         abs_r = abs_r_eps / eps_powers
         i_star = int(np.argmin(abs_r_eps))
         term_sizes = a_norms * eps_powers
-        i_star_term = int(np.argmin(term_sizes))
         floor = (i_star + 1) * unit * (_norm(f_ref) + float(term_sizes[:i_star].sum()))
         out.append(RemainderProfile(eps=complex(eps_in), z=complex(z), abs_r=abs_r,
-                                    abs_r_eps=abs_r_eps, I_star=i_star,
-                                    I_star_term=i_star_term, floor=floor,
+                                    abs_r_eps=abs_r_eps, I_star=i_star, floor=floor,
                                     I_star_on_floor=bool(abs_r_eps[i_star] <= floor)))
     return out

@@ -5,8 +5,9 @@ k = 1/eps and x = 2*sqrt(z)/eps satisfies
 
     eps*z*phi' + phi - 2*z*phi**2 + 1/2 = 0,
 
-and tends, as eps -> 0+, to phi0(z) = -1/(1 + sqrt(1 + 4z)).  The modified
-Bessel ratio is evaluated by the standard continued fraction
+and tends, as eps -> 0+, to phi0(z) = -1/(1 + sqrt(1 + 4z)), an oracle of
+the tests (tests/oracles.py).  The modified Bessel ratio is evaluated by
+the standard continued fraction
 
     I_k(x)/I_{k-1}(x) = 1 / (2k/x + 1/(2(k+1)/x + 1/(2(k+2)/x + ...)))
 
@@ -16,10 +17,9 @@ solvers so that it can arbitrate them.
 """
 from __future__ import annotations
 
-import cmath
 import math
 
-from .errors import BranchCutError, EvaluationError
+from .errors import EvaluationError
 
 _TINY = 1e-30
 _Z_MAX = 4.0
@@ -53,18 +53,6 @@ def bessel_ratio_cf(kappa: float, x: float, tol: float = 1e-15,
             return f
     raise EvaluationError(
         f"continued fraction did not converge (kappa={kappa}, x={x}, depth={max_depth})")
-
-
-def phi0(z: complex) -> complex:
-    """Limit function -1 / (1 + sqrt(1 + 4z)) on the principal branch.
-
-    The argument 1 + 4z must stay off the cut (-inf, 0], i.e. z off
-    (-inf, -1/4].
-    """
-    w = 1.0 + 4.0 * complex(z)
-    if w.imag == 0.0 and w.real <= 0.0:
-        raise BranchCutError(f"1 + 4z = {w} lies on the branch cut (-inf, 0]")
-    return -1.0 / (1.0 + cmath.sqrt(w))
 
 
 def phi_eps(eps: float, z: float) -> float:

@@ -1,11 +1,11 @@
-"""Ray condition on the spectrum, resolvent sampling, and majorant radii.
+"""Ray condition on the spectrum, and majorant radii.
 
 A sector S(theta, gamma; E) is the set of eps with |arg eps - theta| <
 gamma/2 and 0 < |eps| < E.  The solvability of the coefficient recursions
 rests on no eigenvalue ray of the linear block meeting the closed sector;
-this module checks that condition, estimates the uniform resolvent constant
-by sampling the sector boundary, and evaluates the majorant radii used by
-the tail bounds.
+this module checks that condition and evaluates the majorant radii used by
+the tail bounds.  The sampled resolvent constant on a sector is a test
+oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -14,28 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSpectrumError, RadiiInfeasibleError,
-                     SectorTooWideError)
+from .errors import DegenerateSpectrumError, RadiiInfeasibleError
 from .problem import ProblemSpec
 from .series import CONV_TAMING_A
-
-_RESOLVENT_BLOWUP = 1e12
-
-
-@dataclass(frozen=True)
-class SectorSpec:
-    """Direction theta, opening gamma (radians), radius limit."""
-
-    theta: float
-    gamma: float
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 2.0 * math.pi:
-            raise ValueError("opening gamma must lie in (0, 2*pi]")
-        if self.radius <= 0.0:
-            raise ValueError("sector radius must be positive")
-
 
 @dataclass(frozen=True)
 class SiegelCheck:
@@ -54,23 +35,6 @@ class SpectrumReport:
     theta: float
     gamma_max: float
     summable: bool
-
-
-@dataclass(frozen=True)
-class ResolventReport:
-    """Sampled estimate of the uniform resolvent constant on a sector.
-
-    `c` is the maximum operator norm of (eps*k*I - A01(eps))^{-1} over the
-    sampled boundary grid; a practical stand-in for the uniform constant,
-    not a certified bound.
-    """
-
-    c: float
-    worst_k: int
-    worst_eps: complex
-    sector: SectorSpec
-    k_max: int
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -136,48 +100,6 @@ def gamma_max(eigs: np.ndarray, theta: float) -> SpectrumReport:
     gmax = 2.0 * float(np.min(d))
     return SpectrumReport(eigenvalues=eigs, args=np.angle(eigs), theta=theta,
                           gamma_max=gmax, summable=gmax > math.pi)
-
-
-def resolvent_bound(p: ProblemSpec, sector: SectorSpec, k_max: int = 50,
-                    samples: int = 64) -> ResolventReport:
-    """Sampled maximum of ||(eps*k*I - A01(eps))^{-1}|| over the sector
-    boundary (both radial edges and the outer arc) and k = 1..k_max.
-
-    Raises :class:`SectorTooWideError` when an eigenvalue ray meets the
-    closed sector or a sampled resolvent exceeds 1e12.
-    """
-    if k_max < 1 or samples < 2:
-        raise ValueError("need k_max >= 1 and samples >= 2")
-    eigs = spectrum(p.a01(0.0))
-    if not check_siegel(eigs, sector.theta, sector.gamma).ok:
-        raise SectorTooWideError(
-            "an eigenvalue ray meets the closed sector; shrink gamma or rotate theta")
-    a01_block = p.blocks[(0, 1)]
-
-    radii = sector.radius * np.arange(1, samples + 1) / samples
-    arcs = sector.theta + sector.gamma * (np.arange(samples) / (samples - 1) - 0.5)
-    eps_grid = np.concatenate([
-        radii * np.exp(1j * (sector.theta - sector.gamma / 2.0)),
-        radii * np.exp(1j * (sector.theta + sector.gamma / 2.0)),
-        sector.radius * np.exp(1j * arcs),
-    ])
-
-    eye = np.eye(p.nu)
-    best = 0.0
-    worst_k, worst_eps = 1, eps_grid[0]
-    for eps in eps_grid:
-        a = a01_block.at_eps(eps)
-        for k in range(1, k_max + 1):
-            smin = float(np.linalg.svd(eps * k * eye - a, compute_uv=False)[-1])
-            norm_inv = np.inf if smin == 0.0 else 1.0 / smin
-            if norm_inv > _RESOLVENT_BLOWUP:
-                raise SectorTooWideError(
-                    f"resolvent blows up at eps={eps:.4g}, k={k}; "
-                    "shrink gamma or the sector radius")
-            if norm_inv > best:
-                best, worst_k, worst_eps = norm_inv, k, complex(eps)
-    return ResolventReport(c=best, worst_k=worst_k, worst_eps=worst_eps,
-                           sector=sector, k_max=k_max, samples=samples)
 
 
 def radius_estimates(p: ProblemSpec, c: float, C_bound: float | None = None) -> RadiiReport:

@@ -1,5 +1,5 @@
 """Truncated power series over complex vectors and matrices, the Taylor-jet
-kernel that every recursion runs on, and the convolution-taming inequality.
+kernel that every recursion runs on, and the convolution-taming constant.
 
 A series here stores exactly the coefficients it knows and the formal variable
 it lives in.  Coefficients beyond the recorded order are *unknown*, not zero,
@@ -20,10 +20,12 @@ them by one coefficient per step (the online scheme of van der Hoeven), so
 step k costs O(k).  Leading batch axes carry independent problems through
 the same steps (the vector mode of Taylor arithmetic, ibid.).  With jets
 of length 1 it runs the z-recursion at every eps of a batch, a_0 and the
-normalization shift; with jets in h it runs the eps-orders.  The
-composition sum (`compositions` with `multilinear_apply`) and the Neumann
-inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`) remain as
-brute-force references.
+normalization shift; with jets in h it runs the eps-orders.
+`multilinear_apply` applies one block to plain vectors for
+`ProblemSpec.eval_F`, which shares no code with the kernel it checks, and
+the Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
+remains as a brute-force reference.  The composition sum and the
+convolution-taming inequality are test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -197,21 +199,6 @@ class MatSeries:
 # ---------------------------------------------------------------------------
 # compositions and tensor application
 # ---------------------------------------------------------------------------
-
-def compositions(total: int, parts: int, min_part: int = 0):
-    """Yield every tuple of `parts` integers >= `min_part` summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= min_part:
-            yield (total,)
-        return
-    for first in range(min_part, total - min_part * (parts - 1) + 1):
-        for rest in compositions(total - first, parts - 1, min_part):
-            yield (first,) + rest
-
 
 def multilinear_apply(entries: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Apply a dense multilinear tensor to m vectors.
@@ -398,54 +385,3 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
                     c = c + delta
             whole[..., k, :Lk] = c
     return whole
-
-
-# ---------------------------------------------------------------------------
-# convolution-taming inequality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LemmaConvReport:
-    """Outcome of the convolution-taming inequality scan."""
-
-    passed: bool
-    max_ratio: float
-    worst_m: int
-    lam: float
-    c0_is_A: bool
-    m_max: int
-    A: float = CONV_TAMING_A
-
-
-def lemma_conv_bound(lam: float, c0_is_A: bool, m_max: int) -> LemmaConvReport:
-    """Check ``sum_{l=0..m} C_l C_{m-l} <= C_m`` for the weight sequence
-    ``C_l = A (l!)^lam / l**2`` (l >= 1) with ``C_0`` either ``A`` or 0.
-
-    Factorials enter only through log-magnitudes, so the scan is overflow-free
-    for any `lam`.  Returns the maximal ratio over ``m <= m_max`` and a pass
-    verdict at tolerance 1e-12.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    ls = np.arange(1, m_max + 1, dtype=np.float64)
-    log_c = np.empty(m_max + 1, dtype=np.float64)
-    log_a = math.log(CONV_TAMING_A)
-    log_c[0] = log_a if c0_is_A else -np.inf
-    log_c[1:] = log_a + lam * np.array([math.lgamma(l + 1.0) for l in ls]) - 2.0 * np.log(ls)
-
-    max_ratio = 0.0
-    worst_m = 0
-    for m in range(m_max + 1):
-        if m == 0:
-            ratio = CONV_TAMING_A if c0_is_A else 0.0
-        else:
-            terms = log_c[: m + 1] + log_c[m::-1] - log_c[m]
-            finite = terms[np.isfinite(terms)]
-            ratio = float(np.exp(finite).sum()) if finite.size else 0.0
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst_m = m
-    return LemmaConvReport(passed=max_ratio <= 1.0 + 1e-12, max_ratio=max_ratio,
-                           worst_m=worst_m, lam=lam, c0_is_A=c0_is_A, m_max=m_max)

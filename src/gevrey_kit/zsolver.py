@@ -91,6 +91,8 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
     batch = np.asarray(eps, dtype=np.complex128)
     if batch.ndim > 1:
         raise ValueError("eps must be a number or a sequence of numbers")
+    if not np.all(np.isfinite(batch)):
+        raise ValueError(f"eps must be finite, got {eps}")
     if not batch.size:
         return []
     listed = batch.ndim == 1
@@ -163,12 +165,14 @@ def _raise_first(batch: np.ndarray, failed: np.ndarray, resonant: np.ndarray,
 
 def _partial_sums(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_{k<=K} coeffs[k-1] z^k at every z of a 1-D array, shape
-    (points, nu), by one Horner pass."""
+    (points, nu), by one Horner pass.  A sum that overflows comes out
+    non-finite, without a warning; the callers check for it."""
     z = z[:, None]
     acc = np.zeros((z.shape[0], coeffs.shape[1]), dtype=np.complex128)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeffs[::-1]:
+            acc = acc * z + c
+        return acc * z
 
 
 def evaluate_f(sol: ZSolution, z) -> EvalResult | list[EvalResult]:
@@ -192,16 +196,18 @@ def evaluate_f(sol: ZSolution, z) -> EvalResult | list[EvalResult]:
 
 def ode_residual_z(p: ProblemSpec, sol: ZSolution, z_grid) -> float:
     """Max over the grid of ||eps*z*f'(z) - F(eps, z, f(z))|| with f' from
-    exact differentiation of the partial sum."""
+    exact differentiation of the partial sum; 0 on an empty grid.  A
+    partial sum that overflows gives a residual of inf or NaN, not a
+    warning, and a NaN at one point makes the max NaN."""
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=np.complex128))
     vals = _partial_sums(sol.coeffs, z_grid)
     # z f'(z) = sum k f_k z^k
     z_dvals = _partial_sums(np.arange(1, sol.K + 1)[:, None] * sol.coeffs, z_grid)
-    worst = 0.0
-    for z, val, z_dval in zip(z_grid, vals, z_dvals):
-        resid = sol.eps * z_dval - p.eval_F(sol.eps, z, val)
-        worst = max(worst, _norm2(resid))
-    return worst
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [_norm2(sol.eps * z_dval - p.eval_F(sol.eps, z, val))
+                 for z, val, z_dval in zip(z_grid, vals, z_dvals)]
+    # np.max, unlike max, keeps a NaN
+    return float(np.max(norms, initial=0.0))
 
 
 def _norm2(v: np.ndarray) -> float:

@@ -117,6 +117,18 @@ class TestSolve:
         resid = rep["data"]["eps_blocks"][0]["max_ode_residual"]
         assert resid is not None and 1e191 < resid < math.inf
 
+    @pytest.mark.parametrize("z", ["1e4", "0.05,1e200"])
+    def test_overflowing_partial_sum_is_not_ok(self, tmp_path, report_schema, z):
+        # far outside the disc of convergence the residual is NaN, and at
+        # 1e200 the value overflows too: the verdict says so, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati", "--z", z])
+        assert code == 2
+        jsonschema.validate(rep, report_schema)
+        assert rep["verdict"] == "residual-too-large"
+        assert rep["data"]["eps_blocks"][0]["max_ode_residual"] is None
+
     def test_overflow_exits_operational(self, tmp_path, capsys):
         code = main(["solve", "--builtin", "riccati", "--K", "1000"])
         assert code == 1
@@ -234,6 +246,22 @@ class TestDiagnose:
     def test_insufficient_depth(self, tmp_path, capsys):
         code = main(["diagnose", "--builtin", "riccati", "--I", "3"])
         assert code == 1
+
+
+@pytest.mark.parametrize("args, option", [
+    (["check-sector", "--theta", "nan"], "--theta"),
+    (["check-sector", "--gamma", "inf"], "--gamma"),
+    (["solve", "--z", "nan"], "--z"),
+    (["solve", "--eps", "0.1,-inf"], "--eps"),
+    (["resum", "--eps", "nan"], "--eps"),
+    (["resum", "--z", "inf"], "--z"),
+    (["diagnose", "--sigma", "nan"], "--sigma"),
+])
+def test_non_finite_option_is_refused(tmp_path, capsys, args, option):
+    # float() takes nan and inf; no layer may run on them
+    code, rep = run_json(tmp_path, args + ["--builtin", "riccati"])
+    assert (code, rep) == (1, None)
+    assert f"gevrey-kit: error: {option} must be finite" in capsys.readouterr().err
 
 
 class TestValidateRiccati:

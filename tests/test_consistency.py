@@ -1,6 +1,6 @@
 import pytest
 
-from gevrey_kit import cross_consistency, limit_to_a0
+from oracles import cross_consistency, limit_to_a0
 
 
 class TestCrossConsistency:

@@ -1,4 +1,5 @@
 import contextlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from gevrey_kit import (
 )
 from gevrey_kit import series
 from gevrey_kit.errors import GevreyKitError, InsufficientOrderError
-from gevrey_kit.series import _jet_apply, compositions, solve_triangular
+from gevrey_kit.series import _jet_apply, solve_triangular
+from oracles import compositions
 
 
 def half_binomial(k):
@@ -212,14 +214,14 @@ class TestAi:
 
 class TestContractionEstimate:
     def test_riccati_small_disc(self, riccati):
-        from gevrey_kit import contraction_estimate
+        from oracles import contraction_estimate
 
         a0 = solve_a0(riccati, 30)
         b = contraction_estimate(riccati, a0, kappa=0.05, c=1.5)
         assert 0.0 < b < 1.0  # the linearized factor stays a contraction
 
     def test_grows_with_radius(self, riccati):
-        from gevrey_kit import contraction_estimate
+        from oracles import contraction_estimate
 
         a0 = solve_a0(riccati, 40)
         b_small = contraction_estimate(riccati, a0, kappa=0.02, c=1.5)
@@ -338,6 +340,24 @@ class TestPointValues:
                 as exc:
             eps_values_at(builtin_riccati((10.0,)), 0.01, 260)
         assert not isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan, complex(0.05, math.inf)])
+    def test_non_finite_centre_is_refused(self, riccati, z):
+        with pytest.raises(ValueError, match="not finite"):
+            eps_values_at(riccati, z, 4)
+
+    def test_non_finite_mpmath_centre_is_refused(self, riccati):
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(ValueError, match="not finite"):
+            eps_values_at(riccati, mpmath.mpf("inf"), 4)
+
+    def test_overflowing_recentred_blocks_are_named(self, riccati, staggered):
+        # at 1e308 the z-linear riccati blocks overflow when multiplied out,
+        # and at 1e200 the square of z in the staggered cubic block does
+        for p, z in ((riccati, 1e308), (staggered, 1e200)):
+            with pytest.raises(GevreyKitError, match="recentred at z .* overflow") as exc:
+                eps_values_at(p, z, 4)
+            assert not isinstance(exc.value, ValueError)
 
     def test_every_order_is_checked(self, riccati, monkeypatch):
         # a wrong a_i no longer satisfies the eps^i equation, and the point

@@ -5,14 +5,13 @@ import pytest
 
 from gevrey_kit import (
     gevrey_fit,
-    nagumo_norm,
-    nagumo_property_suite,
     remainder_profile,
     shifted_reference,
     solve_eps_expansion,
     sup_norm_disc,
 )
 from gevrey_kit.errors import GevreyKitError
+from oracles import nagumo_norm, nagumo_property_suite
 from gevrey_kit.series import VecSeries
 
 

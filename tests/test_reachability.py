@@ -16,50 +16,42 @@ UNREACHED pins those definitions, each with the reason it is kept:
 
 * ``tracer``: the benchmark's tracer (perfbench/tracer.py) wraps it, or a
   name it wraps needs it;
-* ``test-reference``: an oracle, a brute-force reference or a helper that
-  the tests (and the benchmark's problem files) are built on;
+* ``benchmark``: the benchmark's own files (perfbench/*.py) import it, or a
+  name they import needs it;
 * ``paper-check``: a statement of the paper checked through the library
   API and the tests, not by a subcommand.
 
-New dead code fails the test; a change that wires a name into a
-subcommand, or deletes it, takes it off the list.
+Oracles that only the tests call live in tests/oracles.py, outside the
+package.  New dead code fails the test; a change that wires a name into a
+subcommand, or deletes it, takes it off the list.  The ``tracer`` and
+``benchmark`` reasons are checked too: the same pass, started from the
+names the tracer wraps or from those perfbench imports, must reach each
+pin that carries them, so a pin goes when its target does.
 """
 import ast
 from collections import defaultdict
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gevrey_kit"
+import pytest
+from test_tracer_targets import tracer_lists
 
-REASONS = {"tracer", "test-reference", "paper-check"}
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gevrey_kit"
+PERFBENCH = ROOT / "perfbench"
+
+REASONS = {"tracer", "benchmark", "paper-check"}
 
 UNREACHED = {
-    "consistency.CrossReport": "paper-check",
-    "consistency.cross_consistency": "paper-check",
-    "consistency.eps_taylor_of_z_coeffs": "paper-check",
-    "consistency.limit_to_a0": "paper-check",
     "epssolver._blocks0": "tracer",
     "epssolver.build_T0": "tracer",
-    "epssolver.contraction_estimate": "paper-check",
     "epssolver.solve_ai": "tracer",
-    "errors.BranchCutError": "test-reference",
     "errors.RadiiInfeasibleError": "paper-check",
-    "gevrey.NagumoNorm": "paper-check",
-    "gevrey._weighted": "paper-check",
-    "gevrey.nagumo_norm": "paper-check",
-    "gevrey.nagumo_property_suite": "paper-check",
     "problem.NormalizationShift": "paper-check",
     "problem.normalize_shift": "paper-check",
-    "problem.problem_to_dict": "test-reference",
-    "problem.problem_to_json": "test-reference",
-    "riccati.phi0": "test-reference",
-    "sector.ResolventReport": "paper-check",
-    "sector.SectorSpec": "paper-check",
+    "problem.problem_to_dict": "benchmark",
+    "problem.problem_to_json": "benchmark",
     "sector.radius_estimates": "paper-check",
-    "sector.resolvent_bound": "paper-check",
-    "series.LemmaConvReport": "paper-check",
     "series.MatSeries": "tracer",
-    "series.compositions": "test-reference",
-    "series.lemma_conv_bound": "paper-check",
     "series.mat_series_inverse": "tracer",
 }
 
@@ -90,7 +82,9 @@ def package_definitions():
     return defs, scopes
 
 
-def unreached() -> set[str]:
+def reach(roots) -> set[str]:
+    """The definitions, as "module.name", that the pass reaches from the
+    (module, name) pairs `roots`, the roots included."""
     defs, scopes = package_definitions()
     by_name = defaultdict(list)
     for key in defs:
@@ -102,11 +96,7 @@ def unreached() -> set[str]:
             key = scopes[key[0]].get(key[1])
         return key
 
-    # the interpreter calls dunder functions, such as the package's
-    # __getattr__, without naming them
-    todo = [key for key in defs
-            if key[0] == "cli" and (key[1] == "main" or key[1].startswith("_cmd_"))
-            or key[1].startswith("__") and isinstance(defs[key], ast.FunctionDef)]
+    todo = [key for key in map(resolve, roots) if key is not None]
     seen = set(todo)
     while todo:
         mod, name = todo.pop()
@@ -121,9 +111,37 @@ def unreached() -> set[str]:
                 if key is not None and key not in seen:
                     seen.add(key)
                     todo.append(key)
+    return {f"{mod}.{name}" for mod, name in seen}
+
+
+def unreached() -> set[str]:
+    defs, _ = package_definitions()
+    # the interpreter calls dunder functions, such as the package's
+    # __getattr__, without naming them
+    reached = reach(key for key in defs
+                    if key[0] == "cli" and (key[1] == "main" or key[1].startswith("_cmd_"))
+                    or key[1].startswith("__") and isinstance(defs[key], ast.FunctionDef))
     return {f"{mod}.{name}" for (mod, name), node in defs.items()
-            if (mod, name) not in seen
+            if f"{mod}.{name}" not in reached
             and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def tracer_roots() -> set[tuple[str, str]]:
+    """(module, name) of every function and class the tracer wraps."""
+    lists = tracer_lists()
+    return {(mod, name) for mod, name, *_ in
+            lists["SPANNED"] + lists["AGGREGATED"] + lists["AGGREGATED_METHODS"]}
+
+
+def benchmark_roots() -> set[tuple[str, str]]:
+    """(module, name) of every name that perfbench/*.py imports from a
+    submodule of the package."""
+    roots = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gevrey_kit."):
+                roots |= {(node.module.split(".")[1], alias.name) for alias in node.names}
+    return roots
 
 
 def test_the_pass_reaches_the_solvers():
@@ -141,3 +159,12 @@ def test_unreached_definitions_are_pinned():
 
 def test_every_reason_is_known():
     assert set(UNREACHED.values()) <= REASONS
+
+
+@pytest.mark.parametrize("reason, roots", [("tracer", tracer_roots),
+                                           ("benchmark", benchmark_roots)])
+def test_pins_keep_their_reason(reason, roots):
+    reached = reach(roots())
+    stale = sorted(name for name, why in UNREACHED.items()
+                   if why == reason and name not in reached)
+    assert not stale, f"pinned as {reason!r}, but no longer needed by it: {stale}"

@@ -9,15 +9,14 @@ from gevrey_kit import (
     check_siegel,
     gamma_max,
     radius_estimates,
-    resolvent_bound,
     spectrum,
 )
-from gevrey_kit.sector import SectorSpec
 from gevrey_kit.errors import (
     DegenerateSpectrumError,
     RadiiInfeasibleError,
     SectorTooWideError,
 )
+from oracles import SectorSpec, resolvent_bound
 
 
 class TestSpectrum:

@@ -9,7 +9,6 @@ from gevrey_kit import (
     CONV_TAMING_A,
     MatSeries,
     VecSeries,
-    lemma_conv_bound,
     mat_series_inverse,
     multilinear_apply,
 )
@@ -18,7 +17,8 @@ from gevrey_kit.errors import (
     SingularMatrixError,
     VarMismatchError,
 )
-from gevrey_kit.series import _jet_apply, compositions, solve_triangular
+from gevrey_kit.series import _jet_apply, solve_triangular
+from oracles import compositions, lemma_conv_bound
 
 
 def vs(coeffs, var="z"):

@@ -19,27 +19,22 @@ SRC = str(Path(gevrey_kit.__file__).resolve().parents[1])
 #: every public name of the package: the error types, the library layers'
 #: names and the submodules
 PUBLIC_NAMES = sorted([
-    "ArityMismatchError", "BorelData", "BranchCutError", "CONV_TAMING_A", "CoeffTensor",
-    "CrossReport", "DegenerateSpectrumError",
-    "EpsFormalSolution", "EvalResult", "EvaluationError", "GevreyFit", "GevreyKitError",
-    "InsufficientOrderError", "LemmaConvReport", "MatSeries", "NagumoNorm",
+    "ArityMismatchError", "BorelData", "CONV_TAMING_A", "CoeffTensor",
+    "DegenerateSpectrumError", "EpsFormalSolution", "EvalResult", "EvaluationError",
+    "GevreyFit", "GevreyKitError", "InsufficientOrderError", "MatSeries",
     "NormalizationError", "NormalizationShift", "PadeApproximant", "PoleObstructionError",
     "ProblemSpec", "RadiiInfeasibleError", "RadiiReport", "RemainderProfile",
-    "ResolventReport", "ResonanceError", "SchemaError", "SectorSpec", "SectorTooWideError",
-    "SiegelCheck", "SingularMatrixError", "SpectrumReport", "SummationReport",
-    "VarMismatchError", "VecSeries", "ZSolution", "assemble_B", "bessel_ratio_cf",
-    "borel_transform", "build_T0", "builtin_riccati", "check_siegel", "compositions",
-    "contraction_estimate", "cross_consistency", "eps_taylor_of_z_coeffs",
-    "eps_values_at", "evaluate_f", "gamma_max", "gevrey_fit", "laplace_sum",
-    "lemma_conv_bound", "limit_to_a0", "mat_series_inverse", "multilinear_apply",
-    "nagumo_norm", "nagumo_property_suite", "normalize_shift", "ode_residual",
-    "ode_residual_z", "optimal_truncation_sum", "pade_continue", "parse_problem", "phi0",
-    "phi_eps", "problem_to_dict", "problem_to_json", "radius_estimates",
-    "remainder_profile", "resolvent_bound", "shift_problem", "shifted_reference",
+    "ResonanceError", "SchemaError", "SectorTooWideError", "SiegelCheck",
+    "SingularMatrixError", "SpectrumReport", "SummationReport", "VarMismatchError",
+    "VecSeries", "ZSolution", "assemble_B", "bessel_ratio_cf", "borel_transform",
+    "build_T0", "builtin_riccati", "check_siegel", "eps_values_at", "evaluate_f",
+    "gamma_max", "gevrey_fit", "laplace_sum", "mat_series_inverse", "multilinear_apply",
+    "normalize_shift", "ode_residual", "ode_residual_z", "optimal_truncation_sum",
+    "pade_continue", "parse_problem", "phi_eps", "problem_to_dict", "problem_to_json",
+    "radius_estimates", "remainder_profile", "shift_problem", "shifted_reference",
     "solve_a0", "solve_ai", "solve_coeffs_z", "solve_eps_expansion", "spectrum",
     "sup_norm_disc",
-    "borel", "consistency", "epssolver", "errors", "gevrey", "problem", "riccati",
-    "sector", "series", "zsolver",
+    "borel", "epssolver", "errors", "gevrey", "problem", "riccati", "sector", "series", "zsolver",
 ])
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from gevrey_kit import (
     evaluate_f,
     ode_residual_z,
     radius_estimates,
-    resolvent_bound,
     shifted_reference,
     solve_coeffs_z,
 )
-from gevrey_kit.sector import SectorSpec
 from gevrey_kit.errors import GevreyKitError, ResonanceError
+from oracles import SectorSpec, resolvent_bound
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,19 @@ class TestOdeResidual:
         r_lo = ode_residual_z(riccati, sol, [1e-4])
         slope = math.log10(r_hi / r_lo)
         assert slope >= 1.8  # residual decays at least quadratically at 0
+
+    def test_overflowing_partial_sum_is_not_small(self, riccati):
+        # far outside the disc of convergence F(eps, z, f) overflows, and
+        # the NaN residual there must not vanish in the max over the grid
+        sol = solve_coeffs_z(riccati, 0.1, 60)
+        assert not ode_residual_z(riccati, sol, [0.05, 1e4]) <= sys.float_info.max
+
+
+class TestNonFiniteEps:
+    @pytest.mark.parametrize("eps", [math.nan, [0.1, math.inf]])
+    def test_refused(self, riccati, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            solve_coeffs_z(riccati, eps, 10)
 
 
 def first_error(call):

@@ -43,7 +43,6 @@ class BorelData:
 
     a0_value: np.ndarray
     b_coeffs: np.ndarray
-    z: complex | None = None
 
     @property
     def I(self) -> int:
@@ -59,7 +58,7 @@ class PadeApproximant:
     """Componentwise [L/M] rational approximants with their poles.
 
     `orders` records the effective (L, M) per component after any fallback
-    reduction; `degenerate` flags components where reduction occurred.
+    reduction; a component was reduced where it differs from `requested`.
     """
 
     numerators: tuple[np.ndarray, ...]
@@ -67,10 +66,6 @@ class PadeApproximant:
     poles: tuple[np.ndarray, ...]
     requested: tuple[int, int]
     orders: tuple[tuple[int, int], ...]
-
-    @property
-    def degenerate(self) -> bool:
-        return any(o != self.requested for o in self.orders)
 
     def all_poles(self) -> np.ndarray:
         if not any(p.size for p in self.poles):
@@ -89,16 +84,12 @@ class SummationReport:
     """Outcome of one summation, with an honest error budget."""
 
     value: np.ndarray
-    method: str
     quadrature_error_estimate: float
     pole_clearance: float
-    t_max: float
-    theta: float
-    eps: complex
     I_star: int | None = None
 
 
-def borel_transform(a_values: np.ndarray, z: complex | None = None) -> BorelData:
+def borel_transform(a_values: np.ndarray) -> BorelData:
     """Factorially damped transform coefficients b_i = a_{i+1}/i!.
 
     `a_values` stacks the expansion coefficients a_0..a_I at the evaluation
@@ -117,7 +108,7 @@ def borel_transform(a_values: np.ndarray, z: complex | None = None) -> BorelData
     I = arr.shape[0] - 1
     # 1/i! lies in (0, 1], so every b_i is finite
     inv_fact = np.exp([-math.lgamma(i + 1.0) for i in range(I)])
-    return BorelData(a0_value=arr[0].copy(), b_coeffs=arr[1:] * inv_fact[:, None], z=z)
+    return BorelData(a0_value=arr[0].copy(), b_coeffs=arr[1:] * inv_fact[:, None])
 
 
 def _pade_component(c: np.ndarray, L: int, M: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -202,13 +193,19 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
     refinement difference in the reported error estimate.  A continuation
     pole within _POLE_SAFETY of the integration segment raises
     :class:`PoleObstructionError` (non-summability in this direction, or
-    not enough coefficients).
+    not enough coefficients).  eps = 0 raises ValueError; a cutoff, value
+    or error estimate that overflows double precision raises
+    `GevreyKitError`.
     """
     eps = complex(eps)
+    if eps == 0:
+        raise ValueError("the Laplace sum needs eps != 0")
     direction = complex(math.cos(theta), math.sin(theta))
     if (direction / eps).real <= 0.0:
         raise ValueError("kernel does not decay: need Re(e^(i theta)/eps) > 0")
     t_max = abs(eps) * math.log(1.0 / _ETA) * _SAFETY
+    if not math.isfinite(t_max):
+        raise GevreyKitError(f"the Laplace cutoff at eps = {eps:.6g} overflows double precision")
     poles = pade.all_poles()
     clearance = _segment_clearance(poles, theta, t_max)
     if clearance <= _POLE_SAFETY:
@@ -223,40 +220,50 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
     def integrand(s: np.ndarray) -> np.ndarray:
         return np.exp(-rate * s)[:, None] * pade.eval(direction * s) * direction
 
-    panels = 4
-    prev = _gauss_panels(integrand, t_max, panels)
-    diff = math.inf
-    while panels < 512:
-        panels *= 2
-        cur = _gauss_panels(integrand, t_max, panels)
-        diff = float(np.abs(cur - prev).max())
-        prev = cur
-        if diff < 1e-12 or diff < 1e-10 * max(1.0, float(np.abs(cur).max())):
-            break
-    sup_p = float(np.abs(pade.eval(direction * np.linspace(0.0, t_max, 65))).max())
-    tail = math.exp(-t_max / abs(eps)) * sup_p
-    value = b.a0_value + prev
-    return SummationReport(value=value, method="borel_pade",
-                           quadrature_error_estimate=diff + tail,
-                           pole_clearance=clearance, t_max=t_max, theta=theta,
-                           eps=eps)
+    # overflow is detected on the value and the estimate, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        panels = 4
+        prev = _gauss_panels(integrand, t_max, panels)
+        diff = math.inf
+        while panels < 512:
+            panels *= 2
+            cur = _gauss_panels(integrand, t_max, panels)
+            diff = float(np.abs(cur - prev).max())
+            prev = cur
+            if diff < 1e-12 or diff < 1e-10 * max(1.0, float(np.abs(cur).max())):
+                break
+        sup_p = float(np.abs(pade.eval(direction * np.linspace(0.0, t_max, 65))).max())
+        tail = math.exp(-t_max / abs(eps)) * sup_p
+        value = b.a0_value + prev
+    if not (np.all(np.isfinite(value)) and math.isfinite(diff + tail)):
+        raise GevreyKitError(f"the Laplace sum at eps = {eps:.6g} overflows double precision")
+    return SummationReport(value=value, quadrature_error_estimate=diff + tail,
+                           pole_clearance=clearance)
 
 
 def optimal_truncation_sum(a_values: np.ndarray, eps: complex) -> SummationReport:
     """Superasymptotic baseline: stop the partial sum just before the
-    smallest term ||a_i|| |eps|^i."""
+    smallest term ||a_i|| |eps|^i.  A smallest term or a partial sum that
+    overflows double precision raises `GevreyKitError`."""
     arr = np.asarray(a_values, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.shape[0] < 5:
         raise ValueError("need coefficients a_0..a_I with I >= 4")
     eps = complex(eps)
-    sizes = np.linalg.norm(arr, axis=1) * np.abs(eps) ** np.arange(arr.shape[0])
-    i_star = int(np.argmin(sizes))
     value = np.zeros(arr.shape[1], dtype=np.complex128)
-    for i in range(i_star):
-        value += arr[i] * eps**i
-    return SummationReport(value=value, method="optimal_truncation",
-                           quadrature_error_estimate=float(sizes[i_star]),
-                           pole_clearance=math.inf, t_max=0.0, theta=0.0,
-                           eps=eps, I_star=i_star)
+    # overflow is detected on the sum, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+        # a zero term stays 0 where |eps|^i overflows
+        sizes = np.where(norms > 0, norms * np.abs(eps) ** np.arange(arr.shape[0]), 0.0)
+        i_star = int(np.argmin(sizes))
+        try:
+            for i in range(i_star):
+                value += arr[i] * eps**i
+        except OverflowError:   # eps**i leaves the double range
+            value[:] = math.inf
+    if not (np.all(np.isfinite(value)) and math.isfinite(sizes[i_star])):
+        raise GevreyKitError(f"the truncated sum at eps = {eps:.6g} overflows double precision")
+    return SummationReport(value=value, quadrature_error_estimate=float(sizes[i_star]),
+                           pole_clearance=math.inf, I_star=i_star)

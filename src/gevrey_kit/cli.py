@@ -32,14 +32,14 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .errors import GevreyKitError, PoleObstructionError, ResonanceError, SectorTooWideError
+from .errors import GevreyKitError, PoleObstructionError, ResonanceError
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402  (OpenBLAS reads the thread count when numpy loads)
 
-_MATH_ERRORS = (ResonanceError, PoleObstructionError, SectorTooWideError)
+_MATH_ERRORS = (ResonanceError, PoleObstructionError)
 #: `solve` reports a block whose ODE residual exceeds this times
 #: max(1, max|f|) as not solved: z outside the disc of convergence, or
 #: eps*k near an eigenvalue so that the coefficients blow up
@@ -259,7 +259,7 @@ def _cmd_resum(args) -> int:
     rows, points = [], []
     for z in args.z:
         a_vals = eps_values_at(p, z, args.I)
-        b = borel_transform(a_vals, z=z)
+        b = borel_transform(a_vals)
         pade = pade_continue(b, L, M)
         for eps in args.eps:
             rep = laplace_sum(b, pade, eps, theta=args.theta)
@@ -304,7 +304,7 @@ def _cmd_diagnose(args) -> int:
         raise ValueError("diagnose needs --I >= 9 for a meaningful fit")
     sol = solve_eps_expansion(p, args.I, 2 * args.I + 30)
     norms = [sup_norm_disc(ai, args.sigma) for ai in sol.a]
-    fit = gevrey_fit(norms, i_start=0, fit_min=3)
+    fit = gevrey_fit(norms)
     z0 = args.z[0]
     profiles = remainder_profile(p, z0, args.eps, args.I)
 
@@ -424,7 +424,6 @@ def main(argv=None) -> int:
         code = {
             ResonanceError: "resonance",
             PoleObstructionError: "pole-obstruction",
-            SectorTooWideError: "sector-too-wide",
         }[type(e)]
         report = _report(args, "error", {}, error={"code": code, "message": str(e)})
         _emit(args, _json_text(report))

@@ -55,19 +55,14 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class EpsFormalSolution:
-    """Coefficients a_0..a_I of the formal eps-expansion at truncation K_z.
+    """Coefficients a_0..a_I of the formal eps-expansion at a z-truncation K_z.
 
     ``a[i]`` is a z-VecSeries delivered to order K_z - i; ``residuals[i]``
     is the relative residual of its defining relation.
     """
 
     a: tuple[VecSeries, ...]
-    K_z: int
     residuals: tuple[float, ...]
-
-    @property
-    def I(self) -> int:
-        return len(self.a) - 1
 
     def values_at(self, z: complex) -> np.ndarray:
         """Stack of a_i(z) values, shape (I+1, nu), summed from the z-series
@@ -306,7 +301,7 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
     a, residuals = _jets_at(p, 0.0, I, K_z + 1, f"at truncation K_z = {K_z}")
     return EpsFormalSolution(a=tuple(VecSeries(a[:, i, : K_z - i + 1], var="z")
                                      for i in range(I + 1)),
-                             K_z=K_z, residuals=tuple(residuals))
+                             residuals=tuple(residuals))
 
 
 def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> VecSeries:

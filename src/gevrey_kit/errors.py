@@ -6,7 +6,7 @@ class GevreyKitError(Exception):
 
 
 class VarMismatchError(GevreyKitError, ValueError):
-    """Arithmetic between series living in different formal variables."""
+    """A product of matrix series living in different formal variables."""
 
 
 class ArityMismatchError(GevreyKitError, ValueError):
@@ -32,11 +32,6 @@ class NormalizationError(GevreyKitError):
 
 class DegenerateSpectrumError(GevreyKitError):
     """A zero eigenvalue makes the ray condition meaningless."""
-
-
-class SectorTooWideError(GevreyKitError):
-    """An eigenvalue ray meets the requested sector, or a sampled
-    resolvent blew up; retry with a smaller opening or radius."""
 
 
 class RadiiInfeasibleError(GevreyKitError):
@@ -82,7 +77,6 @@ __all__ = [
     "SchemaError",
     "NormalizationError",
     "DegenerateSpectrumError",
-    "SectorTooWideError",
     "RadiiInfeasibleError",
     "ResonanceError",
     "InsufficientOrderError",

@@ -20,6 +20,8 @@ from .series import VecSeries
 from .zsolver import evaluate_f, solve_coeffs_z
 
 _K_REF = 80
+#: indices below this are small-index transients, left out of the growth fit
+_FIT_MIN = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,18 +32,12 @@ class GevreyFit:
     over the fitted index range; C is then inflated minimally so the bound
     holds at every supplied index.  r2 is the coefficient of determination
     of the full fitted law, i.e. of log(C i! mu^i) against log(norm_i) on
-    the fitted range; `r2_compensated` scores the line on the
-    factorial-compensated values alone, which is the stricter measure of
-    how purely geometric the compensated sequence is.
+    the fitted range.
     """
 
     C: float
     mu: float
     r2: float
-    norms: np.ndarray
-    i_start: int
-    fit_min: int
-    r2_compensated: float = 0.0
 
 
 def sup_norm_disc(f: VecSeries, sigma: float) -> float:
@@ -62,26 +58,25 @@ def _r2(observed: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def gevrey_fit(norms: Sequence[float], i_start: int = 0, fit_min: int = 3) -> GevreyFit:
-    """Fit C, mu in ``norm_i <= C * i! * mu**i`` from a norm sequence.
+def gevrey_fit(norms: Sequence[float]) -> GevreyFit:
+    """Fit C, mu in ``norm_i <= C * i! * mu**i`` from the norms at i = 0, 1, ...
 
-    `norms[j]` is the norm at index ``i_start + j``.  Indices below
-    `fit_min` are excluded from the least-squares line (small-index
-    transients); C is inflated afterwards so the bound holds at every
-    supplied index.  A zero norm (a term that vanishes identically) meets
-    every bound and takes no part in the fit or in C.
+    Indices below _FIT_MIN are excluded from the least-squares line
+    (small-index transients); C is inflated afterwards so the bound holds at
+    every supplied index.  A zero norm (a term that vanishes identically)
+    meets every bound and takes no part in the fit or in C.
     """
     norms = np.asarray(norms, dtype=np.float64)
-    idx = np.arange(i_start, i_start + norms.size)
+    idx = np.arange(norms.size)
     if np.any(norms < 0.0) or not np.all(np.isfinite(norms)):
         raise ValueError("norms must be nonnegative and finite")
-    if np.count_nonzero(idx >= fit_min) < 6:
-        raise ValueError("need at least 6 indices at or above fit_min")
+    if np.count_nonzero(idx >= _FIT_MIN) < 6:
+        raise ValueError(f"need at least 6 indices at or above {_FIT_MIN}")
     positive = norms > 0.0
-    mask = (idx >= fit_min) & positive
+    mask = (idx >= _FIT_MIN) & positive
     if mask.sum() < 6:
         raise GevreyKitError(
-            f"the growth fit needs 6 nonzero norms at i >= {fit_min}, found "
+            f"the growth fit needs 6 nonzero norms at i >= {_FIT_MIN}, found "
             f"{int(mask.sum())}: {norms.size - int(positive.sum())} of the {norms.size} "
             "terms a_i vanish identically")
     x = idx[mask].astype(np.float64)
@@ -90,13 +85,10 @@ def gevrey_fit(norms: Sequence[float], i_start: int = 0, fit_min: int = 3) -> Ge
     y = log_norm - lgam
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
-    r2 = _r2(log_norm, fitted + lgam)
-    r2_comp = _r2(y, fitted)
     mu = math.exp(slope)
     log_c = max(math.log(n) - math.lgamma(i + 1.0) - slope * i
                 for n, i in zip(norms[positive], idx[positive]))
-    return GevreyFit(C=math.exp(log_c), mu=mu, r2=r2, norms=norms,
-                     i_start=i_start, fit_min=fit_min, r2_compensated=r2_comp)
+    return GevreyFit(C=math.exp(log_c), mu=mu, r2=_r2(log_norm, fitted + lgam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +107,6 @@ class RemainderProfile:
     """
 
     eps: complex
-    z: complex
     abs_r: np.ndarray
     abs_r_eps: np.ndarray
     I_star: int
@@ -141,10 +132,13 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
     values mean float64, mpmath values mean the current mpmath precision
     (set it with ``mpmath.workdps`` around the call).  A double-precision
     table cannot resolve remainders below about 1e-16 |f|; each profile
-    says whether its minimum sits on that floor.
+    says whether its minimum sits on that floor.  eps = 0 raises ValueError,
+    and a table that leaves the double range raises `GevreyKitError`.
     """
     if I_max < 1:
         raise ValueError("I_max must be >= 1")
+    if any(complex(eps) == 0 for eps in eps_list):
+        raise ValueError("the remainder table needs eps != 0")
     if reference is None:
         refs = [evaluate_f(sol, z).value for sol in solve_coeffs_z(p, list(eps_list), _K_REF)]
     else:
@@ -165,15 +159,24 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         f_ref = np.array([work(v) for v in f], dtype=a_vals.dtype)
         abs_r_eps = np.zeros(I_max + 1)
         partial = np.zeros_like(f_ref)
-        for I in range(I_max + 1):
-            abs_r_eps[I] = _norm(f_ref - partial)
-            partial = partial + a_vals[I] * eps**I
-        eps_powers = abs(complex(eps_in)) ** np.arange(I_max + 1)
-        abs_r = abs_r_eps / eps_powers
-        i_star = int(np.argmin(abs_r_eps))
-        term_sizes = a_norms * eps_powers
-        floor = (i_star + 1) * unit * (_norm(f_ref) + float(term_sizes[:i_star].sum()))
-        out.append(RemainderProfile(eps=complex(eps_in), z=complex(z), abs_r=abs_r,
+        # overflow is detected on the table, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                for I in range(I_max + 1):
+                    abs_r_eps[I] = _norm(f_ref - partial)
+                    partial = partial + a_vals[I] * eps**I
+            except OverflowError:   # eps**I leaves the double range
+                abs_r_eps[:] = math.inf
+            eps_powers = abs(complex(eps_in)) ** np.arange(I_max + 1)
+            abs_r = abs_r_eps / eps_powers
+            i_star = int(np.argmin(abs_r_eps))
+            term_sizes = a_norms * eps_powers
+            floor = (i_star + 1) * unit * (_norm(f_ref) + float(term_sizes[:i_star].sum()))
+        # abs_r is not finite where abs_r_eps is not
+        if not (np.all(np.isfinite(abs_r)) and math.isfinite(floor)):
+            raise GevreyKitError(f"the remainder table at eps = {complex(eps_in):.6g} "
+                                 "leaves the double range")
+        out.append(RemainderProfile(eps=complex(eps_in), abs_r=abs_r,
                                     abs_r_eps=abs_r_eps, I_star=i_star, floor=floor,
                                     I_star_on_floor=bool(abs_r_eps[i_star] <= floor)))
     return out

@@ -393,9 +393,9 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
 # built-in Riccati problem
 # ---------------------------------------------------------------------------
 
-def builtin_riccati(beta: Sequence[complex] = (1.0,), *, rho: float = 1.0,
-                    rho1: float = 4.0) -> ProblemSpec:
-    """Normalized scalar Riccati problem eps*z*f' = -beta(eps)/2 - f + 2*z*f**2.
+def builtin_riccati(beta: Sequence[complex] = (1.0,)) -> ProblemSpec:
+    """Normalized scalar Riccati problem eps*z*f' = -beta(eps)/2 - f + 2*z*f**2,
+    with domain radii rho = 1 and rho1 = 4.
 
     `beta` is the coefficient list of a polynomial with beta(0) != 0.  The
     normalization substitutes f = ftilde - beta/2, which collects to
@@ -413,7 +413,7 @@ def builtin_riccati(beta: Sequence[complex] = (1.0,), *, rho: float = 1.0,
     if abs(b[0]) <= COEFF_TOL:
         raise NormalizationError("beta(0) must be nonzero for the built-in shift")
 
-    raw = ProblemSpec(nu=1, rho=rho, rho1=rho1, tensors=(
+    raw = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
         CoeffTensor(0, 0, (-0.5 * b)[None, :]),
         CoeffTensor(0, 1, np.array([[[-1.0 + 0.0j]]])),
         CoeffTensor(1, 2, np.array([[[[2.0 + 0.0j]]]])),

@@ -22,23 +22,26 @@ import math
 from .errors import EvaluationError
 
 _TINY = 1e-30
+#: the continued fraction stops when a relative update falls below _CF_TOL,
+#: and fails after _CF_MAX_DEPTH terms
+_CF_TOL = 1e-15
+_CF_MAX_DEPTH = 10000
 _Z_MAX = 4.0
 _H = 1e-6
 
 
-def bessel_ratio_cf(kappa: float, x: float, tol: float = 1e-15,
-                    max_depth: int = 10000) -> float:
+def bessel_ratio_cf(kappa: float, x: float) -> float:
     """Ratio I_kappa(x) / I_{kappa-1}(x) by modified Lentz iteration.
 
     Returns the converged value; raises :class:`EvaluationError` when the
-    relative update has not fallen below `tol` within `max_depth` terms.
+    relative update has not fallen below _CF_TOL within _CF_MAX_DEPTH terms.
     """
     if x <= 0 or kappa <= 0:
         raise ValueError("the continued fraction needs x > 0 and kappa > 0")
     f = _TINY
     c = f
     d = 0.0
-    for j in range(1, max_depth + 1):
+    for j in range(1, _CF_MAX_DEPTH + 1):
         b = 2.0 * (kappa + j - 1) / x
         d = b + d
         if d == 0.0:
@@ -49,10 +52,10 @@ def bessel_ratio_cf(kappa: float, x: float, tol: float = 1e-15,
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _CF_TOL:
             return f
     raise EvaluationError(
-        f"continued fraction did not converge (kappa={kappa}, x={x}, depth={max_depth})")
+        f"continued fraction did not converge (kappa={kappa}, x={x}, depth={_CF_MAX_DEPTH})")
 
 
 def phi_eps(eps: float, z: float) -> float:

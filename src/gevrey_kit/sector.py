@@ -23,16 +23,12 @@ class SiegelCheck:
     """Per-eigenvalue angular margins against a (theta, gamma) query."""
 
     ok: bool
-    theta: float
-    gamma: float
     margins: np.ndarray  # d_j - gamma/2, one per eigenvalue
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: np.ndarray
     args: np.ndarray
-    theta: float
     gamma_max: float
     summable: bool
 
@@ -88,8 +84,7 @@ def check_siegel(eigs: np.ndarray, theta: float, gamma: float) -> SiegelCheck:
     exceeds gamma/2."""
     d = _angular_distances(eigs, theta)
     margins = d - gamma / 2.0
-    return SiegelCheck(ok=bool(np.min(d) > gamma / 2.0), theta=theta, gamma=gamma,
-                       margins=margins)
+    return SiegelCheck(ok=bool(np.min(d) > gamma / 2.0), margins=margins)
 
 
 def gamma_max(eigs: np.ndarray, theta: float) -> SpectrumReport:
@@ -98,8 +93,7 @@ def gamma_max(eigs: np.ndarray, theta: float) -> SpectrumReport:
     eigs = np.atleast_1d(np.asarray(eigs, dtype=np.complex128))
     d = _angular_distances(eigs, theta)
     gmax = 2.0 * float(np.min(d))
-    return SpectrumReport(eigenvalues=eigs, args=np.angle(eigs), theta=theta,
-                          gamma_max=gmax, summable=gmax > math.pi)
+    return SpectrumReport(args=np.angle(eigs), gamma_max=gmax, summable=gmax > math.pi)
 
 
 def radius_estimates(p: ProblemSpec, c: float, C_bound: float | None = None) -> RadiiReport:

@@ -2,11 +2,8 @@
 kernel that every recursion runs on, and the convolution-taming constant.
 
 A series here stores exactly the coefficients it knows and the formal variable
-it lives in.  Coefficients beyond the recorded order are *unknown*, not zero,
-and binary operations deliver the minimum of the operand orders, so a
-coefficient is only ever reported when both inputs vouch for it.  Explicit
-zero-extension is available through :meth:`VecSeries.pad_to` for data known
-to be polynomial.  A scalar series is a `VecSeries` with nu = 1.
+it lives in.  Coefficients beyond the recorded order are *unknown*, not zero.
+A scalar series is a `VecSeries` with nu = 1.
 
 Every solver recursion runs on one Taylor-jet kernel (Taylor-mode
 arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
@@ -81,10 +78,6 @@ class VecSeries:
         _check_finite(arr, "vector series")
         object.__setattr__(self, "coeffs", _freeze(arr.copy()))
 
-    @staticmethod
-    def zeros(nu: int, order: int, var: str = "z") -> "VecSeries":
-        return VecSeries(np.zeros((nu, order + 1), dtype=np.complex128), var)
-
     @property
     def nu(self) -> int:
         return self.coeffs.shape[0]
@@ -101,43 +94,6 @@ class VecSeries:
     def norms(self) -> np.ndarray:
         """Euclidean norm of each coefficient vector, indexed by power."""
         return np.linalg.norm(self.coeffs, axis=0)
-
-    def truncate(self, order: int) -> "VecSeries":
-        if order > self.order:
-            raise ValueError("cannot truncate to a higher order")
-        return VecSeries(self.coeffs[:, : order + 1], self.var)
-
-    def pad_to(self, order: int) -> "VecSeries":
-        if order <= self.order:
-            return self
-        c = np.zeros((self.nu, order + 1), dtype=np.complex128)
-        c[:, : self.coeffs.shape[1]] = self.coeffs
-        return VecSeries(c, self.var)
-
-    def derivative(self) -> "VecSeries":
-        if self.order == 0:
-            return VecSeries.zeros(self.nu, 0, self.var)
-        k = np.arange(1, self.order + 1)
-        return VecSeries(self.coeffs[:, 1:] * k, self.var)
-
-    def __add__(self, other: "VecSeries") -> "VecSeries":
-        if not isinstance(other, VecSeries):
-            return NotImplemented
-        if self.var != other.var:
-            raise VarMismatchError("vector series variable mismatch")
-        k = min(self.order, other.order)
-        return VecSeries(self.coeffs[:, : k + 1] + other.coeffs[:, : k + 1], self.var)
-
-    def __sub__(self, other: "VecSeries") -> "VecSeries":
-        if not isinstance(other, VecSeries):
-            return NotImplemented
-        if self.var != other.var:
-            raise VarMismatchError("vector series variable mismatch")
-        k = min(self.order, other.order)
-        return VecSeries(self.coeffs[:, : k + 1] - other.coeffs[:, : k + 1], self.var)
-
-    def __neg__(self) -> "VecSeries":
-        return VecSeries(-self.coeffs, self.var)
 
     def evaluate(self, x: complex) -> np.ndarray:
         acc = np.zeros(self.nu, dtype=np.complex128)

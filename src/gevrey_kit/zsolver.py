@@ -72,10 +72,6 @@ class ZSolution:
     def K(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def nu(self) -> int:
-        return self.coeffs.shape[1]
-
 
 def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
                    radii: RadiiReport | None = None) -> ZSolution | list[ZSolution]:
@@ -83,7 +79,7 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
 
     `eps` is a number, which gives one ZSolution, or a sequence of numbers,
     which gives one ZSolution per entry, in order, from one batched
-    recursion."""
+    recursion.  A matrix eps*k*I - A01 that overflows raises GevreyKitError."""
     if K < 1:
         raise ValueError("K must be >= 1")
     p.require_normalized()
@@ -102,18 +98,25 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
     eye = np.eye(p.nu, dtype=np.complex128)
 
     # blocks at every eps, by arity, with z-polynomial entries: Horner along
-    # the eps axis
+    # the eps axis; overflow is detected on the matrices, not warned about
     blocks: dict[int, np.ndarray] = {}
-    for m, e in assemble_B(p).items():
-        x = batch.reshape(batch.shape + (1,) * (m + 2))
-        acc = np.zeros(batch.shape + e.shape[:-2] + e.shape[-1:], dtype=np.complex128)
-        for j in range(e.shape[-2] - 1, -1, -1):
-            acc = acc * x + e[..., j, :]
-        blocks[m] = acc
-
-    # k leads the factors, so step k takes them by one plain index
-    ks = np.arange(1, K + 1).reshape((K,) + (1,) * (batch.ndim + 2))
-    mats = batch[..., None, None] * ks * eye - blocks[1][..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, e in assemble_B(p).items():
+            x = batch.reshape(batch.shape + (1,) * (m + 2))
+            acc = np.zeros(batch.shape + e.shape[:-2] + e.shape[-1:], dtype=np.complex128)
+            for j in range(e.shape[-2] - 1, -1, -1):
+                acc = acc * x + e[..., j, :]
+            blocks[m] = acc
+        # k leads the factors, so step k takes them by one plain index
+        ks = np.arange(1, K + 1).reshape((K,) + (1,) * (batch.ndim + 2))
+        mats = batch[..., None, None] * ks * eye - blocks[1][..., 0]
+    bad = ~np.isfinite(mats).all(axis=(-2, -1)).reshape(K, -1)
+    if bad.any():
+        b = int(np.flatnonzero(bad.any(axis=0))[0])
+        if b:   # an earlier eps that fails fails first, as in a loop
+            solve_coeffs_z(p, batch.ravel()[:b], K)
+        raise GevreyKitError(f"eps*k*I - A01 overflows double precision at eps = "
+                             f"{complex(batch.flat[b]):.6g}, k = {int(np.argmax(bad[:, b])) + 1}")
     u, svals, vh = np.linalg.svd(mats)
     uh, v = u.conj().swapaxes(-1, -2), vh.conj().swapaxes(-1, -2)
     resonant = svals[..., -1] <= _RESONANCE_RTOL * np.maximum(1.0, svals[..., 0])

@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from gevrey_kit.epssolver import _blocks0, solve_a0, solve_eps_expansion
-from gevrey_kit.errors import SectorTooWideError
 from gevrey_kit.problem import ProblemSpec
 from gevrey_kit.sector import check_siegel, spectrum
 from gevrey_kit.series import CONV_TAMING_A, VecSeries
@@ -281,13 +280,17 @@ def nagumo_property_suite(f: VecSeries, g: VecSeries, k: int, l: int,
     if f.nu != 1 or g.nu != 1:
         raise ValueError("the product property needs scalar series")
     deg = f.order + g.order  # polynomial data, so the product is exact here
-    sum_fg = f.pad_to(deg) + g.pad_to(deg)
-    prod_fg = VecSeries(np.convolve(f.coeffs[0], g.coeffs[0])[None, :], f.var)
+    fc, gc = f.coeffs[0], g.coeffs[0]
+    sum_fg = VecSeries((np.pad(fc, (0, deg + 1 - fc.size))
+                        + np.pad(gc, (0, deg + 1 - gc.size)))[None, :], f.var)
+    prod_fg = VecSeries(np.convolve(fc, gc)[None, :], f.var)
 
     nf_k = nagumo_norm(f, k, kappa).value
     ng_k = nagumo_norm(g, k, kappa).value
     ng_l = nagumo_norm(g, l, kappa).value
-    df = f.derivative()
+    # f' has the coefficients k f_k; a constant has the derivative 0
+    df = VecSeries((fc[1:] * np.arange(1, fc.size) if fc.size > 1 else np.zeros(1))[None, :],
+                   f.var)
     out = {
         "sum": nagumo_norm(sum_fg, k, kappa).value <= nf_k + ng_k + slack,
         "product": nagumo_norm(prod_fg, k + l, kappa).value <= nf_k * ng_l + slack,
@@ -371,14 +374,14 @@ def resolvent_bound(p: ProblemSpec, sector: SectorSpec, k_max: int = 50,
     """Sampled maximum of ||(eps*k*I - A01(eps))^{-1}|| over the sector
     boundary (both radial edges and the outer arc) and k = 1..k_max.
 
-    Raises :class:`SectorTooWideError` when an eigenvalue ray meets the
-    closed sector or a sampled resolvent exceeds 1e12.
+    Raises ValueError when an eigenvalue ray meets the closed sector or a
+    sampled resolvent exceeds 1e12.
     """
     if k_max < 1 or samples < 2:
         raise ValueError("need k_max >= 1 and samples >= 2")
     eigs = spectrum(p.a01(0.0))
     if not check_siegel(eigs, sector.theta, sector.gamma).ok:
-        raise SectorTooWideError(
+        raise ValueError(
             "an eigenvalue ray meets the closed sector; shrink gamma or rotate theta")
     a01_block = p.blocks[(0, 1)]
 
@@ -399,7 +402,7 @@ def resolvent_bound(p: ProblemSpec, sector: SectorSpec, k_max: int = 50,
             smin = float(np.linalg.svd(eps * k * eye - a, compute_uv=False)[-1])
             norm_inv = np.inf if smin == 0.0 else 1.0 / smin
             if norm_inv > _RESOLVENT_BLOWUP:
-                raise SectorTooWideError(
+                raise ValueError(
                     f"resolvent blows up at eps={eps:.4g}, k={k}; "
                     "shrink gamma or the sector radius")
             if norm_inv > best:

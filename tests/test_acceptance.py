@@ -100,7 +100,7 @@ def test_criterion_05_gevrey_certification():
         p = gk.builtin_riccati()
         sol = gk.solve_eps_expansion(p, 30, 90)
         norms = [gk.sup_norm_disc(ai, 0.05) for ai in sol.a]
-        fit = gk.gevrey_fit(norms, i_start=0, fit_min=3)
+        fit = gk.gevrey_fit(norms)
         bound_ok = all(
             n <= fit.C * math.factorial(i) * fit.mu**i * (1 + 1e-12)
             for i, n in enumerate(norms))
@@ -114,13 +114,13 @@ def test_criterion_06_one_summation():
         p = gk.builtin_riccati()
         sol = gk.solve_eps_expansion(p, 30, 90)
         a_vals = sol.values_at(0.05)
-        b = gk.borel_transform(a_vals, z=0.05)
+        b = gk.borel_transform(a_vals)
         pade = gk.pade_continue(b, 14, 15)
         ref = gk.shifted_reference(0.1, 0.05)
         err30 = abs(gk.laplace_sum(b, pade, 0.1).value[0] - ref)
 
         sol10 = gk.solve_eps_expansion(p, 10, 50)
-        b10 = gk.borel_transform(sol10.values_at(0.05), z=0.05)
+        b10 = gk.borel_transform(sol10.values_at(0.05))
         err10 = abs(gk.laplace_sum(b10, gk.pade_continue(b10, 4, 5), 0.1).value[0]
                     - ref)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,7 +87,6 @@ class TestPade:
         pade = pade_continue(b, 2, 3)
         assert pade.orders[0][1] == 0  # reduced to the Taylor polynomial
         assert pade.poles[0].size == 0
-        assert pade.degenerate
 
     def test_excess_denominator_reduces(self):
         # exactly rational input with far too large requested M
@@ -195,6 +195,41 @@ class TestOptimalTruncation:
         assert stars[0] <= stars[1] <= stars[2]
 
 
+class TestEpsOutOfRange:
+    """eps = 0 has no Laplace sum, and a huge eps overflows the cutoff, the
+    Laplace value or the truncated sum: each raises a typed error, with no
+    RuntimeWarning first."""
+
+    def test_laplace_eps_zero(self):
+        b = borel_transform(euler_coeffs(12))
+        with pytest.raises(ValueError, match="eps != 0"):
+            laplace_sum(b, pade_continue(b, 5, 6), 0.0)
+
+    @pytest.mark.parametrize("eps, what", [(1e308, "cutoff"), (1e200, "sum"), (1e100, "sum")])
+    def test_laplace_overflow(self, eps, what):
+        b = borel_transform(euler_coeffs(12))
+        with pytest.raises(GevreyKitError, match=re.escape(f"Laplace {what} at eps = {eps:.0e}+0j")):
+            laplace_sum(b, pade_continue(b, 5, 6), eps)
+
+    def test_truncation_keeps_the_first_term(self):
+        # |eps|^i overflows for every i >= 2: the smallest term is a_0 eps^0
+        rep = optimal_truncation_sum(euler_coeffs(12), 1e308)
+        assert rep.I_star == 0 and rep.value[0] == 0.0
+        assert rep.quadrature_error_estimate == 1.0
+
+    def test_truncation_zero_terms_at_huge_eps(self):
+        # |eps|^4 overflows, but a zero a_i is a zero term, the smallest
+        rep = optimal_truncation_sum(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), 1e100)
+        assert rep.I_star == 2 and rep.value[0] == 1.0 + 1e100
+        assert rep.quadrature_error_estimate == 0.0
+
+    def test_truncation_overflow(self):
+        # the smallest term is the third (1e-100), but a_1 eps = 1e350
+        a = np.array([1e300, 1e250, 1e-300, 1e-250, 1e-300])
+        with pytest.raises(GevreyKitError, match=r"truncated sum at eps = 1e\+100"):
+            optimal_truncation_sum(a, 1e100)
+
+
 @pytest.fixture(scope="module")
 def riccati_data(riccati):
     sol = solve_eps_expansion(riccati, 30, 90)
@@ -204,7 +239,7 @@ def riccati_data(riccati):
 class TestRiccatiSummation:
 
     def test_reproduces_reference(self, riccati_data):
-        b = borel_transform(riccati_data, z=0.05)
+        b = borel_transform(riccati_data)
         pade = pade_continue(b, 14, 15)
         rep = laplace_sum(b, pade, 0.1)
         assert abs(rep.value[0] - shifted_reference(0.1, 0.05)) <= 1e-6
@@ -214,7 +249,7 @@ class TestRiccatiSummation:
         errs = []
         for I in (10, 20, 30):
             sol = solve_eps_expansion(riccati, I, 2 * I + 30)
-            b = borel_transform(sol.values_at(0.05), z=0.05)
+            b = borel_transform(sol.values_at(0.05))
             L = (I - 1) // 2
             pade = pade_continue(b, L, I - 1 - L)
             errs.append(abs(laplace_sum(b, pade, 0.1).value[0] - ref))
@@ -224,7 +259,7 @@ class TestRiccatiSummation:
         assert errs[2] <= errs[0]
 
     def test_beats_optimal_truncation(self, riccati_data):
-        b = borel_transform(riccati_data, z=0.05)
+        b = borel_transform(riccati_data)
         pade = pade_continue(b, 14, 15)
         for eps in (0.05, 0.1, 0.2):
             ref = shifted_reference(eps, 0.05)
@@ -233,7 +268,7 @@ class TestRiccatiSummation:
             assert be <= oe, (eps, be, oe)
 
     def test_poles_clear_of_positive_axis(self, riccati_data):
-        b = borel_transform(riccati_data, z=0.05)
+        b = borel_transform(riccati_data)
         pade = pade_continue(b, 14, 15)
         for pole in pade.all_poles():
             assert not (abs(pole.imag) < 1e-3 and pole.real > 0), pole

@@ -8,6 +8,7 @@ import pytest
 
 from gevrey_kit import builtin_riccati, problem_to_json
 from gevrey_kit.cli import main
+from oracles import phi0
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,12 @@ class TestSolve:
                                         "--eps", "0.1", "--z", "0"])
         assert code == 0
         assert rep["data"]["eps_blocks"][0]["points"][0]["value"][0][0] == 0.0
+
+    def test_eps_zero_gives_the_a0_series(self, tmp_path):
+        code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati", "--eps", "0"])
+        assert (code, rep["verdict"]) == (0, "ok")
+        value = rep["data"]["eps_blocks"][0]["points"][0]["value"][0]
+        assert value[0] == pytest.approx(phi0(0.05) + 0.5, abs=1e-12)
 
     def test_resonance_error_report(self, tmp_path, report_schema):
         code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati",
@@ -262,6 +269,25 @@ def test_non_finite_option_is_refused(tmp_path, capsys, args, option):
     code, rep = run_json(tmp_path, args + ["--builtin", "riccati"])
     assert (code, rep) == (1, None)
     assert f"gevrey-kit: error: {option} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["resum", "--eps", "0", "--I", "12"], "the Laplace sum needs eps != 0"),
+    (["diagnose", "--eps", "0", "--I", "9"], "the remainder table needs eps != 0"),
+    (["resum", "--eps", "1e308", "--I", "12"], "Laplace cutoff at eps = 1e+308+0j"),
+    (["diagnose", "--eps", "1e200", "--I", "9"], "remainder table at eps = 1e+200+0j"),
+    (["solve", "--eps", "1e308"], "at eps = 1e+308+0j, k = 2"),
+    (["diagnose", "--eps", "1e308", "--I", "9"], "at eps = 1e+308+0j, k = 2"),
+])
+def test_eps_out_of_range_exits_operational(tmp_path, capsys, args, message):
+    # eps = 0 has no Laplace sum or remainder table, and a huge eps
+    # overflows: one error line, no report, no warning and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_json(tmp_path, args + ["--builtin", "riccati"])
+    assert (code, rep) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("gevrey-kit: error: ") and message in err
 
 
 class TestValidateRiccati:

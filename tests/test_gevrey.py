@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,7 +124,6 @@ class TestGevreyFit:
         assert fit.mu == pytest.approx(0.5, rel=1e-10)
         assert fit.C == pytest.approx(3.0, rel=1e-10)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.r2_compensated == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_factorial(self):
         norms = [float(math.factorial(i)) for i in range(20)]
@@ -224,6 +224,17 @@ class TestRemainderProfile:
         assert not exact.I_star_on_floor
         assert exact.floor < 1e-45
         assert exact.I_star == 38
+
+    def test_eps_zero_is_refused(self, riccati):
+        with pytest.raises(ValueError, match="eps != 0"):
+            remainder_profile(riccati, 0.05, [0.1, 0.0], 9)
+
+    @pytest.mark.parametrize("eps", [1e200, 1e-200])
+    def test_table_out_of_range(self, riccati, eps):
+        # eps**I overflows, or |eps|**I underflows to 0 under r_I: a typed
+        # error, with no RuntimeWarning first
+        with pytest.raises(GevreyKitError, match=re.escape(f"eps = {eps:.0e}+0j leaves the double range")):
+            remainder_profile(riccati, 0.05, [0.1, eps], 9)
 
     def test_divergence_beyond_optimum(self, riccati_profiles):
         for prof in riccati_profiles:

@@ -9,8 +9,11 @@ import y`, anywhere in the module); an attribute resolves to every
 top-level definition of that name in the package.  Module-level
 assignments are followed like definitions, and dunder functions (the
 package's `__getattr__` and `__dir__`) are roots too, since the
-interpreter calls them.  The pass over-approximates what runs, so a
-definition that it does not reach is dead code for the command line.
+interpreter calls them.  An exception class is reached only where reached
+code raises it, or as a base of a reached exception class: naming it in
+an `except`, a tuple or a dict does not count, since no run can then
+meet it.  The pass over-approximates what runs, so a definition that it
+does not reach is dead code for the command line.
 
 UNREACHED pins those definitions, each with the reason it is kept:
 
@@ -29,6 +32,7 @@ names the tracer wraps or from those perfbench imports, must reach each
 pin that carries them, so a pin goes when its target does.
 """
 import ast
+import builtins
 from collections import defaultdict
 from pathlib import Path
 
@@ -46,6 +50,7 @@ UNREACHED = {
     "epssolver.build_T0": "tracer",
     "epssolver.solve_ai": "tracer",
     "errors.RadiiInfeasibleError": "paper-check",
+    "errors.VarMismatchError": "tracer",
     "problem.NormalizationShift": "paper-check",
     "problem.normalize_shift": "paper-check",
     "problem.problem_to_dict": "benchmark",
@@ -96,11 +101,33 @@ def reach(roots) -> set[str]:
             key = scopes[key[0]].get(key[1])
         return key
 
+    def is_exception(key) -> bool:
+        node = defs[key]
+        if not isinstance(node, ast.ClassDef):
+            return False
+        for base in node.bases:
+            if not isinstance(base, ast.Name):
+                continue
+            builtin = getattr(builtins, base.id, None)
+            if isinstance(builtin, type) and issubclass(builtin, BaseException):
+                return True
+            home = resolve(scopes[key[0]].get(base.id))
+            if home is not None and is_exception(home):
+                return True
+        return False
+
     todo = [key for key in map(resolve, roots) if key is not None]
     seen = set(todo)
     while todo:
         mod, name = todo.pop()
-        for node in ast.walk(defs[mod, name]):
+        tree = defs[mod, name]
+        # the nodes through which an exception class is reached: what a
+        # raise raises, and the bases of a reached exception class
+        raising = {id(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+                   for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc}
+        if is_exception((mod, name)):
+            raising |= {id(base) for base in tree.bases}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 targets = [resolve(scopes[mod].get(node.id))]
             elif isinstance(node, ast.Attribute):
@@ -108,9 +135,12 @@ def reach(roots) -> set[str]:
             else:
                 continue
             for key in targets:
-                if key is not None and key not in seen:
-                    seen.add(key)
-                    todo.append(key)
+                if key is None or key in seen:
+                    continue
+                if is_exception(key) and id(node) not in raising:
+                    continue
+                seen.add(key)
+                todo.append(key)
     return {f"{mod}.{name}" for mod, name in seen}
 
 

@@ -37,9 +37,10 @@ class TestContinuedFraction:
         expect = iv(kappa, x) / iv(kappa - 1, x)
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_depth_cap(self):
+    def test_depth_cap(self, monkeypatch):
+        monkeypatch.setattr("gevrey_kit.riccati._CF_MAX_DEPTH", 2)
         with pytest.raises(EvaluationError):
-            bessel_ratio_cf(10.0, 5.0, max_depth=2)
+            bessel_ratio_cf(10.0, 5.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

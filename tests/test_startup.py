@@ -24,7 +24,7 @@ PUBLIC_NAMES = sorted([
     "GevreyFit", "GevreyKitError", "InsufficientOrderError", "MatSeries",
     "NormalizationError", "NormalizationShift", "PadeApproximant", "PoleObstructionError",
     "ProblemSpec", "RadiiInfeasibleError", "RadiiReport", "RemainderProfile",
-    "ResonanceError", "SchemaError", "SectorTooWideError", "SiegelCheck",
+    "ResonanceError", "SchemaError", "SiegelCheck",
     "SingularMatrixError", "SpectrumReport", "SummationReport", "VarMismatchError",
     "VecSeries", "ZSolution", "assemble_B", "bessel_ratio_cf", "borel_transform",
     "build_T0", "builtin_riccati", "check_siegel", "eps_values_at", "evaluate_f",

@@ -178,6 +178,23 @@ class TestNonFiniteEps:
         with pytest.raises(ValueError, match="eps must be finite"):
             solve_coeffs_z(riccati, eps, 10)
 
+    def test_overflowing_matrices(self, riccati):
+        # eps*k*I - A01 overflows at k = 2: a typed error, with no
+        # RuntimeWarning first
+        with pytest.raises(GevreyKitError, match=r"eps = 1e\+308\+0j, k = 2$"):
+            solve_coeffs_z(riccati, 1e308, 60)
+
+    @pytest.mark.parametrize("eps_list", [
+        [0.3, 1e308, 1e307], [1e307, 1e308], [-0.5, 1e308], [0.1, 1e308],
+    ])
+    def test_first_error_of_the_loop(self, riccati, eps_list):
+        # 1e307*k overflows at k = 18, -0.5 resonates at k = 2 and 0.1
+        # overflows at k = 876: the batch raises what the per-eps loop
+        # raises first
+        want = one_by_one(riccati, eps_list, 1000)
+        assert not isinstance(want, list)
+        assert first_error(lambda: solve_coeffs_z(riccati, eps_list, 1000)) == want
+
 
 def first_error(call):
     """(type, message) of the error a call raises, or None."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GevreyKitError, PoleObstructionError
+from .series import _horner
 
 #: kernel decay target at the integration cutoff
 _ETA = 1e-16
@@ -75,7 +76,7 @@ class PadeApproximant:
     def eval(self, t) -> np.ndarray:
         """Values at t, shape t.shape + (nu,): componentwise Horner."""
         t = np.asarray(t, dtype=np.complex128)
-        return np.stack([np.polyval(num[::-1], t) / np.polyval(den[::-1], t)
+        return np.stack([_horner(num, t) / _horner(den, t)
                          for num, den in zip(self.numerators, self.denominators)], axis=-1)
 
 
@@ -89,6 +90,16 @@ class SummationReport:
     I_star: int | None = None
 
 
+def _coefficients(a_values) -> np.ndarray:
+    """a_0..a_I as a complex (I+1, nu) array (a 1-d input: scalar components)."""
+    arr = np.asarray(a_values, dtype=np.complex128)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[0] < 5:
+        raise ValueError("need coefficients a_0..a_I with I >= 4")
+    return arr
+
+
 def borel_transform(a_values: np.ndarray) -> BorelData:
     """Factorially damped transform coefficients b_i = a_{i+1}/i!.
 
@@ -97,11 +108,7 @@ def borel_transform(a_values: np.ndarray) -> BorelData:
     Requires I >= 4.  1/i! is formed as exp(-lgamma(i + 1)), which cannot
     overflow; non-finite input coefficients raise `GevreyKitError`.
     """
-    arr = np.asarray(a_values, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 5:
-        raise ValueError("need coefficients a_0..a_I with I >= 4")
+    arr = _coefficients(a_values)
     if not np.all(np.isfinite(arr)):
         raise GevreyKitError("expansion coefficients are not finite: "
                              "they overflow double precision")
@@ -142,7 +149,7 @@ def pade_continue(b: BorelData, L: int, M: int) -> PadeApproximant:
     Taylor polynomial); the effective orders are reported.
     """
     if L < 0 or M < 0:
-        raise ValueError("orders must be nonnegative")
+        raise ValueError(f"Pade orders [{L}/{M}] must be nonnegative")
     if L + M + 1 > b.I:
         raise ValueError(f"[{L}/{M}] needs {L + M + 1} coefficients, have {b.I}")
     nums, dens, poles, orders = [], [], [], []
@@ -209,11 +216,8 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
     poles = pade.all_poles()
     clearance = _segment_clearance(poles, theta, t_max)
     if clearance <= _POLE_SAFETY:
-        dists = [_segment_clearance(np.array([pl]), theta, t_max) for pl in poles]
-        worst = complex(poles[int(np.argmin(dists))]) if poles.size else None
         raise PoleObstructionError(
-            f"continuation pole within {clearance:.3e} of the theta = {theta:.4g} ray",
-            pole=worst, clearance=clearance)
+            f"continuation pole within {clearance:.3e} of the theta = {theta:.4g} ray", clearance)
 
     rate = direction / eps
 
@@ -245,11 +249,7 @@ def optimal_truncation_sum(a_values: np.ndarray, eps: complex) -> SummationRepor
     """Superasymptotic baseline: stop the partial sum just before the
     smallest term ||a_i|| |eps|^i.  A smallest term or a partial sum that
     overflows double precision raises `GevreyKitError`."""
-    arr = np.asarray(a_values, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape[0] < 5:
-        raise ValueError("need coefficients a_0..a_I with I >= 4")
+    arr = _coefficients(a_values)
     eps = complex(eps)
     value = np.zeros(arr.shape[1], dtype=np.complex128)
     # overflow is detected on the sum, not warned about

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands map onto the library layers: `check-sector` (ray condition and
-summability verdict), `solve` (fixed-eps z-series values with residuals and
-tail bounds), `resum` (Borel-Pade-Laplace against the optimal-truncation
-baseline), `diagnose` (factorial growth fit and remainder profile), and
-`validate-riccati` (closed-form oracle suite).  Reports are JSON by default
-or CSV tables; identical inputs produce byte-identical files (no timestamps
-anywhere), and output files are written atomically.
+summability verdict), `solve` (fixed-eps z-series values and residuals; it
+passes no radii, so its points carry no tail bound), `resum`
+(Borel-Pade-Laplace against the optimal-truncation baseline), `diagnose`
+(factorial growth fit and remainder profile), and `validate-riccati`
+(closed-form oracle suite).  Reports are JSON by default or CSV tables;
+identical inputs produce byte-identical files (no timestamps anywhere), and
+output files are written atomically.
 
 Exit codes: 0 success or positive verdict, 2 negative mathematical verdict
 (not summable, resonance, pole obstruction, validation failure, a `solve`
@@ -39,7 +40,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (OpenBLAS reads the thread count when numpy loads)
 
-_MATH_ERRORS = (ResonanceError, PoleObstructionError)
+#: the errors that are a negative mathematical verdict, with their report codes
+_MATH_ERRORS = {ResonanceError: "resonance", PoleObstructionError: "pole-obstruction"}
 #: `solve` reports a block whose ODE residual exceeds this times
 #: max(1, max|f|) as not solved: z outside the disc of convergence, or
 #: eps*k near an eigenvalue so that the coefficients blow up
@@ -420,12 +422,9 @@ def main(argv=None) -> int:
     try:
         _check_finite(args)
         return _DISPATCH[args.command](args)
-    except _MATH_ERRORS as e:
-        code = {
-            ResonanceError: "resonance",
-            PoleObstructionError: "pole-obstruction",
-        }[type(e)]
-        report = _report(args, "error", {}, error={"code": code, "message": str(e)})
+    except tuple(_MATH_ERRORS) as e:
+        report = _report(args, "error", {}, error={"code": _MATH_ERRORS[type(e)],
+                                                   "message": str(e)})
         _emit(args, _json_text(report))
         return 2
     except (GevreyKitError, OSError, ValueError) as e:

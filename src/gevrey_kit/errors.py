@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries its values in
+its message."""
 
 
 class GevreyKitError(Exception):
@@ -14,12 +15,8 @@ class ArityMismatchError(GevreyKitError, ValueError):
 
 
 class SingularMatrixError(GevreyKitError):
-    """A matrix that must be invertible is numerically singular."""
-
-    def __init__(self, message, norm=None, smallest_singular_value=None):
-        super().__init__(message)
-        self.norm = norm
-        self.smallest_singular_value = smallest_singular_value
+    """A matrix that must be invertible is missing or numerically singular;
+    the message gives its smallest singular value or condition number."""
 
 
 class SchemaError(GevreyKitError, ValueError):
@@ -35,21 +32,13 @@ class DegenerateSpectrumError(GevreyKitError):
 
 
 class RadiiInfeasibleError(GevreyKitError):
-    """No admissible majorant scale exists for the given radii."""
-
-    def __init__(self, message, limiting_block=None, alpha_required=None):
-        super().__init__(message)
-        self.limiting_block = limiting_block
-        self.alpha_required = alpha_required
+    """No admissible majorant scale exists for the given radii; the message
+    names the limiting block and the alpha it needs."""
 
 
 class ResonanceError(GevreyKitError):
-    """eps*k collides with an eigenvalue of the linear block."""
-
-    def __init__(self, message, k=None, eps=None):
-        super().__init__(message)
-        self.k = k
-        self.eps = eps
+    """eps*k collides with an eigenvalue of the linear block; the message
+    gives eps*k and k."""
 
 
 class InsufficientOrderError(GevreyKitError):
@@ -57,11 +46,11 @@ class InsufficientOrderError(GevreyKitError):
 
 
 class PoleObstructionError(GevreyKitError):
-    """A continuation pole sits too close to the integration ray."""
+    """A continuation pole sits too close to the integration ray;
+    `clearance` is its distance from the integration segment."""
 
-    def __init__(self, message, pole=None, clearance=None):
+    def __init__(self, message, clearance=None):
         super().__init__(message)
-        self.pole = pole
         self.clearance = clearance
 
 

@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError, SchemaError, SingularMatrixError
-from .series import COEFF_TOL, VecSeries, _check_finite, _freeze, _jet_apply, solve_triangular
+from .series import (COEFF_TOL, VecSeries, _check_finite, _freeze, _horner, _jet_apply,
+                     solve_triangular)
 
 MAX_DIMENSION = 8
 
@@ -62,16 +63,9 @@ class CoeffTensor:
     def degree(self) -> int:
         return self.entries.shape[-1] - 1
 
-    def at_eps(self, eps) -> np.ndarray:
-        """Evaluate the eps-polynomial entries at a numeric eps (Horner), or
-        at an array of them in one pass; the result leads with eps's shape."""
-        shape = np.shape(eps)
-        if shape:
-            eps = np.reshape(eps, shape + (1,) * (self.entries.ndim - 1))
-        acc = np.zeros(shape + self.entries.shape[:-1], dtype=np.complex128)
-        for j in range(self.degree, -1, -1):
-            acc = acc * eps + self.entries[..., j]
-        return acc
+    def at_eps(self, eps: complex) -> np.ndarray:
+        """Evaluate the eps-polynomial entries at a numeric eps (Horner)."""
+        return _horner(np.moveaxis(self.entries, -1, 0), eps)
 
     def frobenius_bound(self, radius: float) -> float:
         """Upper bound for the operator norm on the closed eps-disc of the
@@ -116,8 +110,7 @@ class ProblemSpec:
         if float(svals[-1]) <= 1e-10:
             raise SingularMatrixError(
                 f"linear block at eps=0 is not invertible "
-                f"(smallest singular value {float(svals[-1]):.3e})",
-                norm=float(svals[0]), smallest_singular_value=float(svals[-1]))
+                f"(smallest singular value {float(svals[-1]):.3e})")
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, int], CoeffTensor]:

@@ -132,8 +132,7 @@ def radius_estimates(p: ProblemSpec, c: float, C_bound: float | None = None) -> 
     if alpha >= rho / 2.0:
         raise RadiiInfeasibleError(
             f"no admissible majorant scale: block {limiting} needs alpha = "
-            f"{alpha:.4g} >= rho/2 = {rho / 2.0:.4g}; shrink rho",
-            limiting_block=limiting, alpha_required=alpha)
+            f"{alpha:.4g} >= rho/2 = {rho / 2.0:.4g}; shrink rho")
     kappa = rho * math.sqrt(1.0 - alpha / (rho - alpha))
     sigma = kappa * (rho - alpha * CONV_TAMING_A) / rho
     return RadiiReport(c=c, a=1.0 / c, alpha=alpha, kappa=kappa, sigma=sigma,

@@ -21,8 +21,9 @@ normalization shift; with jets in h it runs the eps-orders.
 `multilinear_apply` applies one block to plain vectors for
 `ProblemSpec.eval_F`, which shares no code with the kernel it checks, and
 the Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
-remains as a brute-force reference.  The composition sum and the
-convolution-taming inequality are test oracles (tests/oracles.py).
+remains as a brute-force reference.  `_horner` sums every polynomial at a
+point.  The composition sum and the convolution-taming inequality are test
+oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -52,6 +53,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{what} contains non-finite entries")
+
+
+def _horner(coeffs: np.ndarray, x):
+    """sum_k coeffs[k] * x**k by Horner's rule, the power on the leading
+    axis.  The sum starts from 0, not from np.broadcast_shapes, which stops
+    at 32 axes where a block may have up to 64."""
+    acc = 0
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def _check_var(var: str) -> None:
@@ -96,10 +107,7 @@ class VecSeries:
         return np.linalg.norm(self.coeffs, axis=0)
 
     def evaluate(self, x: complex) -> np.ndarray:
-        acc = np.zeros(self.nu, dtype=np.complex128)
-        for k in range(self.order, -1, -1):
-            acc = acc * x + self.coeffs[:, k]
-        return acc
+        return _horner(self.coeffs.T, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +202,7 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
     if smin <= 1e-14 * max(1.0, smax):
         raise SingularMatrixError(
             "constant term of the matrix series is numerically singular "
-            f"(norm {smax:.3e}, smallest singular value {smin:.3e})",
-            norm=smax, smallest_singular_value=smin)
+            f"(norm {smax:.3e}, smallest singular value {smin:.3e})")
     nu, order = t.nu, t.order
     t0inv = np.linalg.solve(t0, np.eye(nu, dtype=np.complex128))
     s = np.zeros((nu, nu, order + 1), dtype=np.complex128)
@@ -213,8 +220,7 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
     if worst > COEFF_TOL * scale:
         raise SingularMatrixError(
             f"matrix series inverse failed verification (residual {worst:.3e}, "
-            f"condition number {smax / smin:.3e})",
-            norm=smax, smallest_singular_value=smin)
+            f"condition number {smax / smin:.3e})")
     return inv
 
 

@@ -17,7 +17,9 @@ Each eps gets the bits it would get alone.  Step k takes its solution
 from those factors; after the recursion every step is checked for
 resonance (eps*k landing on an eigenvalue of the linear block, from the
 singular values) and by an explicit residual, and a batch raises the error
-that solving its eps one by one, in order, would raise first.
+that solving its eps one by one, in order, would raise first.  A matrix
+that overflows is marked in the same table, factored as the identity
+meanwhile, and fails its eps before any other failure of that eps.
 `evaluate_f` and `ode_residual_z` sum the series at all their points by
 one Horner pass.
 """
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import GevreyKitError, ResonanceError
 from .problem import ProblemSpec, assemble_B
-from .series import CONV_TAMING_A, solve_triangular
+from .series import CONV_TAMING_A, _horner, solve_triangular
 
 if TYPE_CHECKING:
     from .sector import RadiiReport
@@ -99,25 +101,15 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
 
     # blocks at every eps, by arity, with z-polynomial entries: Horner along
     # the eps axis; overflow is detected on the matrices, not warned about
-    blocks: dict[int, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, e in assemble_B(p).items():
-            x = batch.reshape(batch.shape + (1,) * (m + 2))
-            acc = np.zeros(batch.shape + e.shape[:-2] + e.shape[-1:], dtype=np.complex128)
-            for j in range(e.shape[-2] - 1, -1, -1):
-                acc = acc * x + e[..., j, :]
-            blocks[m] = acc
+        blocks = {m: _horner(np.moveaxis(e, -2, 0), batch.reshape(batch.shape + (1,) * (m + 2)))
+                  for m, e in assemble_B(p).items()}
         # k leads the factors, so step k takes them by one plain index
         ks = np.arange(1, K + 1).reshape((K,) + (1,) * (batch.ndim + 2))
         mats = batch[..., None, None] * ks * eye - blocks[1][..., 0]
-    bad = ~np.isfinite(mats).all(axis=(-2, -1)).reshape(K, -1)
-    if bad.any():
-        b = int(np.flatnonzero(bad.any(axis=0))[0])
-        if b:   # an earlier eps that fails fails first, as in a loop
-            solve_coeffs_z(p, batch.ravel()[:b], K)
-        raise GevreyKitError(f"eps*k*I - A01 overflows double precision at eps = "
-                             f"{complex(batch.flat[b]):.6g}, k = {int(np.argmax(bad[:, b])) + 1}")
-    u, svals, vh = np.linalg.svd(mats)
+    overflow = ~np.isfinite(mats).all(axis=(-2, -1))
+    # an overflowing matrix is factored as the identity; it fails below all the same
+    u, svals, vh = np.linalg.svd(np.where(overflow[..., None, None], eye, mats))
     uh, v = u.conj().swapaxes(-1, -2), vh.conj().swapaxes(-1, -2)
     resonant = svals[..., -1] <= _RESONANCE_RTOL * np.maximum(1.0, svals[..., 0])
     # a resonant step divides by 1, not by 0; it fails below all the same
@@ -136,9 +128,9 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
         residuals = (np.abs(mats @ np.moveaxis(f[..., 1:, :], -2, 0) - rhs_k).max(axis=(-2, -1))
                      / (1.0 + np.abs(rhs_k).max(axis=(-2, -1))))
     # a NaN residual must fail the check, not pass it
-    failed = resonant | ~(residuals <= _RESIDUAL_RTOL)
+    failed = overflow | resonant | ~(residuals <= _RESIDUAL_RTOL)
     if failed.any():
-        _raise_first(batch, failed, resonant, residuals)
+        _raise_first(batch, failed, overflow, resonant, residuals)
     coeffs = np.ascontiguousarray(f[..., 1:, 0].swapaxes(-1, -2))
     if not batch.ndim:
         sol = ZSolution(eps=complex(batch), coeffs=coeffs, residuals=residuals,
@@ -149,20 +141,23 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
             for b, e in enumerate(batch)]
 
 
-def _raise_first(batch: np.ndarray, failed: np.ndarray, resonant: np.ndarray,
-                 residuals: np.ndarray) -> None:
+def _raise_first(batch: np.ndarray, failed: np.ndarray, overflow: np.ndarray,
+                 resonant: np.ndarray, residuals: np.ndarray) -> None:
     """Raise the error that solving the eps one at a time, in order, raises
-    first: that of the first failing eps, at its first failing step, where
-    a resonance is found before the residual."""
-    K = failed.shape[0]
-    failed, resonant, residuals = (a.reshape(K, -1) for a in (failed, resonant, residuals))
+    first: that of the first failing eps, at its first overflowing k if it
+    has one (the matrices are checked before the recursion), else at its
+    first failing step, where a resonance is found before the residual."""
+    failed, overflow, resonant, residuals = (
+        a.reshape(-1, batch.size) for a in (failed, overflow, resonant, residuals))
     b = int(np.flatnonzero(failed.any(axis=0))[0])
-    k = int(np.argmax(failed[:, b])) + 1
+    k = int(np.argmax(overflow[:, b] if overflow[:, b].any() else failed[:, b])) + 1
     eps = complex(batch.flat[b])
+    if overflow[k - 1, b]:
+        raise GevreyKitError(f"eps*k*I - A01 overflows double precision at eps = "
+                             f"{eps:.6g}, k = {k}")
     if resonant[k - 1, b]:
-        raise ResonanceError(
-            f"eps*k = {eps * k:.6g} collides with an eigenvalue of the linear "
-            f"block at k = {k}", k=k, eps=eps)
+        raise ResonanceError(f"eps*k = {eps * k:.6g} collides with an eigenvalue of the "
+                             f"linear block at k = {k}")
     raise GevreyKitError(f"linear solve at k = {k} left residual {residuals[k - 1, b]:.3e}")
 
 
@@ -171,11 +166,8 @@ def _partial_sums(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     (points, nu), by one Horner pass.  A sum that overflows comes out
     non-finite, without a warning; the callers check for it."""
     z = z[:, None]
-    acc = np.zeros((z.shape[0], coeffs.shape[1]), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in coeffs[::-1]:
-            acc = acc * z + c
-        return acc * z
+        return _horner(coeffs, z) * z
 
 
 def evaluate_f(sol: ZSolution, z) -> EvalResult | list[EvalResult]:

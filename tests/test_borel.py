@@ -194,6 +194,13 @@ class TestOptimalTruncation:
         stars = [optimal_truncation_sum(coeffs, e).I_star for e in (0.2, 0.1, 0.05)]
         assert stars[0] <= stars[1] <= stars[2]
 
+    @pytest.mark.parametrize("call", [borel_transform, lambda a: optimal_truncation_sum(a, 0.1)],
+                             ids=["borel_transform", "optimal_truncation_sum"])
+    def test_three_axes_refused(self, call):
+        # a_0..a_I stack vectors; a third axis is refused before numpy sees it
+        with pytest.raises(ValueError, match=r"need coefficients a_0\.\.a_I"):
+            call(np.zeros((6, 2, 2)))
+
 
 class TestEpsOutOfRange:
     """eps = 0 has no Laplace sum, and a huge eps overflows the cutoff, the

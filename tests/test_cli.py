@@ -178,6 +178,12 @@ class TestResum:
         assert code == 0
         assert rep["data"]["points"][0]["reference_error"] < 1e-2
 
+    def test_negative_derived_order_is_named(self, tmp_path, capsys):
+        # at the default I = 30, --L 100 leaves M = I - 1 - L = -71
+        code, rep = run_json(tmp_path, ["resum", "--builtin", "riccati", "--L", "100"])
+        assert (code, rep) == (1, None)
+        assert "[100/-71]" in capsys.readouterr().err
+
     def test_pole_obstruction_exit(self, tmp_path):
         # eps*z*f' = f - z has f = z/(1-eps); its transform z*e^t is
         # approximated by rationals with genuine positive-axis poles

@@ -56,9 +56,8 @@ class TestRecursion:
         assert sol.coeffs[2, 0] == pytest.approx(2.5)
 
     def test_resonance_detected(self, riccati):
-        with pytest.raises(ResonanceError) as exc:
+        with pytest.raises(ResonanceError, match="at k = 2$"):
             solve_coeffs_z(riccati, -0.5, 5)
-        assert exc.value.k == 2
 
     def test_recursion_residuals(self, riccati):
         for eps in (0.2, 0.1 + 0.3j):
@@ -194,6 +193,20 @@ class TestNonFiniteEps:
         want = one_by_one(riccati, eps_list, 1000)
         assert not isinstance(want, list)
         assert first_error(lambda: solve_coeffs_z(riccati, eps_list, 1000)) == want
+
+    @pytest.mark.parametrize("eps_list", [[-1e307], [0.1, -1e307], [-1e307, -0.5]])
+    def test_overflow_before_resonance_of_the_same_eps(self, eps_list):
+        # A01 = -1e308: eps = -1e307 resonates at k = 10 and overflows at
+        # k = 18; the overflow, found before the recursion, is raised
+        p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
+            CoeffTensor(0, 1, np.array([[[-1e308]]])), CoeffTensor(1, 0, np.array([[1.0]])),
+            CoeffTensor(1, 2, np.array([[[[2.0]]]]))))
+        with pytest.raises(ResonanceError, match="at k = 10$"):
+            solve_coeffs_z(p, -1e307, 17)
+        with pytest.raises(GevreyKitError) as exc:
+            solve_coeffs_z(p, eps_list, 30)
+        assert str(exc.value) == ("eps*k*I - A01 overflows double precision at "
+                                  "eps = -1e+307+0j, k = 18")
 
 
 def first_error(call):

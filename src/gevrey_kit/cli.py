@@ -7,11 +7,18 @@ passes no radii, so its points carry no tail bound), `resum`
 (factorial growth fit and remainder profile), and `validate-riccati`
 (closed-form oracle suite).  Reports are JSON by default or CSV tables;
 identical inputs produce byte-identical files (no timestamps anywhere), and
-output files are written atomically.
+output files are written atomically.  Each subcommand returns its verdict,
+its data and its CSV tables; `main` alone writes them, and a mathematical
+obstruction is reported in JSON whatever the format.
 
-Exit codes: 0 success or positive verdict, 2 negative mathematical verdict
-(not summable, resonance, pole obstruction, validation failure, a `solve`
-series that does not satisfy the equation), 1 operational error.
+Exit codes, from `_EXIT_CODES`: 0 success or positive verdict, 2 negative
+mathematical verdict (not summable, resonance, pole obstruction, validation
+failure, a `solve` series that does not satisfy the equation), 1
+operational or usage error, with one `gevrey-kit: error:` line on stderr.
+Every option takes one value, and a value may be a negative number
+(`--eps -0.3,0.1`, `--z -1e-3`); any other value that starts with '-'
+needs the '=' form.  `diagnose` takes one `--z`, the point of its
+remainder table.
 
 Start-up: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 unless they are already set, before numpy is
@@ -28,6 +35,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +50,9 @@ import numpy as np  # noqa: E402  (OpenBLAS reads the thread count when numpy lo
 
 #: the errors that are a negative mathematical verdict, with their report codes
 _MATH_ERRORS = {ResonanceError: "resonance", PoleObstructionError: "pole-obstruction"}
+#: the exit code of each verdict; an operational or usage error exits 1
+_EXIT_CODES = {"ok": 0, "summable": 0, "pass": 0, "not-summable": 2,
+               "residual-too-large": 2, "fail": 2, "error": 2}
 #: `solve` reports a block whose ODE residual exceeds this times
 #: max(1, max|f|) as not solved: z outside the disc of convergence, or
 #: eps*k near an eigenvalue so that the coefficients blow up
@@ -55,8 +66,25 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from e
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for `main` to report, and reads a token that
+    starts with '-' and a digit or '.' as a value, so that `--eps -0.3,0.1`
+    and `--z -1e-3` work as with '='."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token for a value, not an option, when its private
+        # `_negative_number_matcher` matches and no option name looks like a
+        # negative number; its own pattern knows only `-3` and `-.5`.
+        # tests/test_cli.py pins this on every supported Python.
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gevrey-kit",
         description="solvers, growth certification and 1-summation for "
                     "eps*z*f' = F(eps, z, f)")
@@ -95,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--eps", type=_float_list, default=[0.1])
     sp.add_argument("--z", type=_float_list, default=[0.05],
-                    help="first entry is the remainder evaluation point")
+                    help="the one remainder evaluation point")
     sp.add_argument("--I", type=int, default=30)
     sp.add_argument("--sigma", type=float, default=0.05,
                     help="disc radius for the sup norms")
@@ -114,7 +142,7 @@ def _load_problem(args):
     return parse_problem(Path(args.problem))
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str | Path, data: str) -> None:
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".gk-")
     try:
@@ -127,15 +155,6 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
 def _meta(args) -> dict:
     skip = {"command", "out", "format"}
     options = {}
@@ -145,13 +164,6 @@ def _meta(args) -> dict:
         options[key] = val
     return {"tool": "gevrey-kit", "version": __version__,
             "command": args.command, "options": options}
-
-
-def _report(args, verdict, data, error=None) -> dict:
-    rep = {"meta": _meta(args), "verdict": verdict, "data": data}
-    if error is not None:
-        rep["error"] = error
-    return rep
 
 
 def _pyify(obj):
@@ -170,10 +182,6 @@ def _pyify(obj):
     return obj
 
 
-def _json_text(report: dict) -> str:
-    return json.dumps(_pyify(report), indent=2, sort_keys=False, allow_nan=False) + "\n"
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -183,10 +191,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (verdict, data, tables) and writes nothing;
+# tables maps a sidecar suffix ("" for the main table) to (header, rows)
 # ---------------------------------------------------------------------------
 
-def _cmd_check_sector(args) -> int:
+def _cmd_check_sector(args):
     from .sector import check_siegel, gamma_max, spectrum
 
     p = _load_problem(args)
@@ -204,21 +213,15 @@ def _cmd_check_sector(args) -> int:
         data["gamma"] = args.gamma
         data["siegel_ok"] = chk.ok
         data["margins"] = [float(m) for m in chk.margins]
-    verdict = "summable" if rep.summable else "not-summable"
-    if args.format == "csv":
-        rows = [[i, float(v.real), float(v.imag), float(a)]
-                for i, (v, a) in enumerate(zip(eigs, rep.args))]
-        _emit(args, _csv_text(["index", "re", "im", "arg"], rows))
-    else:
-        _emit(args, _json_text(_report(args, verdict, data)))
-    return 0 if rep.summable else 2
+    rows = [[i, *v, a] for i, (v, a) in enumerate(zip(data["eigenvalues"], data["args"]))]
+    return ("summable" if rep.summable else "not-summable", data,
+            {"": (["index", "re", "im", "arg"], rows)})
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     from .zsolver import evaluate_f, ode_residual_z, solve_coeffs_z
 
     p = _load_problem(args)
-    rows = []
     blocks = []
     verdict = "ok"
     for eps, sol in zip(args.eps, solve_coeffs_z(p, args.eps, args.K)):
@@ -228,10 +231,6 @@ def _cmd_solve(args) -> int:
         for z, res in zip(args.z, evaluate_f(sol, args.z)):
             # np.max, unlike max, keeps a NaN
             f_max = float(np.max(np.abs(res.value), initial=f_max))
-            for comp in range(p.nu):
-                v = res.value[comp]
-                rows.append([eps, z, comp, float(v.real), float(v.imag),
-                             res.tail_bound if res.tail_valid else ""])
             points.append({
                 "z": z,
                 "value": [[float(v.real), float(v.imag)] for v in res.value],
@@ -242,15 +241,13 @@ def _cmd_solve(args) -> int:
         # an overflowing value fails, and so does a NaN residual
         if not (math.isfinite(f_max) and resid <= _SOLVE_RESIDUAL_RTOL * max(1.0, f_max)):
             verdict = "residual-too-large"
-    data = {"K": args.K, "eps_blocks": blocks}
-    if args.format == "csv":
-        _emit(args, _csv_text(["eps", "z", "component", "re", "im", "tail_bound"], rows))
-    else:
-        _emit(args, _json_text(_report(args, verdict, data)))
-    return 0 if verdict == "ok" else 2
+    rows = [[b["eps"], pt["z"], comp, *v, pt["tail_bound"] if pt["tail_valid"] else ""]
+            for b in blocks for pt in b["points"] for comp, v in enumerate(pt["value"])]
+    return (verdict, {"K": args.K, "eps_blocks": blocks},
+            {"": (["eps", "z", "component", "re", "im", "tail_bound"], rows)})
 
 
-def _cmd_resum(args) -> int:
+def _cmd_resum(args):
     from .borel import borel_transform, laplace_sum, optimal_truncation_sum, pade_continue
     from .epssolver import eps_values_at
     from .riccati import shifted_reference
@@ -258,7 +255,7 @@ def _cmd_resum(args) -> int:
     p = _load_problem(args)
     L = args.L if args.L is not None else (args.I - 1) // 2
     M = args.M if args.M is not None else args.I - 1 - L
-    rows, points = [], []
+    points = []
     for z in args.z:
         a_vals = eps_values_at(p, z, args.I)
         b = borel_transform(a_vals)
@@ -284,45 +281,35 @@ def _cmd_resum(args) -> int:
                 entry["optimal_truncation"]["reference_error"] = float(
                     abs(base.value[0] - ref))
             points.append(entry)
-            rows.append([eps, z, float(rep.value[0].real), float(rep.value[0].imag),
-                         rep.quadrature_error_estimate, rep.pole_clearance,
-                         entry.get("reference_error", "")])
-    data = {"I": args.I, "L": L, "M": M, "theta": args.theta, "points": points}
-    if args.format == "csv":
-        _emit(args, _csv_text(
-            ["eps", "z", "re", "im", "quadrature_error_estimate",
-             "pole_clearance", "reference_error"], rows))
-    else:
-        _emit(args, _json_text(_report(args, "ok", data)))
-    return 0
+    rows = [[pt["eps"], pt["z"], *pt["value"][0], pt["quadrature_error_estimate"],
+             pt["pole_clearance"], pt.get("reference_error", "")] for pt in points]
+    return ("ok", {"I": args.I, "L": L, "M": M, "theta": args.theta, "points": points},
+            {"": (["eps", "z", "re", "im", "quadrature_error_estimate",
+                   "pole_clearance", "reference_error"], rows)})
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args):
     from .epssolver import solve_eps_expansion
     from .gevrey import gevrey_fit, remainder_profile, sup_norm_disc
 
     p = _load_problem(args)
     if args.I < 9:
         raise ValueError("diagnose needs --I >= 9 for a meaningful fit")
+    if len(args.z) != 1:
+        raise ValueError(f"diagnose takes one --z, the point of its remainder table, "
+                         f"got {len(args.z)}")
     sol = solve_eps_expansion(p, args.I, 2 * args.I + 30)
     norms = [sup_norm_disc(ai, args.sigma) for ai in sol.a]
     fit = gevrey_fit(norms)
-    z0 = args.z[0]
+    (z0,) = args.z
     profiles = remainder_profile(p, z0, args.eps, args.I)
-
-    norm_rows = [[i, norms[i],
-                  math.log(norms[i]) - math.lgamma(i + 1.0) if norms[i] > 0 else ""]
-                 for i in range(len(norms))]
-    rem_rows = []
-    for prof in profiles:
-        for I, val in enumerate(prof.abs_r):
-            rem_rows.append([float(prof.eps.real), I, val])
 
     data = {
         "sigma": args.sigma,
         "fit": {"C": fit.C, "mu": fit.mu, "r2": fit.r2},
-        "norms": [{"i": r[0], "norm": r[1], "log_norm_minus_log_factorial": r[2]}
-                  for r in norm_rows],
+        "norms": [{"i": i, "norm": norm, "log_norm_minus_log_factorial":
+                   math.log(norm) - math.lgamma(i + 1.0) if norm > 0 else ""}
+                  for i, norm in enumerate(norms)],
         "remainder": [{
             "eps": float(prof.eps.real), "z": z0,
             "I_star": prof.I_star,
@@ -331,20 +318,16 @@ def _cmd_diagnose(args) -> int:
             "abs_rI": [float(v) for v in prof.abs_r],
         } for prof in profiles],
     }
-    if args.format == "csv":
-        _emit(args, _csv_text(["i", "norm", "log_norm_minus_log_factorial"], norm_rows))
-        if args.out:
-            stem = Path(args.out)
-            side = stem.with_name(stem.stem + "_remainder" + (stem.suffix or ".csv"))
-            _atomic_write(str(side), _csv_text(["eps", "I", "abs_rI"], rem_rows))
-        else:
-            sys.stdout.write(_csv_text(["eps", "I", "abs_rI"], rem_rows))
-    else:
-        _emit(args, _json_text(_report(args, "ok", data)))
-    return 0
+    return "ok", data, {
+        "": (["i", "norm", "log_norm_minus_log_factorial"],
+             [list(n.values()) for n in data["norms"]]),
+        "_remainder": (["eps", "I", "abs_rI"],
+                       [[r["eps"], I, v] for r in data["remainder"]
+                        for I, v in enumerate(r["abs_rI"])]),
+    }
 
 
-def _cmd_validate_riccati(args) -> int:
+def _cmd_validate_riccati(args):
     from .epssolver import solve_a0
     from .problem import builtin_riccati
     from .riccati import ode_residual, shifted_reference
@@ -389,13 +372,8 @@ def _cmd_validate_riccati(args) -> int:
     checks.append({"name": "shifted_rhs_identity", "worst": worst, "pass": worst <= 1e-6})
 
     ok = all(c["pass"] for c in checks)
-    data = {"checks": checks}
-    if args.format == "csv":
-        rows = [[c["name"], c["worst"], c["pass"]] for c in checks]
-        _emit(args, _csv_text(["name", "worst", "pass"], rows))
-    else:
-        _emit(args, _json_text(_report(args, "pass" if ok else "fail", data)))
-    return 0 if ok else 2
+    return ("pass" if ok else "fail", {"checks": checks},
+            {"": (["name", "worst", "pass"], [list(c.values()) for c in checks])})
 
 
 _DISPATCH = {
@@ -417,16 +395,33 @@ def _check_finite(args) -> None:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand and write its report, JSON or under --format csv
+    its tables, to --out or to stdout; a sidecar table goes beside --out as
+    <stem><suffix><ext>, <ext> the extension of --out or .csv.  Returns the
+    exit code of the verdict."""
     try:
+        args = build_parser().parse_args(argv)
         _check_finite(args)
-        return _DISPATCH[args.command](args)
-    except tuple(_MATH_ERRORS) as e:
-        report = _report(args, "error", {}, error={"code": _MATH_ERRORS[type(e)],
-                                                   "message": str(e)})
-        _emit(args, _json_text(report))
-        return 2
+        error = {}
+        try:
+            verdict, data, tables = _DISPATCH[args.command](args)
+        except tuple(_MATH_ERRORS) as e:
+            verdict, data, tables = "error", {}, {}
+            error = {"error": {"code": _MATH_ERRORS[type(e)], "message": str(e)}}
+        report = {"meta": _meta(args), "verdict": verdict, "data": data, **error}
+        # a mathematical obstruction has no tables: its report stays JSON
+        if args.format == "csv" and tables:
+            texts = {suffix: _csv_text(*table) for suffix, table in tables.items()}
+        else:
+            texts = {"": json.dumps(_pyify(report), indent=2, allow_nan=False) + "\n"}
+        out = Path(args.out) if args.out else None
+        for suffix, text in texts.items():
+            if out is None:
+                sys.stdout.write(text)
+            else:
+                _atomic_write(out.with_name(out.stem + suffix + (out.suffix or ".csv"))
+                              if suffix else out, text)
+        return _EXIT_CODES[verdict]
     except (GevreyKitError, OSError, ValueError) as e:
         print(f"gevrey-kit: error: {e}", file=sys.stderr)
         return 1

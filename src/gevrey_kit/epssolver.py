@@ -112,12 +112,21 @@ def _forward_substitute(rhs: np.ndarray, t0: np.ndarray, t0_inv: np.ndarray) -> 
     return ai
 
 
+def _checked_residual(i: int, resid: np.ndarray, scale: np.ndarray, where: str) -> float:
+    """max|resid| relative to max(1, max|scale|), which must not exceed
+    _RESIDUAL_RTOL for the defining relation of a_i."""
+    rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(scale).max()))
+    if not rel <= _RESIDUAL_RTOL:
+        raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e} {where}")
+    return rel
+
+
 def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarray,
                   t0_inv: np.ndarray, where: str) -> list[float]:
     """Fill a = (a_0, ..., a_I), shape (nu, I + 1, L_0) with a_0 given, from
     T_0 a_i = (z0 + h) a'_{i-1} - R_i, a_i to h-length L_0 - i, each checked
     for overflow and against the whole eps^i coefficient; returns the
-    relative residuals of a_0..a_I.  `blocks` are the arrays of
+    relative residuals of a_1..a_I.  `blocks` are the arrays of
     `assemble_B`, their z-axis in h = z - z0."""
     orders, L0 = a.shape[1:]
 
@@ -127,19 +136,15 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
             raise GevreyKitError(f"a_{i} overflows double precision {where}")
         return ai
 
-    residuals = [0.0]
+    residuals = []
     # overflow is detected on a_i and on the residual, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         whole = solve_triangular([(m, e[..., :orders, :]) for m, e in blocks.items()],
                                  a, solve)
         for i in range(1, orders):
             za_prime = _lin_rhs(a[:, i - 1], z0, L0 - i)
-            resid = za_prime - whole[:, i, : L0 - i]
-            rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(za_prime).max()))
-            if not rel <= _RESIDUAL_RTOL:
-                raise GevreyKitError(
-                    f"defining relation for a_{i} left residual {rel:.3e} {where}")
-            residuals.append(rel)
+            residuals.append(_checked_residual(i, za_prime - whole[:, i, : L0 - i],
+                                               za_prime, where))
     return residuals
 
 
@@ -185,8 +190,9 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
       order 40, 80, 160 or 320: the first whose value agrees with the root
       it leads to within 1e-6.
     * The h-coefficients of a_0 are found one at a time, each against
-      T_0(z)^-1, and checked for overflow; `_solve_orders` then forms the
-      a_i against the jet of T_0.
+      T_0(z)^-1, and checked for overflow and against F(0, z, a_0) = 0,
+      relative to the same jet summed over the absolute values of blocks
+      and a_0; `_solve_orders` then forms the a_i against the jet of T_0.
     """
     p.require_normalized()
     if is_mpmath(z):
@@ -266,16 +272,21 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
     t0_inv = jacobian_inverse(c)
     jet = np.zeros((p.nu, L, 1), dtype=c.dtype)
     jet[:, 0, 0] = c
-    solve_triangular([(m, e[..., None]) for m, e in blocks0], jet,
-                     lambda k, rhs: -(t0_inv @ rhs))
+    whole = solve_triangular([(m, e[..., None]) for m, e in blocks0], jet,
+                             lambda k, rhs: -(t0_inv @ rhs))
     if jet.dtype != object and not np.all(np.isfinite(jet)):
         raise GevreyKitError(f"a_0 overflows double precision {where}")
+    # the whole h-coefficients of F(0, z0 + h, a_0) vanish for a root, up to
+    # the rounding of the terms they sum, which scale with the blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _F0_jet([(m, np.abs(e)) for m, e in blocks0], np.abs(jet[..., 0]), L)
+    residuals = [_checked_residual(0, whole, terms, where)]
     a = np.zeros((p.nu, I + 1, L), dtype=c.dtype)
     a[:, 0] = jet[..., 0]
     if not I:   # a_0 alone needs neither the T_0 jet nor the order loop
-        return a, [0.0]
-    residuals = _solve_orders(blocks, a, z0, _T0_jet(blocks0, a[:, 0], L), t0_inv, where)
-    return a, residuals
+        return a, residuals
+    return a, residuals + _solve_orders(blocks, a, z0, _T0_jet(blocks0, a[:, 0], L),
+                                        t0_inv, where)
 
 
 def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:

@@ -210,22 +210,16 @@ def parse_problem(document) -> ProblemSpec:
     rho, rho1 = document["rho"], document["rho1"]
     if not (_is_double(rho) and _is_double(rho1)):
         raise SchemaError("rho and rho1 must be finite numbers")
-    if not (rho > 0 and rho1 > rho):
-        raise SchemaError("radii must satisfy 0 < rho < rho1")
     raw = document["tensors"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("tensors must be a non-empty list")
     tensors = []
-    seen = set()
     for item in raw:
         if not isinstance(item, dict) or set(item) != _TENSOR_KEYS:
             raise SchemaError(f"each tensor needs exactly the keys {sorted(_TENSOR_KEYS)}")
         n, m = item["n"], item["m"]
         if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (n, m)):
             raise SchemaError("tensor powers n, m must be nonnegative integers")
-        if (n, m) in seen:
-            raise SchemaError(f"duplicate block ({n}, {m})")
-        seen.add((n, m))
         if n > _MAX_Z_POWER:
             raise SchemaError(f"block ({n}, {m}) has z-power above {_MAX_Z_POWER}")
         if m + 2 > _MAX_AXES:

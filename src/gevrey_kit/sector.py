@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, RadiiInfeasibleError
-from .problem import ProblemSpec
+from .problem import MAX_DIMENSION, ProblemSpec
 from .series import CONV_TAMING_A
 
 @dataclass(frozen=True)
@@ -35,19 +35,14 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class RadiiReport:
-    c: float
-    a: float
     alpha: float
     kappa: float
     sigma: float
-    rho: float
-    C_bound: float
-    limiting_block: tuple[int, int]
     A: float = CONV_TAMING_A
 
 
 def spectrum(a01: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the dense linear block (dimension at most 8).
+    """Eigenvalues of the dense linear block (dimension at most MAX_DIMENSION).
 
     Each eigenvalue is verified by |det(A - lambda I)| being small relative
     to the matrix scale.
@@ -56,8 +51,8 @@ def spectrum(a01: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     nu = a.shape[0]
-    if nu > 8:
-        raise ValueError("dimension above 8 is not supported")
+    if nu > MAX_DIMENSION:
+        raise ValueError(f"dimension above {MAX_DIMENSION} is not supported")
     eigs = np.linalg.eigvals(a)
     scale = max(1.0, float(np.linalg.norm(a, 2)))
     for lam in eigs:
@@ -96,15 +91,16 @@ def gamma_max(eigs: np.ndarray, theta: float) -> SpectrumReport:
     return SpectrumReport(args=np.angle(eigs), gamma_max=gmax, summable=gmax > math.pi)
 
 
-def radius_estimates(p: ProblemSpec, c: float, C_bound: float | None = None) -> RadiiReport:
+def radius_estimates(p: ProblemSpec, c: float) -> RadiiReport:
     """Majorant scale alpha and the radii kappa, sigma.
 
     For every present block (n, m) other than the linear (0,1) part, alpha
     must satisfy ``c * alpha_nm <= alpha * C_n / rho**(n+m)`` with
     ``C_n = A/n**2`` (C_0 = A).  The block norm bound alpha_nm is the smaller
     of the per-block coefficient bound on the closed eps-disc of radius rho
-    and the Cauchy-type bound ``C_bound / (rho1**n * rho**m)``.  Feasibility
-    requires alpha < rho/2; then
+    and the Cauchy-type bound ``C_bound / (rho1**n * rho**m)``, where
+    ``C_bound`` sums ``frobenius_bound(rho) * rho1**n * rho**m`` over all
+    blocks.  Feasibility requires alpha < rho/2; then
 
         kappa = rho * sqrt(1 - alpha / (rho - alpha)),
         sigma = kappa * (rho - alpha * A) / rho,
@@ -115,8 +111,7 @@ def radius_estimates(p: ProblemSpec, c: float, C_bound: float | None = None) -> 
     if c <= 0:
         raise ValueError("resolvent constant c must be positive")
     rho, rho1 = p.rho, p.rho1
-    if C_bound is None:
-        C_bound = sum(t.frobenius_bound(rho) * rho1**t.n * rho**t.m for t in p.tensors)
+    C_bound = sum(t.frobenius_bound(rho) * rho1**t.n * rho**t.m for t in p.tensors)
 
     alpha = 0.0
     limiting = (0, 1)
@@ -135,5 +130,4 @@ def radius_estimates(p: ProblemSpec, c: float, C_bound: float | None = None) -> 
             f"{alpha:.4g} >= rho/2 = {rho / 2.0:.4g}; shrink rho")
     kappa = rho * math.sqrt(1.0 - alpha / (rho - alpha))
     sigma = kappa * (rho - alpha * CONV_TAMING_A) / rho
-    return RadiiReport(c=c, a=1.0 / c, alpha=alpha, kappa=kappa, sigma=sigma,
-                       rho=rho, C_bound=C_bound, limiting_block=limiting)
+    return RadiiReport(alpha=alpha, kappa=kappa, sigma=sigma)

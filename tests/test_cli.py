@@ -260,6 +260,25 @@ class TestDiagnose:
         code = main(["diagnose", "--builtin", "riccati", "--I", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize("z", ["0.05,0.1", ""])
+    def test_one_remainder_point(self, tmp_path, capsys, z):
+        # the remainder table is evaluated at one z; a second one was echoed
+        # in meta but never reported
+        code, rep = run_json(tmp_path, ["diagnose", "--builtin", "riccati", "--I", "9",
+                                        f"--z={z}"])
+        assert (code, rep) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("gevrey-kit: error: ") and "--z" in err
+
+    @pytest.mark.parametrize("name, sidecar", [("diag.txt", "diag_remainder.txt"),
+                                               ("diag", "diag_remainder.csv")])
+    def test_sidecar_extension(self, tmp_path, name, sidecar):
+        code = main(["diagnose", "--builtin", "riccati", "--I", "9", "--format", "csv",
+                     "--out", str(tmp_path / name)])
+        assert code == 0
+        assert (tmp_path / name).read_text().startswith("i,norm,")
+        assert (tmp_path / sidecar).read_text().startswith("eps,I,abs_rI\n")
+
 
 @pytest.mark.parametrize("args, option", [
     (["check-sector", "--theta", "nan"], "--theta"),
@@ -294,6 +313,58 @@ def test_eps_out_of_range_exits_operational(tmp_path, capsys, args, message):
     assert (code, rep) == (1, None)
     err = capsys.readouterr().err
     assert err.startswith("gevrey-kit: error: ") and message in err
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["solve"],
+    ["solve", "--builtin", "riccati", "--K", "x"],
+    ["solve", "--builtin", "riccati", "--bogus", "1"],
+    ["check-sector", "--builtin", "riccati", "--format", "xml"],
+    ["solve", "--builtin", "riccati", "--eps", "--z", "0.1"],
+    ["solve", "--builtin", "riccati", "--out", "-K"],   # not a number: not a value
+])
+def test_usage_error_exits_operational(capsys, monkeypatch, tmp_path, args):
+    # a usage error is an operational error: one line, exit 1
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert not any(tmp_path.iterdir())
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gevrey-kit: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, option, value, code", [
+    ("solve", "--eps", "-0.3,0.1", 0),
+    ("solve", "--z", "-1e-3", 0),
+    ("solve", "--eps", "-0.5,1e308", 2),   # eps*2 = -1 is resonant, met before the overflow
+    ("check-sector", "--theta", "-1e-3", 0),
+])
+def test_negative_value_after_a_space(tmp_path, command, option, value, code):
+    # a value that starts with '-' is read as the option's value, as with '='
+    spaced = main([command, "--builtin", "riccati", option, value,
+                   "--out", str(tmp_path / "spaced.json")])
+    joined = main([command, "--builtin", "riccati", f"{option}={value}",
+                   "--out", str(tmp_path / "joined.json")])
+    assert spaced == joined == code
+    rep = json.loads((tmp_path / "spaced.json").read_text())
+    assert (tmp_path / "spaced.json").read_bytes() == (tmp_path / "joined.json").read_bytes()
+    got = rep["meta"]["options"][option[2:]]
+    assert (got if isinstance(got, list) else [got]) == [float(v) for v in value.split(",")]
+    if code == 2:
+        assert rep["error"]["code"] == "resonance"
+    else:
+        assert rep["verdict"] in ("ok", "summable")
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_math_error_report_stays_json_under_csv(tmp_path, capsys, to_file):
+    out = tmp_path / "err.csv"
+    code = main(["solve", "--builtin", "riccati", "--eps=-0.5", "--format", "csv",
+                 *(["--out", str(out)] if to_file else [])])
+    assert code == 2
+    rep = json.loads(out.read_text() if to_file else capsys.readouterr().out)
+    assert (rep["verdict"], rep["error"]["code"]) == ("error", "resonance")
 
 
 class TestValidateRiccati:

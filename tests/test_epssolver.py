@@ -98,6 +98,41 @@ class TestA0:
             solve_a0(riccati, 800)
         assert not isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize("run, L", [
+        (lambda p: solve_a0(p, 10), 11),
+        (lambda p: solve_eps_expansion(p, 3, 20), 21),
+        (lambda p: eps_values_at(p, 0.05, 3), 4),   # not the Newton start series
+    ])
+    def test_wrong_jet_fails_its_relation(self, riccati, monkeypatch, run, L):
+        # an a_0 jet of length L whose last h-coefficient misses
+        # F(0, z, a_0) = 0 by 1e-6 relative is caught like a wrong a_i
+        from gevrey_kit import epssolver
+
+        def perturbed(blocks, x, solve):
+            if x.shape[-2:] != (L, 1):   # the eps-orders or another a_0 jet
+                return solve_triangular(blocks, x, solve)
+            return solve_triangular(
+                blocks, x, lambda k, c: solve(k, c) * (1 + 1e-6 * (k == L - 1)))
+
+        monkeypatch.setattr(epssolver, "solve_triangular", perturbed)
+        with pytest.raises(GevreyKitError, match="defining relation for a_0 left residual"):
+            run(riccati)
+
+    def test_scaled_blocks_pass_their_relation(self, riccati):
+        # every block times s multiplies F(0, z, a_0), and the rounding of
+        # its terms, by s: a_0 stays, a_i becomes a_i / s^i, and no check
+        # may read the rounding of the larger terms as a wrong a_0
+        s = 1e8
+        scaled = ProblemSpec(nu=1, rho=riccati.rho, rho1=riccati.rho1, tensors=tuple(
+            CoeffTensor(t.n, t.m, t.entries * s) for t in riccati.tensors))
+        np.testing.assert_allclose(solve_a0(scaled, 40).coeffs,
+                                   solve_a0(riccati, 40).coeffs, rtol=1e-12)
+        got, want = solve_eps_expansion(scaled, 3, 20), solve_eps_expansion(riccati, 3, 20)
+        for i in range(4):
+            np.testing.assert_allclose(got.a[i].coeffs * s**i, want.a[i].coeffs, rtol=1e-10)
+        np.testing.assert_allclose(eps_values_at(scaled, 0.05, 3) * s ** np.arange(4)[:, None],
+                                   eps_values_at(riccati, 0.05, 3), rtol=1e-10)
+
 
 class TestT0:
     def test_riccati_is_minus_sqrt(self, riccati):

@@ -115,7 +115,7 @@ class TestParseSerialize:
 
     def test_duplicate_blocks(self):
         t = {"n": 0, "m": 1, "entries": [[[-1.0, 0.0]]]}
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^duplicate block \(0, 1\)$"):
             parse_problem({"nu": 1, "rho": 1.0, "rho1": 4.0, "tensors": [t, dict(t)]})
 
     def test_wrong_entry_count(self):
@@ -141,7 +141,7 @@ class TestParseSerialize:
     def test_bad_radii(self):
         doc = {"nu": 1, "rho": 4.0, "rho1": 1.0,
                "tensors": [{"n": 0, "m": 1, "entries": [[[-1.0, 0.0]]]}]}
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^radii must satisfy 0 < rho < rho1$"):
             parse_problem(doc)
 
     def test_extra_keys_rejected(self):

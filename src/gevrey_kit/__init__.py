@@ -15,17 +15,13 @@ from .errors import __all__ as _error_names
 
 #: submodule -> the public names it serves to the package
 _LAZY = {
-    "series": ("CONV_TAMING_A", "MatSeries", "VecSeries", "mat_series_inverse",
-               "multilinear_apply"),
+    "series": ("MatSeries", "VecSeries", "mat_series_inverse", "multilinear_apply"),
     "problem": (
         "CoeffTensor", "NormalizationShift", "ProblemSpec", "assemble_B",
         "builtin_riccati", "normalize_shift", "parse_problem", "problem_to_dict",
         "problem_to_json", "shift_problem",
     ),
-    "sector": (
-        "RadiiReport", "SiegelCheck", "SpectrumReport", "check_siegel", "gamma_max",
-        "radius_estimates", "spectrum",
-    ),
+    "sector": ("SiegelCheck", "SpectrumReport", "check_siegel", "gamma_max", "spectrum"),
     "zsolver": ("EvalResult", "ZSolution", "evaluate_f", "ode_residual_z", "solve_coeffs_z"),
     "epssolver": (
         "EpsFormalSolution", "build_T0", "eps_values_at", "solve_a0", "solve_ai",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands map onto the library layers: `check-sector` (ray condition and
-summability verdict), `solve` (fixed-eps z-series values and residuals; it
-passes no radii, so its points carry no tail bound), `resum`
+summability verdict), `solve` (fixed-eps z-series values and residuals,
+without a tail bound), `resum`
 (Borel-Pade-Laplace against the optimal-truncation baseline), `diagnose`
 (factorial growth fit and remainder profile), and `validate-riccati`
 (closed-form oracle suite).  Reports are JSON by default or CSV tables;
@@ -17,8 +17,9 @@ failure, a `solve` series that does not satisfy the equation), 1
 operational or usage error, with one `gevrey-kit: error:` line on stderr.
 Every option takes one value, and a value may be a negative number
 (`--eps -0.3,0.1`, `--z -1e-3`); any other value that starts with '-'
-needs the '=' form.  `diagnose` takes one `--z`, the point of its
-remainder table.
+needs the '=' form.  A list option (`--eps`, `--z`) needs at least one
+number.  `diagnose` takes one `--z`, the point of its remainder table,
+and a positive `--sigma`.
 
 Start-up: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 unless they are already set, before numpy is
@@ -61,9 +62,12 @@ _SOLVE_RESIDUAL_RTOL = 1e-8
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from e
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,17 +238,15 @@ def _cmd_solve(args):
             points.append({
                 "z": z,
                 "value": [[float(v.real), float(v.imag)] for v in res.value],
-                "tail_bound": res.tail_bound,
-                "tail_valid": res.tail_valid,
             })
         blocks.append({"eps": eps, "max_ode_residual": resid, "points": points})
         # an overflowing value fails, and so does a NaN residual
         if not (math.isfinite(f_max) and resid <= _SOLVE_RESIDUAL_RTOL * max(1.0, f_max)):
             verdict = "residual-too-large"
-    rows = [[b["eps"], pt["z"], comp, *v, pt["tail_bound"] if pt["tail_valid"] else ""]
+    rows = [[b["eps"], pt["z"], comp, *v]
             for b in blocks for pt in b["points"] for comp, v in enumerate(pt["value"])]
     return (verdict, {"K": args.K, "eps_blocks": blocks},
-            {"": (["eps", "z", "component", "re", "im", "tail_bound"], rows)})
+            {"": (["eps", "z", "component", "re", "im"], rows)})
 
 
 def _cmd_resum(args):
@@ -295,6 +297,8 @@ def _cmd_diagnose(args):
     p = _load_problem(args)
     if args.I < 9:
         raise ValueError("diagnose needs --I >= 9 for a meaningful fit")
+    if args.sigma <= 0:
+        raise ValueError(f"--sigma must be positive, got {args.sigma}")
     if len(args.z) != 1:
         raise ValueError(f"diagnose takes one --z, the point of its remainder table, "
                          f"got {len(args.z)}")
@@ -308,7 +312,7 @@ def _cmd_diagnose(args):
         "sigma": args.sigma,
         "fit": {"C": fit.C, "mu": fit.mu, "r2": fit.r2},
         "norms": [{"i": i, "norm": norm, "log_norm_minus_log_factorial":
-                   math.log(norm) - math.lgamma(i + 1.0) if norm > 0 else ""}
+                   math.log(norm) - math.lgamma(i + 1.0) if norm > 0 else None}
                   for i, norm in enumerate(norms)],
         "remainder": [{
             "eps": float(prof.eps.real), "z": z0,

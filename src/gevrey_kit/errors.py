@@ -31,11 +31,6 @@ class DegenerateSpectrumError(GevreyKitError):
     """A zero eigenvalue makes the ray condition meaningless."""
 
 
-class RadiiInfeasibleError(GevreyKitError):
-    """No admissible majorant scale exists for the given radii; the message
-    names the limiting block and the alpha it needs."""
-
-
 class ResonanceError(GevreyKitError):
     """eps*k collides with an eigenvalue of the linear block; the message
     gives eps*k and k."""
@@ -66,7 +61,6 @@ __all__ = [
     "SchemaError",
     "NormalizationError",
     "DegenerateSpectrumError",
-    "RadiiInfeasibleError",
     "ResonanceError",
     "InsufficientOrderError",
     "PoleObstructionError",

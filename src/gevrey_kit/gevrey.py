@@ -42,11 +42,17 @@ class GevreyFit:
 
 def sup_norm_disc(f: VecSeries, sigma: float) -> float:
     """Certified upper estimate M(sigma) = sum_n ||c_n|| sigma^n of the sup
-    of ||f|| on the closed disc of radius sigma."""
+    of ||f|| on the closed disc of radius sigma.  A sum that overflows
+    raises GevreyKitError."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     gamma = f.norms()
-    return float((gamma * sigma ** np.arange(gamma.size)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((gamma * sigma ** np.arange(gamma.size)).sum())
+    if not math.isfinite(total):
+        raise GevreyKitError(f"the sup norm on the disc of radius sigma = {sigma:.6g} "
+                             "overflows double precision")
+    return total
 
 
 def _r2(observed: np.ndarray, predicted: np.ndarray) -> float:

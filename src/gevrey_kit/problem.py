@@ -67,14 +67,6 @@ class CoeffTensor:
         """Evaluate the eps-polynomial entries at a numeric eps (Horner)."""
         return _horner(np.moveaxis(self.entries, -1, 0), eps)
 
-    def frobenius_bound(self, radius: float) -> float:
-        """Upper bound for the operator norm on the closed eps-disc of the
-        given radius: triangle inequality over eps-coefficients, Frobenius
-        norm of each flattened coefficient tensor (exact for nu = 1)."""
-        flat = self.entries.reshape(-1, self.entries.shape[-1])
-        norms = np.linalg.norm(flat, axis=0)
-        return float(sum(norms[j] * radius**j for j in range(len(norms))))
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:

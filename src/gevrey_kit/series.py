@@ -1,5 +1,5 @@
-"""Truncated power series over complex vectors and matrices, the Taylor-jet
-kernel that every recursion runs on, and the convolution-taming constant.
+"""Truncated power series over complex vectors and matrices, and the
+Taylor-jet kernel that every recursion runs on.
 
 A series here stores exactly the coefficients it knows and the formal variable
 it lives in.  Coefficients beyond the recorded order are *unknown*, not zero.
@@ -22,12 +22,11 @@ normalization shift; with jets in h it runs the eps-orders.
 `ProblemSpec.eval_F`, which shares no code with the kernel it checks, and
 the Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
 remains as a brute-force reference.  `_horner` sums every polynomial at a
-point.  The composition sum and the convolution-taming inequality are test
-oracles (tests/oracles.py).
+point.  The composition sum, and the convolution-taming constant with its
+inequality, are test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,9 +39,6 @@ SERIES_VARS = ("eps", "z", "t")
 
 #: Absolute coefficient tolerance, scaled by the largest coefficient magnitude.
 COEFF_TOL = 1e-12
-
-#: Convolution-taming constant (1 + pi^2/3)^(-1) / 2 = 0.1165536...
-CONV_TAMING_A = 0.5 / (1.0 + math.pi**2 / 3.0)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -21,21 +21,18 @@ that solving its eps one by one, in order, would raise first.  A matrix
 that overflows is marked in the same table, factored as the identity
 meanwhile, and fails its eps before any other failure of that eps.
 `evaluate_f` and `ode_residual_z` sum the series at all their points by
-one Horner pass.
+one Horner pass; a partial sum carries no bound on its tail.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import GevreyKitError, ResonanceError
 from .problem import ProblemSpec, assemble_B
-from .series import CONV_TAMING_A, _horner, solve_triangular
-
-if TYPE_CHECKING:
-    from .sector import RadiiReport
+from .series import _horner, solve_triangular
 
 _RESONANCE_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
@@ -43,15 +40,9 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class EvalResult:
-    """Partial-sum value with its geometric tail estimate.
-
-    `tail_valid` is False when no radii are attached or |z| >= kappa; the
-    bound is then meaningless and reported as None.
-    """
+    """Partial-sum value of the z-series at one point."""
 
     value: np.ndarray
-    tail_bound: float | None
-    tail_valid: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,23 +51,21 @@ class ZSolution:
 
     ``coeffs[k-1]`` is the nu-vector f_k.  `residuals` records the relative
     residual of each linear solve, and `smallest_singular` the smallest
-    singular value of its matrix eps*k*I - A01.  `radii` optionally carries
-    the majorant data used for tail bounds.
+    singular value of its matrix eps*k*I - A01.
     """
 
     eps: complex
     coeffs: np.ndarray
     residuals: np.ndarray
     smallest_singular: np.ndarray
-    radii: RadiiReport | None = None
 
     @property
     def K(self) -> int:
         return self.coeffs.shape[0]
 
 
-def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
-                   radii: RadiiReport | None = None) -> ZSolution | list[ZSolution]:
+def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
+                   K: int) -> ZSolution | list[ZSolution]:
     """Run the coefficient recursion up to order K at numeric eps.
 
     `eps` is a number, which gives one ZSolution, or a sequence of numbers,
@@ -134,10 +123,10 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex], K: int,
     coeffs = np.ascontiguousarray(f[..., 1:, 0].swapaxes(-1, -2))
     if not batch.ndim:
         sol = ZSolution(eps=complex(batch), coeffs=coeffs, residuals=residuals,
-                        smallest_singular=svals[:, -1], radii=radii)
+                        smallest_singular=svals[:, -1])
         return [sol] if listed else sol
     return [ZSolution(eps=complex(e), coeffs=coeffs[b], residuals=residuals[:, b].copy(),
-                      smallest_singular=svals[:, b, -1].copy(), radii=radii)
+                      smallest_singular=svals[:, b, -1].copy())
             for b, e in enumerate(batch)]
 
 
@@ -171,21 +160,12 @@ def _partial_sums(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def evaluate_f(sol: ZSolution, z) -> EvalResult | list[EvalResult]:
-    """Partial sum sum_{k<=K} f_k z^k plus the closed-form tail estimate
-    ``alpha*A*(|z|/kappa)^(K+1) / ((K+1)^2 (1 - |z|/kappa))`` when majorant
-    radii are attached and |z| < kappa.
+    """Partial sum sum_{k<=K} f_k z^k.
 
     `z` is a number, which gives one EvalResult, or a sequence of numbers,
     which gives one per entry, in order."""
     points = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = []
-    for zz, value in zip(points, _partial_sums(sol.coeffs, points)):
-        if sol.radii is None or (q := abs(complex(zz)) / sol.radii.kappa) >= 1.0:
-            out.append(EvalResult(value=value, tail_bound=None, tail_valid=False))
-            continue
-        kk = sol.K + 1
-        bound = sol.radii.alpha * CONV_TAMING_A * q**kk / (kk**2 * (1.0 - q))
-        out.append(EvalResult(value=value, tail_bound=bound, tail_valid=True))
+    out = [EvalResult(value=value) for value in _partial_sums(sol.coeffs, points)]
     return out if np.ndim(z) else out[0]
 
 

@@ -25,6 +25,9 @@ in the shipped library.
   with the e*(k+1) factor, radius monotonicity) hold for it verbatim.
 * The contraction quantity for T_0 on a disc and the resolvent constant on
   a sector, both sampled, not bounds.
+* The paper's majorant radii (kappa, sigma) from a resolvent constant c
+  and the Frobenius block bounds, and the geometric tail bound that they
+  give a z-series partial sum of order K at a point z.
 * The eps -> 0 limit phi0 of the Riccati closed form.
 """
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import Callable
 import numpy as np
 
 from gevrey_kit.epssolver import _blocks0, solve_a0, solve_eps_expansion
-from gevrey_kit.problem import ProblemSpec
+from gevrey_kit.problem import CoeffTensor, ProblemSpec
 from gevrey_kit.sector import check_siegel, spectrum
-from gevrey_kit.series import CONV_TAMING_A, VecSeries
+from gevrey_kit.series import VecSeries
 from gevrey_kit.zsolver import evaluate_f, solve_coeffs_z
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,10 @@ def compositions(total: int, parts: int, min_part: int = 0):
     for first in range(min_part, total - min_part * (parts - 1) + 1):
         for rest in compositions(total - first, parts - 1, min_part):
             yield (first,) + rest
+
+
+#: Convolution-taming constant (1 + pi^2/3)^(-1) / 2 = 0.1165536...
+CONV_TAMING_A = 0.5 / (1.0 + math.pi**2 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -409,6 +416,85 @@ def resolvent_bound(p: ProblemSpec, sector: SectorSpec, k_max: int = 50,
                 best, worst_k, worst_eps = norm_inv, k, complex(eps)
     return ResolventReport(c=best, worst_k=worst_k, worst_eps=worst_eps,
                            sector=sector, k_max=k_max, samples=samples)
+
+
+# ---------------------------------------------------------------------------
+# majorant radii and the tail bound of a z-series partial sum
+# ---------------------------------------------------------------------------
+
+class RadiiInfeasibleError(ValueError):
+    """No admissible majorant scale exists for the given radii; the message
+    names the limiting block and the alpha it needs."""
+
+
+@dataclass(frozen=True)
+class RadiiReport:
+    alpha: float
+    kappa: float
+    sigma: float
+    A: float = CONV_TAMING_A
+
+
+def frobenius_bound(t: CoeffTensor, radius: float) -> float:
+    """Upper bound for the operator norm of a block on the closed eps-disc of
+    the given radius: triangle inequality over eps-coefficients, Frobenius
+    norm of each flattened coefficient tensor (exact for nu = 1)."""
+    flat = t.entries.reshape(-1, t.entries.shape[-1])
+    norms = np.linalg.norm(flat, axis=0)
+    return float(sum(norms[j] * radius**j for j in range(len(norms))))
+
+
+def radius_estimates(p: ProblemSpec, c: float) -> RadiiReport:
+    """Majorant scale alpha and the radii kappa, sigma.
+
+    For every present block (n, m) other than the linear (0,1) part, alpha
+    must satisfy ``c * alpha_nm <= alpha * C_n / rho**(n+m)`` with
+    ``C_n = A/n**2`` (C_0 = A).  The block norm bound alpha_nm is the smaller
+    of `frobenius_bound` on the closed eps-disc of radius rho and the
+    Cauchy-type bound ``C_bound / (rho1**n * rho**m)``, where ``C_bound``
+    sums ``frobenius_bound(rho) * rho1**n * rho**m`` over all blocks.
+    Feasibility requires alpha < rho/2; then
+
+        kappa = rho * sqrt(1 - alpha / (rho - alpha)),
+        sigma = kappa * (rho - alpha * A) / rho,
+
+    which makes the majorant partial-sum identity
+    ``alpha * A * kappa / (kappa - sigma) = rho`` hold exactly.
+    """
+    if c <= 0:
+        raise ValueError("resolvent constant c must be positive")
+    rho, rho1 = p.rho, p.rho1
+    C_bound = sum(frobenius_bound(t, rho) * rho1**t.n * rho**t.m for t in p.tensors)
+
+    alpha = 0.0
+    limiting = (0, 1)
+    for t in p.tensors:
+        if (t.n, t.m) == (0, 1):
+            continue
+        c_n = CONV_TAMING_A if t.n == 0 else CONV_TAMING_A / t.n**2
+        alpha_nm = min(frobenius_bound(t, rho), C_bound / (rho1**t.n * rho**t.m))
+        need = c * alpha_nm * rho ** (t.n + t.m) / c_n
+        if need > alpha:
+            alpha = need
+            limiting = (t.n, t.m)
+    if alpha >= rho / 2.0:
+        raise RadiiInfeasibleError(
+            f"no admissible majorant scale: block {limiting} needs alpha = "
+            f"{alpha:.4g} >= rho/2 = {rho / 2.0:.4g}; shrink rho")
+    kappa = rho * math.sqrt(1.0 - alpha / (rho - alpha))
+    sigma = kappa * (rho - alpha * CONV_TAMING_A) / rho
+    return RadiiReport(alpha=alpha, kappa=kappa, sigma=sigma)
+
+
+def majorant_tail_bound(radii: RadiiReport, K: int, z: complex) -> float | None:
+    """Bound ``alpha*A*(|z|/kappa)^(K+1) / ((K+1)^2 (1 - |z|/kappa))`` on the
+    tail sum_{k>K} f_k z^k of the z-series; None where |z| >= kappa, where
+    the majorant gives no bound."""
+    q = abs(complex(z)) / radii.kappa
+    if q >= 1.0:
+        return None
+    kk = K + 1
+    return radii.alpha * radii.A * q**kk / (kk**2 * (1.0 - q))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ script.  Every run goes in-process through ``gevrey_kit.cli.main``:
 * ``check-sector --gamma 1.0`` on the problem of each workload;
 * ``validate-riccati``.
 
-That is 19 reports.  The problem files are written into OUTDIR and named by
-paths relative to it, so no report depends on where OUTDIR is.
-``exit_codes.txt`` lists every run with its exit code, which also covers a
-run that exits 1 and so writes no report.  The file name does not start
+That is 19 runs, each made twice: once writing ``NAME.json`` and once with
+``--format csv`` writing ``NAME.csv`` (and, for ``diagnose``, its
+``NAME_remainder.csv`` sidecar), so one ``diff -r`` compares both formats.
+The problem files are written into OUTDIR and named by paths relative to
+it, so no report depends on where OUTDIR is.  ``exit_codes.txt`` lists
+every run by its output file with its exit code, which also covers a run
+that exits 1 and so writes no report.  The file name does not start
 with ``test_``, so pytest does not collect it.
 """
 from __future__ import annotations
@@ -55,7 +58,8 @@ def snapshot(outdir: Path) -> None:
     os.chdir(outdir)
     codes = []
     for name, argv in runs():
-        codes.append(f"{name} {main([*argv, '--out', name + '.json'])}\n")
+        for out, fmt in ((name + ".json", []), (name + ".csv", ["--format", "csv"])):
+            codes.append(f"{out} {main([*argv, *fmt, '--out', out])}\n")
     Path("exit_codes.txt").write_text("".join(codes), encoding="utf-8")
 
 

@@ -42,7 +42,7 @@ def report(n, label, ok, timer, detail=""):
 
 def test_criterion_01_convolution_taming():
     with Timer(1.0) as t:
-        assert abs(gk.CONV_TAMING_A - 0.5 / (1 + math.pi**2 / 3)) < 1e-15
+        assert abs(oracles.CONV_TAMING_A - 0.5 / (1 + math.pi**2 / 3)) < 1e-15
         worst = 0.0
         for lam in (0.0, 1.0, 2.0):
             for c0 in (False, True):

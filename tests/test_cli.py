@@ -224,9 +224,15 @@ class TestDiagnose:
                                         write_doc(tmp_path, VANISHING_A0)])
         assert code == 0
         jsonschema.validate(rep, report_schema)
-        assert rep["data"]["norms"][0]["norm"] == 0.0
+        # a zero norm has no log: null, as every other non-finite number
+        assert rep["data"]["norms"][0] == {"i": 0, "norm": 0.0,
+                                           "log_norm_minus_log_factorial": None}
         fit = rep["data"]["fit"]
         assert all(math.isfinite(fit[k]) and fit[k] > 0 for k in ("C", "mu"))
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--problem", write_doc(tmp_path, VANISHING_A0),
+                     "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0,0.0,"
 
     def test_every_term_vanishes(self, tmp_path, capsys):
         code = main(["diagnose", "--problem", write_doc(tmp_path, ONE_BLOCK)])
@@ -270,6 +276,21 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert err.startswith("gevrey-kit: error: ") and "--z" in err
 
+    @pytest.mark.parametrize("sigma, message", [
+        # a disc of radius 0 is the one point z = 0, where every a_i vanishes
+        ("0", "--sigma must be positive, got 0.0"),
+        ("-0.1", "--sigma must be positive, got -0.1"),
+        ("1e300", "the sup norm on the disc of radius sigma = 1e+300 overflows"),
+    ])
+    def test_sigma_out_of_range(self, tmp_path, capsys, sigma, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(tmp_path, ["diagnose", "--builtin", "riccati", "--I", "12",
+                                            "--sigma", sigma])
+        assert (code, rep) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith(f"gevrey-kit: error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("name, sidecar", [("diag.txt", "diag_remainder.txt"),
                                                ("diag", "diag_remainder.csv")])
     def test_sidecar_extension(self, tmp_path, name, sidecar):
@@ -294,6 +315,21 @@ def test_non_finite_option_is_refused(tmp_path, capsys, args, option):
     code, rep = run_json(tmp_path, args + ["--builtin", "riccati"])
     assert (code, rep) == (1, None)
     assert f"gevrey-kit: error: {option} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["solve", "--eps="], "--eps"),
+    (["solve", "--eps=,"], "--eps"),
+    (["solve", "--z="], "--z"),
+    (["resum", "--z="], "--z"),
+    (["diagnose", "--eps="], "--eps"),
+])
+def test_empty_list_is_refused(tmp_path, capsys, args, option):
+    # an empty list would run no job and still report its verdict
+    code, rep = run_json(tmp_path, args + ["--builtin", "riccati"])
+    assert (code, rep) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"gevrey-kit: error: argument {option}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args, message", [
@@ -402,7 +438,7 @@ class TestDeterminism:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-        assert a.read_text().splitlines()[0] == "eps,z,component,re,im,tail_bound"
+        assert a.read_text().splitlines()[0] == "eps,z,component,re,im"
 
     def test_resum_csv_header(self, tmp_path):
         out = tmp_path / "r.csv"

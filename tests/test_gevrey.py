@@ -116,6 +116,11 @@ class TestSupNorm:
     def test_zero(self):
         assert sup_norm_disc(VecSeries(np.zeros((2, 5), dtype=complex), "z"), 1.0) == 0.0
 
+    def test_overflow_names_sigma(self):
+        # sigma^2 overflows: an error, not a RuntimeWarning or an inf
+        with pytest.raises(GevreyKitError, match=r"sigma = 1e\+300 overflows"):
+            sup_norm_disc(monomial(1, order=2), 1e300)
+
 
 class TestGevreyFit:
     def test_exact_recovery(self):

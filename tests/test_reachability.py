@@ -49,13 +49,11 @@ UNREACHED = {
     "epssolver._blocks0": "tracer",
     "epssolver.build_T0": "tracer",
     "epssolver.solve_ai": "tracer",
-    "errors.RadiiInfeasibleError": "paper-check",
     "errors.VarMismatchError": "tracer",
     "problem.NormalizationShift": "paper-check",
     "problem.normalize_shift": "paper-check",
     "problem.problem_to_dict": "benchmark",
     "problem.problem_to_json": "benchmark",
-    "sector.radius_estimates": "paper-check",
     "series.MatSeries": "tracer",
     "series.mat_series_inverse": "tracer",
 }

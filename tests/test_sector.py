@@ -9,14 +9,10 @@ from gevrey_kit import (
     ProblemSpec,
     check_siegel,
     gamma_max,
-    radius_estimates,
     spectrum,
 )
-from gevrey_kit.errors import (
-    DegenerateSpectrumError,
-    RadiiInfeasibleError,
-)
-from oracles import SectorSpec, resolvent_bound
+from gevrey_kit.errors import DegenerateSpectrumError
+from oracles import RadiiInfeasibleError, SectorSpec, radius_estimates, resolvent_bound
 
 
 class TestSpectrum:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevrey_kit import (
-    CONV_TAMING_A,
     MatSeries,
     VecSeries,
     mat_series_inverse,
@@ -18,7 +17,7 @@ from gevrey_kit.errors import (
     VarMismatchError,
 )
 from gevrey_kit.series import _jet_apply, solve_triangular
-from oracles import compositions, lemma_conv_bound
+from oracles import CONV_TAMING_A, compositions, lemma_conv_bound
 
 
 def vs(coeffs, var="z"):

@@ -12,12 +12,11 @@ from gevrey_kit import (
     ZSolution,
     evaluate_f,
     ode_residual_z,
-    radius_estimates,
     shifted_reference,
     solve_coeffs_z,
 )
 from gevrey_kit.errors import GevreyKitError, ResonanceError
-from oracles import SectorSpec, resolvent_bound
+from oracles import SectorSpec, majorant_tail_bound, radius_estimates, resolvent_bound
 
 
 @pytest.fixture(scope="module")
@@ -116,26 +115,21 @@ class TestEvaluate:
         got = evaluate_f(sol, 0.05).value[0]
         assert abs(got - shifted_reference(0.1, 0.05)) <= 1e-8
 
-    def test_tail_bound_void_without_radii(self, riccati):
-        sol = solve_coeffs_z(riccati, 0.1, 10)
-        res = evaluate_f(sol, 0.02)
-        assert not res.tail_valid and res.tail_bound is None
-
     def test_tail_bound_with_radii(self, perturbative):
         c = resolvent_bound(perturbative,
                             SectorSpec(0.0, 3 * math.pi / 2, 0.1), k_max=30).c
         radii = radius_estimates(perturbative, c)
-        sol30 = solve_coeffs_z(perturbative, 0.05, 30, radii=radii)
+        sol30 = solve_coeffs_z(perturbative, 0.05, 30)
         sol80 = solve_coeffs_z(perturbative, 0.05, 80)
         z = 0.3
-        r30 = evaluate_f(sol30, z)
-        r80 = evaluate_f(sol80, z)
-        assert r30.tail_valid
-        # the actual tail is controlled by the reported bound
-        assert abs(r80.value[0] - r30.value[0]) <= r30.tail_bound + 1e-15
+        bound = majorant_tail_bound(radii, sol30.K, z)
+        assert bound is not None
+        # the actual tail is controlled by the majorant bound
+        r30 = evaluate_f(sol30, z).value[0]
+        r80 = evaluate_f(sol80, z).value[0]
+        assert abs(r80 - r30) <= bound + 1e-15
         # outside the majorant disc the bound is void
-        res = evaluate_f(sol30, radii.kappa * 1.01)
-        assert not res.tail_valid
+        assert majorant_tail_bound(radii, sol30.K, radii.kappa * 1.01) is None
 
     def test_majorant_conformance(self, perturbative):
         c = resolvent_bound(perturbative,

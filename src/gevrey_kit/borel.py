@@ -250,7 +250,8 @@ def optimal_truncation_sum(a_values: np.ndarray, eps: complex) -> SummationRepor
     smallest term ||a_i|| |eps|^i.  A smallest term or a partial sum that
     overflows double precision raises `GevreyKitError`."""
     arr = _coefficients(a_values)
-    eps = complex(eps)
+    # a numpy eps**i overflows to inf, where a Python complex one raises
+    eps = np.complex128(eps)
     value = np.zeros(arr.shape[1], dtype=np.complex128)
     # overflow is detected on the sum, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,11 +259,8 @@ def optimal_truncation_sum(a_values: np.ndarray, eps: complex) -> SummationRepor
         # a zero term stays 0 where |eps|^i overflows
         sizes = np.where(norms > 0, norms * np.abs(eps) ** np.arange(arr.shape[0]), 0.0)
         i_star = int(np.argmin(sizes))
-        try:
-            for i in range(i_star):
-                value += arr[i] * eps**i
-        except OverflowError:   # eps**i leaves the double range
-            value[:] = math.inf
+        for i in range(i_star):
+            value += arr[i] * eps**i
     if not (np.all(np.isfinite(value)) and math.isfinite(sizes[i_star])):
         raise GevreyKitError(f"the truncated sum at eps = {eps:.6g} overflows double precision")
     return SummationReport(value=value, quadrature_error_estimate=float(sizes[i_star]),

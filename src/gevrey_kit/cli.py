@@ -18,8 +18,8 @@ operational or usage error, with one `gevrey-kit: error:` line on stderr.
 Every option takes one value, and a value may be a negative number
 (`--eps -0.3,0.1`, `--z -1e-3`); any other value that starts with '-'
 needs the '=' form.  A list option (`--eps`, `--z`) needs at least one
-number.  `diagnose` takes one `--z`, the point of its remainder table,
-and a positive `--sigma`.
+number.  `solve` takes `--K` up to `_MAX_K`.  `diagnose` takes one `--z`,
+the point of its remainder table, and a positive `--sigma`.
 
 Start-up: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 unless they are already set, before numpy is
@@ -58,6 +58,9 @@ _EXIT_CODES = {"ok": 0, "summable": 0, "pass": 0, "not-summable": 2,
 #: max(1, max|f|) as not solved: z outside the disc of convergence, or
 #: eps*k near an eigenvalue so that the coefficients blow up
 _SOLVE_RESIDUAL_RTOL = 1e-8
+#: the largest `solve --K`: the z-recursion takes O(K^2) time, and at this K
+#: one eps of a nu = 8 problem takes about 14 s and 105 MB
+_MAX_K = 10_000
 
 
 def _float_list(text: str) -> list[float]:
@@ -225,6 +228,8 @@ def _cmd_check_sector(args):
 def _cmd_solve(args):
     from .zsolver import evaluate_f, ode_residual_z, solve_coeffs_z
 
+    if args.K > _MAX_K:
+        raise ValueError(f"--K must be at most {_MAX_K}, got {args.K}")
     p = _load_problem(args)
     blocks = []
     verdict = "ok"

@@ -18,16 +18,16 @@ One driver, `_jets_at(p, z, I, L, where)`, runs this recursion at a centre
 z on jets in h = z' - z and returns a_0..a_I, a_i to h-length L - i, with
 their residuals.  It works in complex128, or at the current mpmath
 precision when z is an mpmath number, on the (eps, z) coefficient arrays
-of `problem.assemble_B`, recentred at z when z != 0.  a_0(z) is 0 at the
-origin (the problem is normalized) and elsewhere a Newton root started
-from the a_0 series at 0.  The h-coefficients of a_0 follow one at a time
-against T_0(z)^-1, and from them the jet of T_0.  The orders run on the
-online kernel `series.solve_triangular` over jets, with eps as the
+of `problem.assemble_B`, shifted to z by `series._taylor_shift`.  a_0(z)
+is 0 at the origin (the problem is normalized) and elsewhere a Newton root
+started from the a_0 series at 0.  The h-coefficients of a_0 follow one at
+a time against T_0(z)^-1, and from them the jet of T_0.  The orders run on
+the online kernel `series.solve_triangular` over jets, with eps as the
 recursion variable and the h-coefficients as entries; the kernel keeps
 each block's eps-Cauchy partial contractions against sum_l a_l eps^l, so
 order i costs O(i) where the composition sum costs O(i^(m-1)).  Order i is
-formed with a_i = 0, which is R_i; a_i follows by forward substitution
-against the coefficients of T_0; the kernel then adds the terms linear in
+formed with a_i = 0, which is R_i; a_i follows by the forward substitution
+`series._divide` against T_0; the kernel then adds the terms linear in
 a_i, which gives the whole eps^i coefficient, and every a_i is checked for
 overflow and against it.
 
@@ -41,14 +41,13 @@ the returned series.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GevreyKitError, InsufficientOrderError, SingularMatrixError
 from .problem import ProblemSpec, assemble_B
-from .series import MatSeries, VecSeries, _jet_apply, solve_triangular
+from .series import MatSeries, VecSeries, _divide, _jet_apply, _taylor_shift, solve_triangular
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -99,19 +98,6 @@ def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
     return z0 * prev[:, 1: L + 1] * (k + 1) + prev[:, :L] * k
 
 
-def _forward_substitute(rhs: np.ndarray, t0: np.ndarray, t0_inv: np.ndarray) -> np.ndarray:
-    """Solve T_0 a = rhs on h-coefficients, with `t0` the coefficients of
-    T_0 (shape (nu, nu, >= L)) and `t0_inv` the inverse of its constant term."""
-    nu, L = rhs.shape
-    ai = np.zeros((nu, L), dtype=rhs.dtype)
-    for q in range(L):
-        acc = rhs[:, q]
-        if q:
-            acc = acc - (t0[:, :, 1: q + 1].reshape(nu, -1) @ ai[:, q - 1::-1].reshape(-1))
-        ai[:, q] = t0_inv @ acc
-    return ai
-
-
 def _checked_residual(i: int, resid: np.ndarray, scale: np.ndarray, where: str) -> float:
     """max|resid| relative to max(1, max|scale|), which must not exceed
     _RESIDUAL_RTOL for the defining relation of a_i."""
@@ -131,7 +117,7 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
     orders, L0 = a.shape[1:]
 
     def solve(i: int, forcing: np.ndarray) -> np.ndarray:
-        ai = _forward_substitute(_lin_rhs(a[:, i - 1], z0, L0 - i) - forcing, t0, t0_inv)
+        ai = _divide(_lin_rhs(a[:, i - 1], z0, L0 - i) - forcing, t0, t0_inv)
         if ai.dtype != object and not np.all(np.isfinite(ai)):
             raise GevreyKitError(f"a_{i} overflows double precision {where}")
         return ai
@@ -155,15 +141,6 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
 #: z-orders of the a_0 series tried in turn to start the Newton iteration for a_0(z)
 _A0_START_ORDERS = (40, 80, 160, 320)
 _NEWTON_MAX_ITER = 60
-
-
-def _recentre(poly: np.ndarray, z0) -> np.ndarray:
-    """Coefficients of p(z0 + h) in h from those of p(z) (trailing axis)."""
-    out = np.zeros_like(poly)
-    for n in range(poly.shape[-1]):
-        for q in range(n + 1):
-            out[..., q] += math.comb(n, q) * z0 ** (n - q) * poly[..., n]
-    return out
 
 
 def _F0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
@@ -216,14 +193,8 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
 
     blocks = {m: work(e) for m, e in assemble_B(p).items()}
     if z0 != 0:
-        # overflow is detected on the recentred blocks, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                blocks = {m: _recentre(e, z0) for m, e in blocks.items()}
-            except OverflowError:   # a power of z0 leaves the double range
-                blocks = None
-        if blocks is None or not all(e.dtype == object or np.all(np.isfinite(e))
-                                     for e in blocks.values()):
+        blocks = {m: _taylor_shift(e, z0) for m, e in blocks.items()}
+        if not all(e.dtype == object or np.all(np.isfinite(e)) for e in blocks.values()):
             raise GevreyKitError(f"the blocks recentred {where} overflow double precision")
     blocks0 = [(m, e[..., 0, :]) for m, e in blocks.items()]
 

@@ -155,7 +155,8 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
 
         work, unit = mpmath.mpc, 2.0 ** -mpmath.mp.prec
     else:
-        work, unit = complex, 2.0 ** -53
+        # a numpy eps**I overflows to inf, where a Python complex one raises
+        work, unit = np.complex128, 2.0 ** -53
     a_vals = eps_values_at(p, work(z), I_max)  # (I_max+1, nu)
     a_norms = np.linalg.norm(a_vals.astype(np.complex128), axis=1)
 
@@ -167,12 +168,9 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         partial = np.zeros_like(f_ref)
         # overflow is detected on the table, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                for I in range(I_max + 1):
-                    abs_r_eps[I] = _norm(f_ref - partial)
-                    partial = partial + a_vals[I] * eps**I
-            except OverflowError:   # eps**I leaves the double range
-                abs_r_eps[:] = math.inf
+            for I in range(I_max + 1):
+                abs_r_eps[I] = _norm(f_ref - partial)
+                partial = partial + a_vals[I] * eps**I
             eps_powers = abs(complex(eps_in)) ** np.arange(I_max + 1)
             abs_r = abs_r_eps / eps_powers
             i_star = int(np.argmin(abs_r_eps))

@@ -68,7 +68,9 @@ def _angular_distances(eigs: np.ndarray, theta: float) -> np.ndarray:
 def check_siegel(eigs: np.ndarray, theta: float, gamma: float) -> SiegelCheck:
     """True when every eigenvalue ray stays outside the closed sector,
     i.e. the wrapped angular distance of each arg(lambda_j) from theta
-    exceeds gamma/2."""
+    exceeds gamma/2.  The opening gamma must lie in (0, 2*pi]."""
+    if not 0.0 < gamma <= 2.0 * math.pi:
+        raise ValueError(f"the opening gamma must lie in (0, 2*pi], got {gamma}")
     d = _angular_distances(eigs, theta)
     margins = d - gamma / 2.0
     return SiegelCheck(ok=bool(np.min(d) > gamma / 2.0), margins=margins)

@@ -1,5 +1,6 @@
 """Truncated power series over complex vectors and matrices, and the
-Taylor-jet kernel that every recursion runs on.
+Taylor-jet kernel: the one module that multiplies, divides, shifts or
+evaluates truncated series.
 
 A series here stores exactly the coefficients it knows and the formal variable
 it lives in.  Coefficients beyond the recorded order are *unknown*, not zero.
@@ -10,23 +11,26 @@ arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 `_cauchy` contracts the last slot of a block whose entries are truncated
 series with series, by one matrix product against a Toeplitz array, in any
 dtype numpy can multiply (complex128 or object arrays of mpmath numbers);
-`_jet_apply` fills every slot with it.  `solve_triangular` solves for the
-coefficients of an unknown series one at a time, each coefficient a vector
-of jets.  It keeps the partial contractions of every block and extends
-them by one coefficient per step (the online scheme of van der Hoeven), so
-step k costs O(k).  Leading batch axes carry independent problems through
-the same steps (the vector mode of Taylor arithmetic, ibid.).  With jets
-of length 1 it runs the z-recursion at every eps of a batch, a_0 and the
-normalization shift; with jets in h it runs the eps-orders.
-`multilinear_apply` applies one block to plain vectors for
-`ProblemSpec.eval_F`, which shares no code with the kernel it checks, and
-the Neumann inversion (`mat_series_inverse`, `MatSeries.matmul/apply_vec`)
-remains as a brute-force reference.  `_horner` sums every polynomial at a
-point.  The composition sum, and the convolution-taming constant with its
-inequality, are test oracles (tests/oracles.py).
+`_jet_apply` fills every slot with it, in `MatSeries` products too.
+`solve_triangular` solves for the coefficients of an unknown series one at
+a time, each coefficient a vector of jets.  It keeps the partial
+contractions of every block and extends them by one coefficient per step
+(the online scheme of van der Hoeven), so step k costs O(k).  Leading
+batch axes carry independent problems through the same steps (the vector
+mode of Taylor arithmetic, ibid.).  With jets of length 1 it runs the
+z-recursion at every eps of a batch, a_0 and the normalization shift; with
+jets in h it runs the eps-orders.  `_divide` solves t x = rhs by forward
+substitution, for T_0 a_i = rhs and, column by column, for
+`mat_series_inverse`.  `_taylor_shift` re-centres polynomials, and
+`_horner` sums every polynomial at a point.  `multilinear_apply` applies
+one block to plain vectors for `ProblemSpec.eval_F`, which shares no code
+with the kernel it checks.  The composition sum, and the
+convolution-taming constant with its inequality, are test oracles
+(tests/oracles.py).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -138,22 +142,15 @@ class MatSeries:
     def matmul(self, other: "MatSeries") -> "MatSeries":
         if self.var != other.var:
             raise VarMismatchError("matrix series variable mismatch")
-        k = min(self.order, other.order)
-        out = np.zeros((self.nu, self.nu, k + 1), dtype=np.complex128)
-        for p in range(k + 1):
-            for q in range(p + 1):
-                out[:, :, p] += self.coeffs[:, :, q] @ other.coeffs[:, :, p - q]
-        return MatSeries(out, self.var)
+        L = min(self.order, other.order) + 1
+        return MatSeries(np.stack([_jet_apply(self.coeffs, [col], L)
+                                   for col in other.coeffs.swapaxes(0, 1)], axis=1), self.var)
 
     def apply_vec(self, v: VecSeries) -> VecSeries:
         if self.var != v.var:
             raise VarMismatchError("matrix/vector series variable mismatch")
-        k = min(self.order, v.order)
-        out = np.zeros((self.nu, k + 1), dtype=np.complex128)
-        for p in range(k + 1):
-            for q in range(p + 1):
-                out[:, p] += self.coeffs[:, :, q] @ v.coeffs[:, p - q]
-        return VecSeries(out, self.var)
+        return VecSeries(_jet_apply(self.coeffs, [v.coeffs], min(self.order, v.order) + 1),
+                         self.var)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +184,8 @@ def multilinear_apply(entries: np.ndarray, vectors: Sequence[np.ndarray]) -> np.
 def mat_series_inverse(t: MatSeries) -> MatSeries:
     """Invert a matrix series whose constant term is invertible.
 
-    Uses the Neumann recursion ``S_0 = T(0)^{-1}``,
-    ``S_k = -T(0)^{-1} sum_{j=1..k} T_j S_{k-j}`` and verifies
-    ``T S = I + O(var^(K+1))`` to the coefficient tolerance.
+    Solves ``T S = I`` column by column with the series division `_divide`
+    and verifies ``T S = I + O(var^(K+1))`` to the coefficient tolerance.
     """
     t0 = t.constant()
     svals = np.linalg.svd(t0, compute_uv=False)
@@ -199,18 +195,12 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
         raise SingularMatrixError(
             "constant term of the matrix series is numerically singular "
             f"(norm {smax:.3e}, smallest singular value {smin:.3e})")
-    nu, order = t.nu, t.order
-    t0inv = np.linalg.solve(t0, np.eye(nu, dtype=np.complex128))
-    s = np.zeros((nu, nu, order + 1), dtype=np.complex128)
-    s[:, :, 0] = t0inv
-    for k in range(1, order + 1):
-        acc = np.zeros((nu, nu), dtype=np.complex128)
-        for j in range(1, k + 1):
-            acc += t.coeffs[:, :, j] @ s[:, :, k - j]
-        s[:, :, k] = -t0inv @ acc
+    eye = np.eye(t.nu, dtype=np.complex128)
+    t0inv = np.linalg.solve(t0, eye)
+    s = np.stack([_divide(_fit(e[:, None], t.order + 1), t.coeffs, t0inv) for e in eye], axis=1)
     inv = MatSeries(s, t.var)
     resid = t.matmul(inv).coeffs.copy()
-    resid[:, :, 0] -= np.eye(nu)
+    resid[:, :, 0] -= eye
     scale = max(1.0, float(np.abs(t.coeffs).max()), float(np.abs(s).max()))
     worst = float(np.abs(resid).max())
     if worst > COEFF_TOL * scale:
@@ -263,6 +253,31 @@ def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.nda
     for x in reversed(factors):
         t = _cauchy(t[..., None, :], x[:, None, :], L)
     return _fit(t, L) if not factors else t
+
+
+def _divide(rhs: np.ndarray, t: np.ndarray, t0_inv: np.ndarray) -> np.ndarray:
+    """The series x with t x = rhs, by forward substitution: `rhs` has
+    shape (nu, L), `t` holds the coefficients of a matrix series (shape
+    (nu, nu, >= L)) and `t0_inv` the inverse of its constant term."""
+    nu, L = rhs.shape
+    x = np.zeros((nu, L), dtype=rhs.dtype)
+    for q in range(L):
+        acc = rhs[:, q]
+        if q:
+            acc = acc - (t[:, :, 1: q + 1].reshape(nu, -1) @ x[:, q - 1::-1].reshape(-1))
+        x[:, q] = t0_inv @ acc
+    return x
+
+
+def _taylor_shift(poly: np.ndarray, z0) -> np.ndarray:
+    """Coefficients of p(z0 + h) in h from those of p(z) (trailing axis):
+    coefficient q is sum_n C(n, q) p_n z0^(n - q), summed by `_horner` in
+    z0.  A shift that overflows comes out non-finite, without a warning;
+    the caller checks for it."""
+    N = poly.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([_horner([math.comb(n, q) * poly[..., n] for n in range(q, N)], z0)
+                         for q in range(N)], axis=-1)
 
 
 def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,

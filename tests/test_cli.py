@@ -64,6 +64,22 @@ class TestCheckSector:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["-1", "0", "7"])
+    def test_opening_outside_range_is_refused(self, tmp_path, capsys, gamma):
+        # an empty or over-full sector has no ray condition to check
+        code, rep = run_json(tmp_path, ["check-sector", "--builtin", "riccati",
+                                        f"--gamma={gamma}"])
+        assert (code, rep) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("gevrey-kit: error: the opening gamma must lie in (0, 2*pi]")
+        assert err.count("\n") == 1
+
+    def test_full_opening_is_accepted(self, tmp_path):
+        code, rep = run_json(tmp_path, ["check-sector", "--builtin", "riccati",
+                                        "--gamma", repr(2 * math.pi)])
+        assert code == 0
+        assert rep["data"]["gamma"] == 2 * math.pi
+
 
 class TestSolve:
     def test_values_match_reference(self, tmp_path, report_schema):
@@ -135,6 +151,13 @@ class TestSolve:
         jsonschema.validate(rep, report_schema)
         assert rep["verdict"] == "residual-too-large"
         assert rep["data"]["eps_blocks"][0]["max_ode_residual"] is None
+
+    def test_order_above_limit_is_refused(self, tmp_path, capsys):
+        # refused before the recursion allocates anything
+        code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati", "--K", "10001"])
+        assert (code, rep) == (1, None)
+        err = capsys.readouterr().err
+        assert err == "gevrey-kit: error: --K must be at most 10000, got 10001\n"
 
     def test_overflow_exits_operational(self, tmp_path, capsys):
         code = main(["solve", "--builtin", "riccati", "--K", "1000"])

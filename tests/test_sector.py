@@ -49,6 +49,16 @@ class TestSiegel:
         with pytest.raises(DegenerateSpectrumError):
             check_siegel(np.array([0.0, 1.0]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 2 * math.pi + 1e-12, 7.0, math.nan])
+    def test_opening_outside_range(self, gamma):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            check_siegel(np.array([-1.0]), 0.0, gamma)
+
+    def test_full_opening(self):
+        # the whole plane but the ray of -1 itself, which the closed sector meets
+        assert not check_siegel(np.array([-1.0]), 0.0, 2 * math.pi).ok
+        assert check_siegel(np.array([-1.0]), 0.0, 2 * math.pi - 1e-9).ok
+
     def test_gamma_max_values(self):
         assert gamma_max(np.array([-1.0]), 0.0).gamma_max == pytest.approx(2 * math.pi)
         assert gamma_max(np.array([-1.0]), 0.0).summable

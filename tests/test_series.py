@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gevrey_kit.errors import (
     SingularMatrixError,
     VarMismatchError,
 )
-from gevrey_kit.series import _jet_apply, solve_triangular
+from gevrey_kit.series import _jet_apply, _taylor_shift, solve_triangular
 from oracles import CONV_TAMING_A, compositions, lemma_conv_bound
 
 
@@ -314,6 +315,40 @@ class TestMatInverse:
         resid = t.matmul(s).coeffs.copy()
         resid[:, :, 0] -= np.eye(nu)
         assert np.abs(resid).max() <= 1e-12 * max(1.0, np.abs(s.coeffs).max())
+
+
+class TestApplyVec:
+    def test_hand_computed_product(self):
+        # A(z) = [[1, z], [2z, 3]] times v(z) = (1 + z^2, 2 + z - z^2),
+        # truncated to the order 1 of A: (1, 6) + (2, 5) z
+        a = np.array([[[1, 0], [0, 1]], [[0, 2], [3, 0]]], dtype=complex)
+        v = np.array([[1, 0, 1], [2, 1, -1]], dtype=complex)
+        got = MatSeries(a).apply_vec(VecSeries(v))
+        assert got.order == 1
+        np.testing.assert_array_equal(got.coeffs, [[1, 2], [6, 5]])
+
+    def test_var_mismatch(self):
+        with pytest.raises(VarMismatchError):
+            MatSeries(np.ones((1, 1, 2))).apply_vec(vs([1, 1], var="eps"))
+
+
+class TestTaylorShift:
+    def test_complex_centre_against_derivatives(self):
+        # coefficient q of p(z0 + h) is p^(q)(z0) / q!
+        rng = np.random.default_rng(7)
+        poly = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        z0 = complex(0.7, -1.3)
+        want = np.stack([np.polynomial.polynomial.polyval(
+            z0, np.polynomial.polynomial.polyder(poly, q, axis=-1).T).T / math.factorial(q)
+            for q in range(5)], axis=-1)
+        np.testing.assert_allclose(_taylor_shift(poly, z0), want, rtol=1e-13, atol=1e-13)
+
+    def test_overflow_is_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _taylor_shift(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex), 1e200)
+        assert not np.all(np.isfinite(out))
+        assert out[3] == 1.0
 
 
 class TestDerivativeEvaluate:

@@ -30,8 +30,20 @@ _ETA = 1e-16
 _SAFETY = 1.5
 _POLE_SAFETY = 1e-3
 _RCOND = 1e-12
+#: the positive nodes and their weights of the 24-point Gauss-Legendre rule on
+#: [-1, 1], the bits of np.polynomial.legendre.leggauss(24), written out so
+#: that a process does not load numpy.polynomial for one rule
+_GAUSS_X_POS = np.array([
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213])
+_GAUSS_W_POS = np.array([
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869])
 #: nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1]
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+_GAUSS_X = np.concatenate([-_GAUSS_X_POS[::-1], _GAUSS_X_POS])
+_GAUSS_W = np.concatenate([_GAUSS_W_POS[::-1], _GAUSS_W_POS])
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,11 +27,23 @@ imported.  The blocks have at most MAX_DIMENSION = 8 entries per slot, and
 a second BLAS thread does not shorten a job; its idle worker only spins
 on another core.  A process that imported numpy before this module keeps
 its thread pool.  Each subcommand imports only the library layers it runs.
+Run as `python -m gevrey_kit.cli`, the module also switches the cyclic
+garbage collector off before numpy loads, and freezes every object
+(`gc.freeze`) just before `sys.exit`, so that the collection at interpreter
+teardown skips them; atexit handlers and stream flushes still run.  The
+process runs one job, and the collector would only walk the ~22k
+long-lived objects of numpy and the package, 31 times during the imports
+and once at teardown: on a 2-vCPU x86_64 host that cost 35-56 ms of a
+0.26-0.39 s benchmark job.  A job leaves the same 346 unreachable objects,
+its argument parser's, whatever its K or I.  Importing this module, as the
+tests and library users do, leaves the importing process's collector as
+it was.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -46,6 +58,10 @@ from .errors import GevreyKitError, PoleObstructionError, ResonanceError
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+if __name__ == "__main__":
+    # a CLI process runs one job and exits: the collector would only walk the
+    # long-lived objects of numpy and the package, again and again
+    gc.disable()
 
 import numpy as np  # noqa: E402  (OpenBLAS reads the thread count when numpy loads)
 
@@ -437,4 +453,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_code = main()
+    # the permanent generation is left out of the collection at teardown
+    gc.freeze()
+    sys.exit(exit_code)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from gevrey_kit import (
     BorelData,
+    borel,
     borel_transform,
     laplace_sum,
     optimal_truncation_sum,
@@ -132,6 +133,11 @@ class TestPade:
 
 
 class TestLaplace:
+    def test_gauss_rule_is_numpys(self):
+        x, w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(borel._GAUSS_X, x)
+        assert np.array_equal(borel._GAUSS_W, w)
+
     def test_zero_transform_returns_constant(self):
         b = BorelData(a0_value=np.array([1.25 + 0j]),
                       b_coeffs=np.zeros((8, 1), dtype=complex))

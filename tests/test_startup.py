@@ -1,7 +1,9 @@
 """Start-up of the package and of the command line, each in a fresh
 interpreter: what `import gevrey_kit` loads, the BLAS thread count the CLI
-sets before numpy loads, and the real `python -m gevrey_kit.cli` entry
-point against in-process `cli.main`."""
+sets before numpy loads, the cyclic garbage collector that only the
+`python -m gevrey_kit.cli` process switches off, and that entry point
+against in-process `cli.main`."""
+import gc
 import json
 import os
 import subprocess
@@ -97,6 +99,15 @@ def test_solve_loads_only_its_layers(tmp_path):
                       "gevrey_kit.series", "gevrey_kit.zsolver"]
 
 
+def test_resum_leaves_numpy_polynomial_unloaded(tmp_path):
+    out = tmp_path / "resum.json"
+    code = ("import json, sys; from gevrey_kit.cli import main; "
+            f"code = main(['resum', '--builtin', 'riccati', '--I', '12', '--out', {str(out)!r}]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.startswith('numpy.polynomial'))]))")
+    assert run_python(code) == [0, []]
+
+
 def test_public_names():
     code = ("import json, gevrey_kit; ns = {}; exec('from gevrey_kit import *', ns); "
             "print(json.dumps([sorted(gevrey_kit.__all__), "
@@ -122,26 +133,98 @@ def test_unknown_name_raises_attribute_error():
         from gevrey_kit import no_such_name  # noqa: F401
 
 
-#: every subcommand once, with its exit code; the z = 0.5 solve lies
-#: outside the disc of convergence
+#: every subcommand once, with its exit code and the files it writes; the
+#: first is its --out, and a case that writes none reports to stdout.  The
+#: z = 0.5 solve lies outside the disc of convergence.
 ENTRY_POINT_CASES = [
-    (["check-sector", "--builtin", "riccati", "--gamma", "1.0"], 0),
-    (["solve", "--builtin", "riccati", "--eps", "0.1,0.2", "--z", "0.05,0.1"], 0),
-    (["solve", "--builtin", "riccati", "--eps", "0.1", "--z", "0.5"], 2),
-    (["resum", "--builtin", "riccati", "--I", "12", "--eps", "0.1", "--z", "0.05"], 0),
-    (["diagnose", "--builtin", "riccati", "--I", "12"], 0),
-    (["validate-riccati"], 0),
+    (["check-sector", "--builtin", "riccati", "--gamma", "1.0"], 0, ["report.json"]),
+    (["solve", "--builtin", "riccati", "--eps", "0.1,0.2", "--z", "0.05,0.1"], 0,
+     ["report.json"]),
+    (["solve", "--builtin", "riccati", "--eps", "0.1", "--z", "0.5"], 2, ["report.json"]),
+    (["resum", "--builtin", "riccati", "--I", "12", "--eps", "0.1", "--z", "0.05"], 0,
+     ["report.json"]),
+    (["diagnose", "--builtin", "riccati", "--I", "12"], 0, ["report.json"]),
+    (["validate-riccati"], 0, ["report.json"]),
+    (["solve", "--builtin", "riccati", "--eps", "0.2", "--z", "0.1"], 0, []),
+    (["diagnose", "--builtin", "riccati", "--I", "12", "--format", "csv"], 0,
+     ["report.csv", "report_remainder.csv"]),
+]
+CASE_IDS = [" ".join(c[0][:1] + c[0][3:]) for c in ENTRY_POINT_CASES]
+
+
+@pytest.mark.parametrize("argv, exit_code, files", ENTRY_POINT_CASES, ids=CASE_IDS)
+def test_entry_point_matches_in_process(tmp_path, capsys, argv, exit_code, files):
+    sub_dir, inproc_dir = tmp_path / "sub", tmp_path / "inproc"
+    sub_dir.mkdir()
+    inproc_dir.mkdir()
+
+    def out(d):
+        return ["--out", str(d / files[0])] if files else []
+
+    proc = subprocess.run([sys.executable, "-m", "gevrey_kit.cli", *argv, *out(sub_dir)],
+                          env=fresh_env(), capture_output=True, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stderr == b""
+    assert main([*argv, *out(inproc_dir)]) == exit_code
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert bool(proc.stdout) == (not files)
+    assert sorted(p.name for p in sub_dir.iterdir()) == sorted(files)
+    assert sorted(p.name for p in inproc_dir.iterdir()) == sorted(files)
+    for name in files:
+        assert (sub_dir / name).read_bytes() == (inproc_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [c[0] for c in ENTRY_POINT_CASES], ids=CASE_IDS)
+def test_in_process_main_keeps_the_collector(tmp_path, argv):
+    before = gc.isenabled(), gc.get_freeze_count()
+    main([*argv, "--out", str(tmp_path / "report")])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_cli_import_keeps_the_collector():
+    assert run_python("import gc, json, gevrey_kit.cli; "
+                      "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))") == [True, 0]
+
+
+def test_entry_point_freezes_before_exit(tmp_path):
+    """The module run as __main__ switches the collector off and freezes
+    every object before its sys.exit, which still runs atexit handlers."""
+    out = tmp_path / "solve.json"
+    code = ("import atexit, gc, json, runpy, sys; "
+            "atexit.register(lambda: print(json.dumps("
+            "[gc.isenabled(), gc.get_freeze_count() > 10000, len(gc.get_objects())]))); "
+            f"sys.argv = ['gevrey-kit', 'solve', '--builtin', 'riccati', '--out', {str(out)!r}]; "
+            "runpy.run_module('gevrey_kit.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    enabled, frozen, tracked = json.loads(proc.stdout.splitlines()[-1])
+    assert not enabled and frozen
+    assert tracked < 100
+    assert out.is_file()
+
+
+#: a job, and the options that grow it (argparse keeps the later value)
+GROWN_JOBS = [
+    (["solve", "--builtin", "riccati", "--K", "60"], ["--K", "600"]),
+    (["diagnose", "--builtin", "riccati", "--I", "12"], ["--I", "40"]),
 ]
 
 
-@pytest.mark.parametrize("argv, exit_code", ENTRY_POINT_CASES,
-                         ids=[" ".join(c[0][:1] + c[0][3:]) for c in ENTRY_POINT_CASES])
-def test_entry_point_matches_in_process(tmp_path, argv, exit_code):
-    sub_out, inproc_out = tmp_path / "sub.json", tmp_path / "inproc.json"
-    proc = subprocess.run([sys.executable, "-m", "gevrey_kit.cli", *argv,
-                           "--out", str(sub_out)],
-                          env=fresh_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == exit_code, proc.stderr
-    assert proc.stderr == ""
-    assert main([*argv, "--out", str(inproc_out)]) == exit_code
-    assert sub_out.read_bytes() == inproc_out.read_bytes()
+@pytest.mark.parametrize("argv, grown", GROWN_JOBS, ids=["solve", "diagnose"])
+def test_cyclic_garbage_does_not_grow_with_the_job(tmp_path, argv, grown):
+    """The CLI process never collects cycles: what a job leaves unreachable
+    stays until exit, so it must not grow with K or I."""
+    out = ["--out", str(tmp_path / "report.json")]
+    main([*argv, *out])  # lazy imports and caches fill here
+
+    def garbage(job):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main([*job, *out]) == 0
+        finally:
+            gc.enable()
+        return gc.collect()
+
+    assert garbage([*argv, *grown]) == garbage(argv)

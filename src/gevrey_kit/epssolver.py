@@ -40,16 +40,15 @@ the returned series.
 """
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GevreyKitError, InsufficientOrderError, SingularMatrixError
+from .errors import GevreyKitError, InsufficientOrderError
 from .problem import ProblemSpec, assemble_B
-from .series import MatSeries, VecSeries, _divide, _jet_apply, _taylor_shift, solve_triangular
-
-_RESIDUAL_RTOL = 1e-10
+from .series import (MatSeries, VecSeries, _check_relation, _checked_inverse, _divide,
+                     _jet_apply, _taylor_shift, _working, solve_triangular)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +97,6 @@ def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
     return z0 * prev[:, 1: L + 1] * (k + 1) + prev[:, :L] * k
 
 
-def _checked_residual(i: int, resid: np.ndarray, scale: np.ndarray, where: str) -> float:
-    """max|resid| relative to max(1, max|scale|), which must not exceed
-    _RESIDUAL_RTOL for the defining relation of a_i."""
-    rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(scale).max()))
-    if not rel <= _RESIDUAL_RTOL:
-        raise GevreyKitError(f"defining relation for a_{i} left residual {rel:.3e} {where}")
-    return rel
-
-
 def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarray,
                   t0_inv: np.ndarray, where: str) -> list[float]:
     """Fill a = (a_0, ..., a_I), shape (nu, I + 1, L_0) with a_0 given, from
@@ -128,9 +118,11 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
         whole = solve_triangular([(m, e[..., :orders, :]) for m, e in blocks.items()],
                                  a, solve)
         for i in range(1, orders):
+            # its terms cancel, so the scale is the largest, not each entry's
             za_prime = _lin_rhs(a[:, i - 1], z0, L0 - i)
-            residuals.append(_checked_residual(i, za_prime - whole[:, i, : L0 - i],
-                                               za_prime, where))
+            residuals.append(_check_relation(za_prime - whole[:, i, : L0 - i],
+                                             np.abs(za_prime).max(),
+                                             f"defining relation for a_{i}", where))
     return residuals
 
 
@@ -148,11 +140,6 @@ def _F0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
     return sum(_jet_apply(e, [a0] * m, L) for m, e in blocks0)
 
 
-def is_mpmath(x) -> bool:
-    """True for mpmath numbers, tested without importing mpmath."""
-    return type(x).__module__.split(".")[0] == "mpmath"
-
-
 def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray, list[float]]:
     """h-jets of a_0..a_I at the centre z, shape (nu, I + 1, L) with a_i to
     length L - i (L > I), and the relative residuals of their defining
@@ -168,27 +155,14 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
       it leads to within 1e-6.
     * The h-coefficients of a_0 are found one at a time, each against
       T_0(z)^-1, and checked for overflow and against F(0, z, a_0) = 0,
-      relative to the same jet summed over the absolute values of blocks
-      and a_0; `_solve_orders` then forms the a_i against the jet of T_0.
+      each relative to the same coefficient summed over the absolute
+      values of blocks and a_0; `_solve_orders` then forms the a_i against
+      the jet of T_0.
     """
     p.require_normalized()
-    if is_mpmath(z):
-        import mpmath
-
-        finite = mpmath.isfinite(z)
-        z0 = mpmath.mpc(z)
-        unit = 2.0 ** -mpmath.mp.prec
-        work = np.frompyfunc(mpmath.mpc, 1, 1)
-
-        def inverse(m: np.ndarray) -> np.ndarray:
-            return np.array(mpmath.inverse(mpmath.matrix(m.tolist())).tolist(), dtype=object)
-    else:
-        z0 = complex(z)
-        finite = cmath.isfinite(z0)
-        unit = 2.0 ** -53
-        work = np.asarray
-        inverse = np.linalg.inv
-    if not finite:
+    work, unit = _working(z)
+    z0 = work(z)
+    if not abs(z0) < math.inf:
         raise ValueError(f"the centre z = {z} is not finite")
 
     blocks = {m: work(e) for m, e in assemble_B(p).items()}
@@ -199,13 +173,7 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
     blocks0 = [(m, e[..., 0, :]) for m, e in blocks.items()]
 
     def jacobian_inverse(c: np.ndarray) -> np.ndarray:
-        jac = _T0_jet(blocks0, c[:, None], 1)[..., 0]
-        svals = np.linalg.svd(jac.astype(np.complex128), compute_uv=False)
-        if float(svals[-1]) <= 1e-14 * max(1.0, float(svals[0])):
-            raise SingularMatrixError(
-                f"T_0({complex(z0)}) is numerically singular "
-                f"(smallest singular value {float(svals[-1]):.3e})")
-        return inverse(jac)
+        return _checked_inverse(_T0_jet(blocks0, c[:, None], 1)[..., 0], f"T_0({complex(z0)})")
 
     def newton(start: np.ndarray, scale: float):
         """The root reached from `start`, or None if the iteration fails."""
@@ -247,11 +215,11 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
                              lambda k, rhs: -(t0_inv @ rhs))
     if jet.dtype != object and not np.all(np.isfinite(jet)):
         raise GevreyKitError(f"a_0 overflows double precision {where}")
-    # the whole h-coefficients of F(0, z0 + h, a_0) vanish for a root, up to
-    # the rounding of the terms they sum, which scale with the blocks
+    # each whole h-coefficient of F(0, z0 + h, a_0) vanishes for a root, up
+    # to the rounding of the terms it sums, which scale with the blocks
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _F0_jet([(m, np.abs(e)) for m, e in blocks0], np.abs(jet[..., 0]), L)
-    residuals = [_checked_residual(0, whole, terms, where)]
+    residuals = [_check_relation(whole[..., 0], terms, "defining relation for a_0", where)]
     a = np.zeros((p.nu, I + 1, L), dtype=c.dtype)
     a[:, 0] = jet[..., 0]
     if not I:   # a_0 alone needs neither the T_0 jet nor the order loop

@@ -16,7 +16,8 @@ class ArityMismatchError(GevreyKitError, ValueError):
 
 class SingularMatrixError(GevreyKitError):
     """A matrix that must be invertible is missing or numerically singular;
-    the message gives its smallest singular value or condition number."""
+    the message gives its smallest singular value, or the residual its
+    inverse left."""
 
 
 class SchemaError(GevreyKitError, ValueError):

@@ -13,10 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .epssolver import eps_values_at, is_mpmath
+from .epssolver import eps_values_at
 from .errors import GevreyKitError
 from .problem import ProblemSpec
-from .series import VecSeries
+from .series import VecSeries, _working
 from .zsolver import evaluate_f, solve_coeffs_z
 
 _K_REF = 80
@@ -150,13 +150,8 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
     else:
         refs = [reference(eps, z) for eps in eps_list]
     refs = [np.asarray(f, dtype=object).ravel() for f in refs]
-    if any(is_mpmath(v) for f in refs for v in f):
-        import mpmath
-
-        work, unit = mpmath.mpc, 2.0 ** -mpmath.mp.prec
-    else:
-        # a numpy eps**I overflows to inf, where a Python complex one raises
-        work, unit = np.complex128, 2.0 ** -53
+    # a numpy eps**I overflows to inf, where a Python complex one raises
+    work, unit = _working(*(v for f in refs for v in f))
     a_vals = eps_values_at(p, work(z), I_max)  # (I_max+1, nu)
     a_norms = np.linalg.norm(a_vals.astype(np.complex128), axis=1)
 

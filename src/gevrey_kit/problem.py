@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError, SchemaError, SingularMatrixError
-from .series import (COEFF_TOL, VecSeries, _check_finite, _freeze, _horner, _jet_apply,
-                     solve_triangular)
+from .series import (COEFF_TOL, VecSeries, _check_finite, _check_relation, _checked_inverse,
+                     _freeze, _horner, _jet_apply, solve_triangular)
 
 MAX_DIMENSION = 8
 
@@ -98,11 +98,7 @@ class ProblemSpec:
         a01 = self.blocks.get((0, 1))
         if a01 is None:
             raise SingularMatrixError("missing (0,1) block; the linear part must be present")
-        svals = np.linalg.svd(a01.at_eps(0.0), compute_uv=False)
-        if float(svals[-1]) <= 1e-10:
-            raise SingularMatrixError(
-                f"linear block at eps=0 is not invertible "
-                f"(smallest singular value {float(svals[-1]):.3e})")
+        _checked_inverse(a01.at_eps(0.0), "linear block at eps = 0")
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, int], CoeffTensor]:
@@ -317,10 +313,8 @@ def shift_problem(p: ProblemSpec, s: VecSeries, *,
     scale = max(1.0, max(float(np.abs(a).max()) for a in shifted.values()))
     zz = shifted.pop((0, 0), None)
     if zz is not None:
-        worst = float(np.abs(zz).max())
-        if worst > COEFF_TOL * scale:
-            raise NormalizationError(
-                f"shift does not remove the constant block (residual {worst:.3e})")
+        _check_relation(zz, scale, "the shift", "in the constant block", rtol=COEFF_TOL,
+                        error=NormalizationError)
 
     tensors = []
     for (n, m), arr in sorted(shifted.items()):
@@ -347,21 +341,19 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
         raise NormalizationError(
             "F(0,0,0) != 0: no shift with s(0) = 0 exists; supply a root")
 
-    a01_0 = p.a01(0.0)
+    a01_inv = _checked_inverse(p.a01(0.0), "linear block at eps = 0")
     # the z-constant blocks, with their eps-polynomial entries as series in eps
     zero_blocks = [(m, e[..., 0]) for m, e in assemble_B(p).items()]
     s = np.zeros((p.nu, k_eps + 1, 1), dtype=np.complex128)
     solve_triangular([(m, e[..., None]) for m, e in zero_blocks], s,
-                     lambda j, c: -np.linalg.solve(a01_0, c))
+                     lambda j, c: -(a01_inv @ c))
     s = s[..., 0]
 
     # the root check is relative to the largest block term A_{0,m}(s, ..., s)
     terms = [_jet_apply(e, [s] * m, k_eps + 1) for m, e in zero_blocks]
-    residual = float(np.abs(sum(terms)).max())
-    scale = max([1.0] + [float(np.abs(t).max()) for t in terms])
-    if not residual <= 1e-10 * scale:
-        raise NormalizationError(f"order-by-order root solve failed (residual {residual:.3e}, "
-                                 f"largest term {scale:.3e})")
+    _check_relation(sum(terms), max(float(np.abs(t).max()) for t in terms),
+                    "the order-by-order root", f"through eps-order {k_eps}",
+                    error=NormalizationError)
 
     shift = VecSeries(s, var="eps")
     shifted = shift_problem(p, shift, max_eps_order=k_eps)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError
 from .problem import MAX_DIMENSION
+from .series import SINGULAR_RTOL
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ def spectrum(a01: np.ndarray) -> np.ndarray:
 
 def _angular_distances(eigs: np.ndarray, theta: float) -> np.ndarray:
     eigs = np.atleast_1d(np.asarray(eigs, dtype=np.complex128))
-    scale = float(np.abs(eigs).max())
-    if scale == 0.0 or float(np.abs(eigs).min()) <= 1e-14 * max(1.0, scale):
+    if not np.abs(eigs).min() > SINGULAR_RTOL * np.abs(eigs).max():
         raise DegenerateSpectrumError("zero eigenvalue: ray condition undefined")
     diff = np.angle(eigs) - theta
     # wrap into [0, pi]: distance between rays

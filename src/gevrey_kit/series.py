@@ -27,6 +27,11 @@ one block to plain vectors for `ProblemSpec.eval_F`, which shares no code
 with the kernel it checks.  The composition sum, and the
 convolution-taming constant with its inequality, are test oracles
 (tests/oracles.py).
+
+Every module asks three verdicts of this one: `_working` picks the
+arithmetic, `_checked_inverse` refuses a singular matrix and
+`_check_relation` a relation that does not hold, both by tests relative
+to the problem's scale.
 """
 from __future__ import annotations
 
@@ -37,12 +42,16 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ArityMismatchError, SingularMatrixError, VarMismatchError
+from .errors import ArityMismatchError, GevreyKitError, SingularMatrixError, VarMismatchError
 
 SERIES_VARS = ("eps", "z", "t")
 
 #: Absolute coefficient tolerance, scaled by the largest coefficient magnitude.
 COEFF_TOL = 1e-12
+#: a matrix whose smallest singular value is at most this times its largest is singular
+SINGULAR_RTOL = 1e-14
+#: a relation holds when no residual exceeds this times max(1, |scale|)
+RELATION_RTOL = 1e-10
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,6 +72,45 @@ def _horner(coeffs: np.ndarray, x):
     for c in coeffs[::-1]:
         acc = acc * x + c
     return acc
+
+
+def _working(*values) -> tuple[Callable, float]:
+    """(coerce, unit roundoff) of the arithmetic for `values`: the current
+    mpmath precision when one is an mpmath number (told without importing
+    mpmath), else complex128.  `coerce` takes a number to a number and an
+    array to an array (of mpc objects, or complex128 without a copy)."""
+    if any(type(v).__module__.split(".")[0] == "mpmath" for v in values):
+        import mpmath
+
+        return np.frompyfunc(mpmath.mpc, 1, 1), 2.0 ** -mpmath.mp.prec
+    return np.complex128, 2.0 ** -53
+
+
+def _checked_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of `m` in its own arithmetic (complex128, or mpmath for an
+    object array), unless its smallest singular value is at most
+    SINGULAR_RTOL times its largest: then SingularMatrixError names `what`."""
+    svals = np.linalg.svd(m.astype(np.complex128), compute_uv=False)
+    if not svals[-1] > SINGULAR_RTOL * svals[0]:
+        raise SingularMatrixError(f"{what} is numerically singular "
+                                  f"(smallest singular value {float(svals[-1]):.3e})")
+    if m.dtype != object:
+        return np.linalg.inv(m)
+    import mpmath
+
+    return np.array(mpmath.inverse(mpmath.matrix(m.tolist())).tolist(), dtype=object)
+
+
+def _check_relation(resid, scale, what: str, where: str, *, rtol: float = RELATION_RTOL,
+                    error: type[GevreyKitError] = GevreyKitError) -> float:
+    """The largest |resid| relative to max(1, |scale|), entry by entry (a
+    scalar `scale` serves every entry).  Raises `error` naming `what` and
+    `where` when it exceeds `rtol` or is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = float(np.max(np.abs(resid) / np.maximum(1.0, np.abs(scale))))
+    if not rel <= rtol:
+        raise error(f"{what} left residual {rel:.3e} {where}")
+    return rel
 
 
 def _check_var(var: str) -> None:
@@ -187,26 +235,15 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
     Solves ``T S = I`` column by column with the series division `_divide`
     and verifies ``T S = I + O(var^(K+1))`` to the coefficient tolerance.
     """
-    t0 = t.constant()
-    svals = np.linalg.svd(t0, compute_uv=False)
-    smax = float(svals[0])
-    smin = float(svals[-1])
-    if smin <= 1e-14 * max(1.0, smax):
-        raise SingularMatrixError(
-            "constant term of the matrix series is numerically singular "
-            f"(norm {smax:.3e}, smallest singular value {smin:.3e})")
+    t0inv = _checked_inverse(t.constant(), "constant term of the matrix series")
     eye = np.eye(t.nu, dtype=np.complex128)
-    t0inv = np.linalg.solve(t0, eye)
     s = np.stack([_divide(_fit(e[:, None], t.order + 1), t.coeffs, t0inv) for e in eye], axis=1)
     inv = MatSeries(s, t.var)
     resid = t.matmul(inv).coeffs.copy()
     resid[:, :, 0] -= eye
-    scale = max(1.0, float(np.abs(t.coeffs).max()), float(np.abs(s).max()))
-    worst = float(np.abs(resid).max())
-    if worst > COEFF_TOL * scale:
-        raise SingularMatrixError(
-            f"matrix series inverse failed verification (residual {worst:.3e}, "
-            f"condition number {smax / smin:.3e})")
+    _check_relation(resid, max(float(np.abs(t.coeffs).max()), float(np.abs(s).max())),
+                    "matrix series inverse", "in T S = I", rtol=COEFF_TOL,
+                    error=SingularMatrixError)
     return inv
 
 

@@ -15,8 +15,8 @@ eps*k*I - A01 at every eps and k are factored by one batched SVD, and one
 recursion carries all eps, each contraction one batched matrix product.
 Each eps gets the bits it would get alone.  Step k takes its solution
 from those factors; after the recursion every step is checked for
-resonance (eps*k landing on an eigenvalue of the linear block, from the
-singular values) and by an explicit residual, and a batch raises the error
+resonance (eps*k landing on an eigenvalue of A01(eps), from one batched
+eigenvalue call) and by an explicit residual, and a batch raises the error
 that solving its eps one by one, in order, would raise first.  A matrix
 that overflows is marked in the same table, factored as the identity
 meanwhile, and fails its eps before any other failure of that eps.
@@ -32,10 +32,11 @@ import numpy as np
 
 from .errors import GevreyKitError, ResonanceError
 from .problem import ProblemSpec, assemble_B
-from .series import _horner, solve_triangular
+from .series import RELATION_RTOL, _horner, solve_triangular
 
+#: step k is resonant when eps*k lies within this times max(1, |eps*k|) of
+#: an eigenvalue of A01(eps)
 _RESONANCE_RTOL = 1e-10
-_RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +94,19 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = {m: _horner(np.moveaxis(e, -2, 0), batch.reshape(batch.shape + (1,) * (m + 2)))
                   for m, e in assemble_B(p).items()}
+        a01 = blocks[1][..., 0]
         # k leads the factors, so step k takes them by one plain index
-        ks = np.arange(1, K + 1).reshape((K,) + (1,) * (batch.ndim + 2))
-        mats = batch[..., None, None] * ks * eye - blocks[1][..., 0]
-    overflow = ~np.isfinite(mats).all(axis=(-2, -1))
-    # an overflowing matrix is factored as the identity; it fails below all the same
+        eps_k = batch * np.arange(1, K + 1).reshape((K,) + (1,) * batch.ndim)
+        mats = eps_k[..., None, None] * eye - a01
+        overflow = ~np.isfinite(mats).all(axis=(-2, -1))
+        # an overflowing matrix is factored as the identity, and a non-finite
+        # A01 given its spectrum: both fail below all the same, as overflows
+        lam = np.linalg.eigvals(np.where(np.isfinite(a01).all(axis=(-2, -1))[..., None, None],
+                                         a01, eye))
+        resonant = (np.abs(eps_k[..., None] - lam).min(axis=-1)
+                    <= _RESONANCE_RTOL * np.maximum(1.0, np.abs(eps_k)))
     u, svals, vh = np.linalg.svd(np.where(overflow[..., None, None], eye, mats))
     uh, v = u.conj().swapaxes(-1, -2), vh.conj().swapaxes(-1, -2)
-    resonant = svals[..., -1] <= _RESONANCE_RTOL * np.maximum(1.0, svals[..., 0])
     # a resonant step divides by 1, not by 0; it fails below all the same
     scale = (np.where(resonant[..., None], 1.0, svals) if resonant.any() else svals)[..., None]
     rhs_k = np.zeros((K,) + batch.shape + (p.nu, 1), dtype=np.complex128)
@@ -117,7 +123,7 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
         residuals = (np.abs(mats @ np.moveaxis(f[..., 1:, :], -2, 0) - rhs_k).max(axis=(-2, -1))
                      / (1.0 + np.abs(rhs_k).max(axis=(-2, -1))))
     # a NaN residual must fail the check, not pass it
-    failed = overflow | resonant | ~(residuals <= _RESIDUAL_RTOL)
+    failed = overflow | resonant | ~(residuals <= RELATION_RTOL)
     if failed.any():
         _raise_first(batch, failed, overflow, resonant, residuals)
     coeffs = np.ascontiguousarray(f[..., 1:, 0].swapaxes(-1, -2))

@@ -81,7 +81,24 @@ class TestCheckSector:
         assert rep["data"]["gamma"] == 2 * math.pi
 
 
+#: eps*z*f' = diag(-1e12, -1) f + z (1, 1): a stiff but well-separated linear block
+STIFF = {"nu": 2, "rho": 1.0, "rho1": 4.0, "tensors": [
+    {"n": 0, "m": 1, "entries": [[[-1e12, 0]], [[0, 0]], [[0, 0]], [[-1.0, 0]]]},
+    {"n": 1, "m": 0, "entries": [[[1.0, 0]], [[1.0, 0]]]}]}
+
+
 class TestSolve:
+    def test_stiff_linear_block_is_not_resonant(self, tmp_path):
+        # eps*k - A01 has singular values 1e12 + 0.1 k and 1 + 0.1 k, a
+        # condition number near 1e12, but eps*k = 0.1 k is far from both
+        # eigenvalues: f = z / (eps - lambda) exactly
+        code, rep = run_json(tmp_path, ["solve", "--problem", write_doc(tmp_path, STIFF),
+                                        "--eps", "0.1", "--z", "0.05", "--K", "20"])
+        assert (code, rep["verdict"]) == (0, "ok")
+        value = rep["data"]["eps_blocks"][0]["points"][0]["value"]
+        assert value[0] == [pytest.approx(0.05 / (1e12 + 0.1), rel=1e-14), 0.0]
+        assert value[1] == [pytest.approx(0.05 / 1.1, rel=1e-14), 0.0]
+
     def test_values_match_reference(self, tmp_path, report_schema):
         from gevrey_kit import shifted_reference
 

@@ -50,6 +50,19 @@ def inv_sqrt1p4z_coeff(k):
     return float(b * Fraction(4) ** k)
 
 
+def perturb_a0_jet(monkeypatch, L, k, rel):
+    """Make h-coefficient k of every a_0 jet of length L wrong by `rel`
+    relative, in the solver of the driver."""
+    from gevrey_kit import epssolver
+
+    def perturbed(blocks, x, solve):
+        if x.shape[-2:] != (L, 1):   # the eps-orders or another a_0 jet
+            return solve_triangular(blocks, x, solve)
+        return solve_triangular(blocks, x, lambda j, c: solve(j, c) * (1 + rel * (j == k)))
+
+    monkeypatch.setattr(epssolver, "solve_triangular", perturbed)
+
+
 class TestA0:
     def test_riccati_against_binomial_oracle(self, riccati):
         a0 = solve_a0(riccati, 25)
@@ -106,23 +119,23 @@ class TestA0:
     def test_wrong_jet_fails_its_relation(self, riccati, monkeypatch, run, L):
         # an a_0 jet of length L whose last h-coefficient misses
         # F(0, z, a_0) = 0 by 1e-6 relative is caught like a wrong a_i
-        from gevrey_kit import epssolver
-
-        def perturbed(blocks, x, solve):
-            if x.shape[-2:] != (L, 1):   # the eps-orders or another a_0 jet
-                return solve_triangular(blocks, x, solve)
-            return solve_triangular(
-                blocks, x, lambda k, c: solve(k, c) * (1 + 1e-6 * (k == L - 1)))
-
-        monkeypatch.setattr(epssolver, "solve_triangular", perturbed)
+        perturb_a0_jet(monkeypatch, L, L - 1, 1e-6)
         with pytest.raises(GevreyKitError, match="defining relation for a_0 left residual"):
             run(riccati)
 
-    def test_scaled_blocks_pass_their_relation(self, riccati):
+    def test_wrong_low_coefficient_fails_its_relation(self, riccati, monkeypatch):
+        # the h^1 coefficient is checked against its own terms, not against
+        # those of h^20, which are 1e12 times larger
+        perturb_a0_jet(monkeypatch, 21, 1, 1e-3)
+        with pytest.raises(GevreyKitError, match="defining relation for a_0 left residual"):
+            solve_eps_expansion(riccati, 3, 20)
+
+    @pytest.mark.parametrize("s", [1e8, 1e-11, 1e-15])
+    def test_scaled_blocks_pass_their_relation(self, riccati, s):
         # every block times s multiplies F(0, z, a_0), and the rounding of
         # its terms, by s: a_0 stays, a_i becomes a_i / s^i, and no check
-        # may read the rounding of the larger terms as a wrong a_0
-        s = 1e8
+        # may read the rounding of the larger terms as a wrong a_0, nor a
+        # small linear block as a singular one
         scaled = ProblemSpec(nu=1, rho=riccati.rho, rho1=riccati.rho1, tensors=tuple(
             CoeffTensor(t.n, t.m, t.entries * s) for t in riccati.tensors))
         np.testing.assert_allclose(solve_a0(scaled, 40).coeffs,

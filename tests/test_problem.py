@@ -103,6 +103,17 @@ class TestParseSerialize:
         with pytest.raises(SingularMatrixError):
             parse_problem(doc)
 
+    def test_ill_conditioned_linear_block(self):
+        # diag(1e12, 1e-3): singular values 1e-15 apart, which no double
+        # solve resolves, however far both lie from 0
+        doc = {"nu": 2, "rho": 1.0, "rho1": 4.0, "tensors": [
+            {"n": 0, "m": 1, "entries": [[[1e12, 0]], [[0, 0]], [[0, 0]], [[1e-3, 0]]]},
+            {"n": 1, "m": 0, "entries": [[[1.0, 0]], [[1.0, 0]]]}]}
+        with pytest.raises(SingularMatrixError) as exc:
+            parse_problem(doc)
+        assert str(exc.value) == ("linear block at eps = 0 is numerically singular "
+                                  "(smallest singular value 1.000e-03)")
+
     def test_missing_linear_block(self):
         doc = {"nu": 1, "rho": 1.0, "rho1": 4.0,
                "tensors": [{"n": 1, "m": 0, "entries": [[[1.0, 0.0]]]}]}

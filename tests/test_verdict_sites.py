@@ -1,0 +1,79 @@
+"""Only `series` picks the arithmetic and decides when a matrix is
+singular.
+
+`series._working` picks complex128 or the current mpmath precision, and
+`series._checked_inverse` inverts a matrix or refuses it as singular by
+one relative test.  A module that uses mpmath, or inverts, factors or
+solves with a matrix through numpy.linalg by itself, keeps a rule of its
+own beside them.  A static pass over the source finds every such use.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gevrey_kit"
+
+#: the numpy.linalg routines that only `series` calls
+LINALG = {"inv", "svd", "solve"}
+
+#: (module, enclosing function, routine) of the uses outside `series` that stay
+ALLOWED = {
+    # the z-recursion solves every eps*k*I - A01 of a batch from one batched
+    # SVD, and reports its smallest singular values
+    ("zsolver.py", "solve_coeffs_z", "numpy.linalg.svd"),
+    # the Pade rank test, which the least-squares Pade of ROADMAP item 2
+    # replaces
+    ("borel.py", "_pade_component", "numpy.linalg.svd"),
+    ("borel.py", "_pade_component", "numpy.linalg.solve"),
+}
+
+
+def _used(node: ast.AST) -> str | None:
+    """"mpmath" or "numpy.linalg.<routine>" when `node` uses it, else None."""
+    if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in node.names):
+        return "mpmath"
+    if isinstance(node, ast.ImportFrom) and node.module:
+        if node.module.split(".")[0] == "mpmath":
+            return "mpmath"
+        if node.module == "numpy.linalg" and LINALG & {a.name for a in node.names}:
+            return "numpy.linalg"
+    if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name) and node.value.id == "mpmath":
+            return "mpmath"
+        if (node.attr in LINALG and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            return f"numpy.linalg.{node.attr}"
+    return None
+
+
+def uses(path: Path) -> set[tuple[str, str, str]]:
+    """(module, innermost enclosing function or "", what) of every use of
+    mpmath or of numpy.linalg inv, svd and solve in one module."""
+    out = set()
+
+    def visit(node: ast.AST, func: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            what = _used(child)
+            if what:
+                out.add((path.name, func, what))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_the_pass_sees_uses():
+    # a pass that finds nothing would pass the test below vacuously
+    series = uses(PACKAGE / "series.py")
+    assert {("series.py", "_checked_inverse", "numpy.linalg.inv"),
+            ("series.py", "_checked_inverse", "mpmath"),
+            ("series.py", "_working", "mpmath")} <= series
+    found = set().union(*(uses(path) for path in PACKAGE.glob("*.py")))
+    assert ALLOWED <= found
+
+
+def test_only_series_picks_arithmetic_and_inverts():
+    found = sorted(use for path in PACKAGE.glob("*.py") if path.name != "series.py"
+                   for use in uses(path) - ALLOWED)
+    assert not found, f"uses of mpmath or numpy.linalg outside series.py: {found}"

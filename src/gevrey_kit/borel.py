@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GevreyKitError, PoleObstructionError
-from .series import _horner
+from .series import _horner, _norm2
 
 #: kernel decay target at the integration cutoff
 _ETA = 1e-16
@@ -267,7 +267,7 @@ def optimal_truncation_sum(a_values: np.ndarray, eps: complex) -> SummationRepor
     value = np.zeros(arr.shape[1], dtype=np.complex128)
     # overflow is detected on the sum, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(arr, axis=1)
+        norms = _norm2(arr, axis=1)
         # a zero term stays 0 where |eps|^i overflows
         sizes = np.where(norms > 0, norms * np.abs(eps) ** np.arange(arr.shape[0]), 0.0)
         i_star = int(np.argmin(sizes))

@@ -75,7 +75,7 @@ _EXIT_CODES = {"ok": 0, "summable": 0, "pass": 0, "not-summable": 2,
 #: eps*k near an eigenvalue so that the coefficients blow up
 _SOLVE_RESIDUAL_RTOL = 1e-8
 #: the largest `solve --K`: the z-recursion takes O(K^2) time, and at this K
-#: one eps of a nu = 8 problem takes about 14 s and 105 MB
+#: one eps of a nu = 8 problem takes about 11 s and 83 MB (2-core x86_64)
 _MAX_K = 10_000
 
 

@@ -34,7 +34,7 @@ class DegenerateSpectrumError(GevreyKitError):
 
 class ResonanceError(GevreyKitError):
     """eps*k collides with an eigenvalue of the linear block; the message
-    gives eps*k and k."""
+    gives eps*k and k when the spectrum shows it."""
 
 
 class InsufficientOrderError(GevreyKitError):

@@ -16,7 +16,7 @@ import numpy as np
 from .epssolver import eps_values_at
 from .errors import GevreyKitError
 from .problem import ProblemSpec
-from .series import VecSeries, _working
+from .series import VecSeries, _norm2, _working
 from .zsolver import evaluate_f, solve_coeffs_z
 
 _K_REF = 80
@@ -120,10 +120,6 @@ class RemainderProfile:
     I_star_on_floor: bool
 
 
-def _norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v).astype(np.complex128)))
-
-
 def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
                       reference: Callable[[complex, complex], np.ndarray] | None = None
                       ) -> list[RemainderProfile]:
@@ -153,7 +149,7 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
     # a numpy eps**I overflows to inf, where a Python complex one raises
     work, unit = _working(*(v for f in refs for v in f))
     a_vals = eps_values_at(p, work(z), I_max)  # (I_max+1, nu)
-    a_norms = np.linalg.norm(a_vals.astype(np.complex128), axis=1)
+    a_norms = _norm2(a_vals, axis=1)
 
     out = []
     for eps_in, f in zip(eps_list, refs):
@@ -164,13 +160,13 @@ def remainder_profile(p: ProblemSpec, z: complex, eps_list, I_max: int,
         # overflow is detected on the table, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for I in range(I_max + 1):
-                abs_r_eps[I] = _norm(f_ref - partial)
+                abs_r_eps[I] = _norm2(f_ref - partial)
                 partial = partial + a_vals[I] * eps**I
             eps_powers = abs(complex(eps_in)) ** np.arange(I_max + 1)
             abs_r = abs_r_eps / eps_powers
             i_star = int(np.argmin(abs_r_eps))
             term_sizes = a_norms * eps_powers
-            floor = (i_star + 1) * unit * (_norm(f_ref) + float(term_sizes[:i_star].sum()))
+            floor = (i_star + 1) * unit * (_norm2(f_ref) + float(term_sizes[:i_star].sum()))
         # abs_r is not finite where abs_r_eps is not
         if not (np.all(np.isfinite(abs_r)) and math.isfinite(floor)):
             raise GevreyKitError(f"the remainder table at eps = {complex(eps_in):.6g} "

@@ -21,8 +21,9 @@ mode of Taylor arithmetic, ibid.).  With jets of length 1 it runs the
 z-recursion at every eps of a batch, a_0 and the normalization shift; with
 jets in h it runs the eps-orders.  `_divide` solves t x = rhs by forward
 substitution, for T_0 a_i = rhs and, column by column, for
-`mat_series_inverse`.  `_taylor_shift` re-centres polynomials, and
-`_horner` sums every polynomial at a point.  `multilinear_apply` applies
+`mat_series_inverse`.  `_taylor_shift` re-centres polynomials, `_horner`
+sums every polynomial at a point, and `_norm2` takes the 2-norms of
+coefficients, terms and residuals, rescaled where squaring overflows.  `multilinear_apply` applies
 one block to plain vectors for `ProblemSpec.eval_F`, which shares no code
 with the kernel it checks.  The composition sum, and the
 convolution-taming constant with its inequality, are test oracles
@@ -113,6 +114,21 @@ def _check_relation(resid, scale, what: str, where: str, *, rtol: float = RELATI
     return rel
 
 
+def _norm2(v, axis: int | None = None):
+    """2-norm in complex128 of `v` along `axis` (of all of it when None);
+    where squaring finite entries overflows, of them scaled by their largest
+    real or imaginary part, so that it overflows only past the double range."""
+    v = np.asarray(v, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v, axis=axis, keepdims=True)
+        redo = np.isinf(norm) & np.isfinite(v).all(axis=axis, keepdims=True)
+        if redo.any():
+            big = np.maximum(abs(v.real), abs(v.imag)).max(axis=axis, keepdims=True)
+            big = np.where(redo, big, 1.0)
+            norm = np.where(redo, big * np.linalg.norm(v / big, axis=axis, keepdims=True), norm)
+    return norm.squeeze(axis)[()]
+
+
 def _check_var(var: str) -> None:
     if var not in SERIES_VARS:
         raise ValueError(f"unknown series variable {var!r}; expected one of {SERIES_VARS}")
@@ -152,7 +168,7 @@ class VecSeries:
 
     def norms(self) -> np.ndarray:
         """Euclidean norm of each coefficient vector, indexed by power."""
-        return np.linalg.norm(self.coeffs, axis=0)
+        return _norm2(self.coeffs, axis=0)
 
     def evaluate(self, x: complex) -> np.ndarray:
         return _horner(self.coeffs.T, x)

@@ -11,15 +11,15 @@ coefficient per step, so step j costs O(j).
 `solve_coeffs_z` takes one eps or a sequence of them.  A sequence runs as
 one batch: the blocks at every eps come from one Horner pass along the eps
 axis of the (eps, z) coefficient arrays of `problem.assemble_B`, the matrices
-eps*k*I - A01 at every eps and k are factored by one batched SVD, and one
-recursion carries all eps, each contraction one batched matrix product.
-Each eps gets the bits it would get alone.  Step k takes its solution
-from those factors; after the recursion every step is checked for
-resonance (eps*k landing on an eigenvalue of A01(eps), from one batched
-eigenvalue call) and by an explicit residual, and a batch raises the error
-that solving its eps one by one, in order, would raise first.  A matrix
-that overflows is marked in the same table, factored as the identity
-meanwhile, and fails its eps before any other failure of that eps.
+eps*k*I - A01 at every eps and k are inverted at once, and one recursion
+carries all eps, each contraction one batched matrix product.  Each eps
+gets the bits it would get alone.  After the recursion every step is
+checked for resonance (eps*k within a relative distance of an eigenvalue
+of A01(eps), from one batched eigenvalue call) and by an explicit
+residual, and a batch raises the error that solving its eps one by one, in
+order, would raise first.  A matrix that overflows or is resonant is
+inverted as the identity meanwhile; an overflow fails its eps before any
+other failure of that eps, and an exactly singular matrix fails at once.
 `evaluate_f` and `ode_residual_z` sum the series at all their points by
 one Horner pass; a partial sum carries no bound on its tail.
 """
@@ -32,10 +32,10 @@ import numpy as np
 
 from .errors import GevreyKitError, ResonanceError
 from .problem import ProblemSpec, assemble_B
-from .series import RELATION_RTOL, _horner, solve_triangular
+from .series import RELATION_RTOL, _horner, _norm2, solve_triangular
 
-#: step k is resonant when eps*k lies within this times max(1, |eps*k|) of
-#: an eigenvalue of A01(eps)
+#: step k is resonant when eps*k lies within this times max(|eps*k|, |lambda|)
+#: of an eigenvalue lambda of A01(eps)
 _RESONANCE_RTOL = 1e-10
 
 
@@ -51,14 +51,12 @@ class ZSolution:
     """Coefficients f_1..f_K at a fixed eps.
 
     ``coeffs[k-1]`` is the nu-vector f_k.  `residuals` records the relative
-    residual of each linear solve, and `smallest_singular` the smallest
-    singular value of its matrix eps*k*I - A01.
+    residual of each linear solve.
     """
 
     eps: complex
     coeffs: np.ndarray
     residuals: np.ndarray
-    smallest_singular: np.ndarray
 
     @property
     def K(self) -> int:
@@ -95,25 +93,26 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
         blocks = {m: _horner(np.moveaxis(e, -2, 0), batch.reshape(batch.shape + (1,) * (m + 2)))
                   for m, e in assemble_B(p).items()}
         a01 = blocks[1][..., 0]
-        # k leads the factors, so step k takes them by one plain index
+        # k leads the inverses, so step k takes its own by one plain index
         eps_k = batch * np.arange(1, K + 1).reshape((K,) + (1,) * batch.ndim)
         mats = eps_k[..., None, None] * eye - a01
         overflow = ~np.isfinite(mats).all(axis=(-2, -1))
-        # an overflowing matrix is factored as the identity, and a non-finite
-        # A01 given its spectrum: both fail below all the same, as overflows
+        # a non-finite A01 takes the spectrum of the identity; its matrices overflow
         lam = np.linalg.eigvals(np.where(np.isfinite(a01).all(axis=(-2, -1))[..., None, None],
                                          a01, eye))
-        resonant = (np.abs(eps_k[..., None] - lam).min(axis=-1)
-                    <= _RESONANCE_RTOL * np.maximum(1.0, np.abs(eps_k)))
-    u, svals, vh = np.linalg.svd(np.where(overflow[..., None, None], eye, mats))
-    uh, v = u.conj().swapaxes(-1, -2), vh.conj().swapaxes(-1, -2)
-    # a resonant step divides by 1, not by 0; it fails below all the same
-    scale = (np.where(resonant[..., None], 1.0, svals) if resonant.any() else svals)[..., None]
+        resonant = (np.abs(eps_k[..., None] - lam) <= _RESONANCE_RTOL
+                    * np.maximum(np.abs(eps_k)[..., None], np.abs(lam))).any(axis=-1)
+    # an overflowing or resonant step is inverted as the identity, and fails below
+    try:
+        inv = np.linalg.inv(np.where((overflow | resonant)[..., None, None], eye, mats))
+    except np.linalg.LinAlgError:
+        raise ResonanceError("eps*k*I - A01 is exactly singular: eps*k collides with an "
+                             "eigenvalue of the linear block that its spectrum misses") from None
     rhs_k = np.zeros((K,) + batch.shape + (p.nu, 1), dtype=np.complex128)
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
         rhs_k[k - 1] = rhs
-        return v[k - 1] @ ((uh[k - 1] @ rhs) / scale[k - 1])
+        return inv[k - 1] @ rhs
 
     f = np.zeros(batch.shape + (p.nu, K + 1, 1), dtype=np.complex128)
     solve_triangular([(m, e[..., None]) for m, e in blocks.items()], f, solve_linear)
@@ -128,11 +127,9 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
         _raise_first(batch, failed, overflow, resonant, residuals)
     coeffs = np.ascontiguousarray(f[..., 1:, 0].swapaxes(-1, -2))
     if not batch.ndim:
-        sol = ZSolution(eps=complex(batch), coeffs=coeffs, residuals=residuals,
-                        smallest_singular=svals[:, -1])
+        sol = ZSolution(eps=complex(batch), coeffs=coeffs, residuals=residuals)
         return [sol] if listed else sol
-    return [ZSolution(eps=complex(e), coeffs=coeffs[b], residuals=residuals[:, b].copy(),
-                      smallest_singular=svals[:, b, -1].copy())
+    return [ZSolution(eps=complex(e), coeffs=coeffs[b], residuals=residuals[:, b].copy())
             for b, e in enumerate(batch)]
 
 
@@ -190,13 +187,3 @@ def ode_residual_z(p: ProblemSpec, sol: ZSolution, z_grid) -> float:
     # np.max, unlike max, keeps a NaN
     return float(np.max(norms, initial=0.0))
 
-
-def _norm2(v: np.ndarray) -> float:
-    """2-norm of a vector; when squaring its finite entries overflows, it is
-    taken of the vector scaled by its largest real or imaginary part."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if np.isinf(norm) and np.all(np.isfinite(v)):
-        big = max(float(np.abs(v.real).max()), float(np.abs(v.imag).max()))
-        norm = big * float(np.linalg.norm(v / big))
-    return norm

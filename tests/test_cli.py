@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from gevrey_kit import builtin_riccati, problem_to_json
+from gevrey_kit import CoeffTensor, ProblemSpec, builtin_riccati, problem_to_json
 from gevrey_kit.cli import main
 from oracles import phi0
 
@@ -180,6 +180,17 @@ class TestSolve:
         code = main(["solve", "--builtin", "riccati", "--K", "1000"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_small_linear_block_at_eps_zero(self, tmp_path):
+        # every block times 1e-11: -A01 = 1e-11 is solved exactly at eps = 0,
+        # not called resonant
+        r = builtin_riccati()
+        path = tmp_path / "scaled.json"
+        path.write_text(problem_to_json(ProblemSpec(nu=1, rho=r.rho, rho1=r.rho1, tensors=tuple(
+            CoeffTensor(t.n, t.m, t.entries * 1e-11) for t in r.tensors))), encoding="utf-8")
+        code, rep = run_json(tmp_path, ["solve", "--problem", str(path),
+                                        "--eps", "0", "--z", "0.05"])
+        assert (code, rep["verdict"]) == (0, "ok")
 
     def test_problem_file_round_trip(self, tmp_path):
         path = tmp_path / "prob.json"

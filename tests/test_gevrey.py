@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gevrey_kit import (
+    CoeffTensor,
+    ProblemSpec,
     gevrey_fit,
     remainder_profile,
     shifted_reference,
@@ -120,6 +122,17 @@ class TestSupNorm:
         # sigma^2 overflows: an error, not a RuntimeWarning or an inf
         with pytest.raises(GevreyKitError, match=r"sigma = 1e\+300 overflows"):
             sup_norm_disc(monomial(1, order=2), 1e300)
+
+    def test_coefficients_whose_squares_overflow(self, riccati):
+        # every block times 1e-11 divides a_i by 1e-11^i: the coefficient
+        # norms of a_11 square past the double range, its sup on the disc
+        # does not
+        p = ProblemSpec(nu=1, rho=riccati.rho, rho1=riccati.rho1, tensors=tuple(
+            CoeffTensor(t.n, t.m, t.entries * 1e-11) for t in riccati.tensors))
+        got = sup_norm_disc(solve_eps_expansion(p, 12, 40).a[11], 0.05)
+        want = sup_norm_disc(solve_eps_expansion(riccati, 12, 40).a[11], 0.05) * 1e121
+        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(1.006e126, rel=1e-3)
 
 
 class TestGevreyFit:

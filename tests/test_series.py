@@ -430,3 +430,10 @@ class TestCarriers:
         assert v.nu == 2 and v.order == 1
         np.testing.assert_array_equal(v.coeffs[1], [3.0, 4.0])
         np.testing.assert_allclose(v.norms(), [math.sqrt(10), math.sqrt(20)])
+
+    def test_vecseries_norms_past_the_square_range(self):
+        # the squares of 3e200 and 4e200 overflow, the norm 5e200 does not
+        v = VecSeries(np.array([[3e200, 1.0], [4e200j, 0.0]]))
+        np.testing.assert_allclose(v.norms(), [5e200, 1.0], rtol=1e-15)
+        # sqrt(2) * 1.5e308 is past the double range itself
+        assert np.isinf(VecSeries(np.array([[1.5e308, 1.0], [1.5e308j, 0.0]])).norms()[0])

@@ -17,9 +17,10 @@ LINALG = {"inv", "svd", "solve"}
 
 #: (module, enclosing function, routine) of the uses outside `series` that stay
 ALLOWED = {
-    # the z-recursion solves every eps*k*I - A01 of a batch from one batched
-    # SVD, and reports its smallest singular values
-    ("zsolver.py", "solve_coeffs_z", "numpy.linalg.svd"),
+    # the z-recursion inverts every eps*k*I - A01 of a batch at once, with no
+    # singularity test: resonance is its spectral verdict, and the residual
+    # of every step stands behind the inverse
+    ("zsolver.py", "solve_coeffs_z", "numpy.linalg.inv"),
     # the Pade rank test, which the least-squares Pade of ROADMAP item 2
     # replaces
     ("borel.py", "_pade_component", "numpy.linalg.svd"),

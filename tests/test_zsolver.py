@@ -75,13 +75,37 @@ class TestRecursion:
         with pytest.raises(GevreyKitError, match="k = 876 "):
             solve_coeffs_z(riccati, 0.1, 1000)
 
-    def test_smallest_singular_values(self, riccati):
-        # the linear block is -1, so eps*k*I - A01 = 1 + eps*k
-        sol = solve_coeffs_z(riccati, 0.1, 5)
-        np.testing.assert_allclose(sol.smallest_singular, 1.0 + 0.1 * np.arange(1, 6),
-                                   rtol=1e-15)
+    def test_near_resonance_is_solved(self, riccati):
+        # the linear block is -1, so eps*k*I - A01 = 1 + eps*k, which is
+        # 4e-8 at k = 4: close to resonance, not resonant
         near = solve_coeffs_z(riccati, -0.25000001, 6)
-        assert near.smallest_singular[3] == pytest.approx(4e-8, rel=1e-6)
+        assert near.residuals.max() <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_small_linear_block_is_not_resonant(self, riccati, eps):
+        # every block times 1e-11: A01 = -1e-11, far from eps*k relative to
+        # either; at eps = 0 the series is that of riccati
+        sol = solve_coeffs_z(scaled(riccati, 1e-11), eps, 10)
+        assert sol.residuals.max() <= 1e-10
+        if not eps:
+            np.testing.assert_allclose(sol.coeffs, solve_coeffs_z(riccati, 0.0, 10).coeffs,
+                                       rtol=1e-12)
+
+    def test_small_linear_block_resonates_on_its_eigenvalue(self, riccati):
+        # eps*k = -1e-11 = A01 at k = 2, not at k = 1
+        with pytest.raises(ResonanceError, match=r"eps\*k = -1e-11\+0j .* at k = 2$"):
+            solve_coeffs_z(scaled(riccati, 1e-11), -5e-12, 10)
+
+    @pytest.mark.parametrize("eps", [-0.5, -1.0, [0.1, -0.5]])
+    def test_exactly_singular_step_is_a_resonance(self, eps):
+        # A01 = [[0, 1], [-1, -2]] is a Jordan block at -1, whose computed
+        # eigenvalues miss -1 by 3e-8; eps*k = -1 leaves a matrix that is
+        # singular in floating point
+        p = ProblemSpec(nu=2, rho=1.0, rho1=4.0, tensors=(
+            CoeffTensor(0, 1, np.array([[0, 1], [-1, -2]], dtype=complex)[..., None]),
+            CoeffTensor(1, 0, np.array([[1.0 + 0j], [0.5]]))))
+        with pytest.raises(ResonanceError, match="exactly singular"):
+            solve_coeffs_z(p, eps, 3)
 
     def test_zero_problem(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
@@ -203,6 +227,12 @@ class TestNonFiniteEps:
                                   "eps = -1e+307+0j, k = 18")
 
 
+def scaled(p, s):
+    """`p` with every block times s."""
+    return ProblemSpec(nu=p.nu, rho=p.rho, rho1=p.rho1,
+                       tensors=tuple(CoeffTensor(t.n, t.m, t.entries * s) for t in p.tensors))
+
+
 def first_error(call):
     """(type, message) of the error a call raises, or None."""
     try:
@@ -261,7 +291,7 @@ class TestBatch:
         assert err is None and len(got) == len(eps_list)
         for g, w in zip(got, want):
             assert g.eps == w.eps
-            for field in ("coeffs", "residuals", "smallest_singular"):
+            for field in ("coeffs", "residuals"):
                 a, b = getattr(g, field), getattr(w, field)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
@@ -283,8 +313,7 @@ class TestBatch:
         for eps in ([0.1], (0.1, 0.2), np.array([0.1, 0.2, 0.3])):
             sols = solve_coeffs_z(riccati, eps, 7)
             assert [s.eps for s in sols] == [complex(e) for e in eps]
-            assert all(s.coeffs.shape == (7, 1) and s.residuals.shape == (7,)
-                       and s.smallest_singular.shape == (7,) for s in sols)
+            assert all(s.coeffs.shape == (7, 1) and s.residuals.shape == (7,) for s in sols)
         assert solve_coeffs_z(riccati, [], 7) == []
         with pytest.raises(ValueError, match="sequence of numbers"):
             solve_coeffs_z(riccati, [[0.1]], 7)

@@ -18,8 +18,10 @@ operational or usage error, with one `gevrey-kit: error:` line on stderr.
 Every option takes one value, and a value may be a negative number
 (`--eps -0.3,0.1`, `--z -1e-3`); any other value that starts with '-'
 needs the '=' form.  A list option (`--eps`, `--z`) needs at least one
-number.  `solve` takes `--K` up to `_MAX_K`.  `diagnose` takes one `--z`,
-the point of its remainder table, and a positive `--sigma`.
+number.  `solve` takes `--K` up to `_MAX_K`, and `resum` and `diagnose`
+take `--I` up to `_MAX_I`.  `diagnose` takes one `--z`, the point of its
+remainder table, and a positive `--sigma`.  A failed allocation is an
+operational error.
 
 Start-up: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 unless they are already set, before numpy is
@@ -74,9 +76,14 @@ _EXIT_CODES = {"ok": 0, "summable": 0, "pass": 0, "not-summable": 2,
 #: max(1, max|f|) as not solved: z outside the disc of convergence, or
 #: eps*k near an eigenvalue so that the coefficients blow up
 _SOLVE_RESIDUAL_RTOL = 1e-8
-#: the largest `solve --K`: the z-recursion takes O(K^2) time, and at this K
-#: one eps of a nu = 8 problem takes about 11 s and 83 MB (2-core x86_64)
+#: the largest `solve --K`: the z-recursion takes O(K^2) time, and a run of
+#: one eps of a nu = 8 problem with a dense quadratic block that reaches
+#: this K takes about 10-13 s and 82 MB (2-core x86_64)
 _MAX_K = 10_000
+#: the largest `resum` and `diagnose` `--I`: the eps-orders take O(I^3) time
+#: and O(I^2) memory, and a `diagnose` on that problem that reaches this I
+#: takes about 9-12 s and 300 MB
+_MAX_I = 100
 
 
 def _float_list(text: str) -> list[float]:
@@ -244,8 +251,6 @@ def _cmd_check_sector(args):
 def _cmd_solve(args):
     from .zsolver import evaluate_f, ode_residual_z, solve_coeffs_z
 
-    if args.K > _MAX_K:
-        raise ValueError(f"--K must be at most {_MAX_K}, got {args.K}")
     p = _load_problem(args)
     blocks = []
     verdict = "ok"
@@ -410,13 +415,18 @@ _DISPATCH = {
 }
 
 
-def _check_finite(args) -> None:
-    """Refuse a nan or inf, which float() takes, in a float option."""
+def _check_options(args) -> None:
+    """Refuse a nan or inf, which float() takes, in a float option, and an
+    order above its bound."""
     for name in ("eps", "z", "theta", "gamma", "sigma"):
         value = getattr(args, name, None)
         for v in value if isinstance(value, list) else [value]:
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"--{name} must be finite, got {v}")
+    for name, bound in (("K", _MAX_K), ("I", _MAX_I)):
+        value = getattr(args, name, None)
+        if value is not None and value > bound:
+            raise ValueError(f"--{name} must be at most {bound}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -426,7 +436,7 @@ def main(argv=None) -> int:
     exit code of the verdict."""
     try:
         args = build_parser().parse_args(argv)
-        _check_finite(args)
+        _check_options(args)
         error = {}
         try:
             verdict, data, tables = _DISPATCH[args.command](args)
@@ -447,8 +457,10 @@ def main(argv=None) -> int:
                 _atomic_write(out.with_name(out.stem + suffix + (out.suffix or ".csv"))
                               if suffix else out, text)
         return _EXIT_CODES[verdict]
-    except (GevreyKitError, OSError, ValueError) as e:
-        print(f"gevrey-kit: error: {e}", file=sys.stderr)
+    except (GevreyKitError, OSError, ValueError, MemoryError) as e:
+        # numpy's MemoryError names the array it could not allocate; a bare
+        # one has no message
+        print(f"gevrey-kit: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -154,10 +154,12 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
       order 40, 80, 160 or 320: the first whose value agrees with the root
       it leads to within 1e-6.
     * The h-coefficients of a_0 are found one at a time, each against
-      T_0(z)^-1, and checked for overflow and against F(0, z, a_0) = 0,
-      each relative to the same coefficient summed over the absolute
-      values of blocks and a_0; `_solve_orders` then forms the a_i against
-      the jet of T_0.
+      T_0(z)^-1 and checked for overflow as it is found, so an overflowing
+      jet stops at its first non-finite coefficient, as the a_i do.  The
+      whole jet is then checked against F(0, z, a_0) = 0, each coefficient
+      relative to the same coefficient summed over the absolute values of
+      blocks and a_0; `_solve_orders` then forms the a_i against the jet
+      of T_0.
     """
     p.require_normalized()
     work, unit = _working(z)
@@ -211,10 +213,14 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
     t0_inv = jacobian_inverse(c)
     jet = np.zeros((p.nu, L, 1), dtype=c.dtype)
     jet[:, 0, 0] = c
-    whole = solve_triangular([(m, e[..., None]) for m, e in blocks0], jet,
-                             lambda k, rhs: -(t0_inv @ rhs))
-    if jet.dtype != object and not np.all(np.isfinite(jet)):
-        raise GevreyKitError(f"a_0 overflows double precision {where}")
+
+    def solve(k: int, rhs: np.ndarray) -> np.ndarray:
+        ak = -(t0_inv @ rhs)
+        if ak.dtype != object and not np.all(np.isfinite(ak)):
+            raise GevreyKitError(f"a_0 overflows double precision {where}")
+        return ak
+
+    whole = solve_triangular([(m, e[..., None]) for m, e in blocks0], jet, solve)
     # each whole h-coefficient of F(0, z0 + h, a_0) vanishes for a root, up
     # to the rounding of the terms it sums, which scale with the blocks
     with np.errstate(over="ignore", invalid="ignore"):

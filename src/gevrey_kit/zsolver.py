@@ -8,18 +8,18 @@ coefficients enter.  `series.solve_triangular`, on jets of length 1, forms
 g_j from partial contractions of the blocks that it extends by one
 coefficient per step, so step j costs O(j).
 
-`solve_coeffs_z` takes one eps or a sequence of them.  A sequence runs as
-one batch: the blocks at every eps come from one Horner pass along the eps
-axis of the (eps, z) coefficient arrays of `problem.assemble_B`, the matrices
-eps*k*I - A01 at every eps and k are inverted at once, and one recursion
-carries all eps, each contraction one batched matrix product.  Each eps
-gets the bits it would get alone.  After the recursion every step is
-checked for resonance (eps*k within a relative distance of an eigenvalue
-of A01(eps), from one batched eigenvalue call) and by an explicit
-residual, and a batch raises the error that solving its eps one by one, in
-order, would raise first.  A matrix that overflows or is resonant is
-inverted as the identity meanwhile; an overflow fails its eps before any
-other failure of that eps, and an exactly singular matrix fails at once.
+`solve_coeffs_z` runs its eps, a number or a sequence, as one batch: one
+Horner pass along the eps axis of the arrays of `problem.assemble_B` gives
+the blocks at every eps, one call inverts every eps*k*I - A01, and one
+recursion carries all eps, each contraction one batched matrix product, so
+each eps gets the bits it would get alone.  Every step is checked for
+resonance (eps*k within a relative distance of an eigenvalue of A01(eps))
+and by an explicit residual after the recursion, or, stopping it, at the
+first step where no eps has a finite coefficient left: every eps has
+failed by then.  A batch raises the error that solving its eps one by one,
+in order, raises first.  An overflowing or resonant matrix is inverted as
+the identity meanwhile; an overflow fails its eps before any other failure
+of that eps, and an exactly singular matrix fails at once.
 `evaluate_f` and `ode_residual_z` sum the series at all their points by
 one Horner pass; a partial sum carries no bound on its tail.
 """
@@ -73,28 +73,23 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
     if K < 1:
         raise ValueError("K must be >= 1")
     p.require_normalized()
-    # batch shape () for one eps, (B,) for a sequence
-    batch = np.asarray(eps, dtype=np.complex128)
+    batch = np.atleast_1d(np.asarray(eps, dtype=np.complex128))
     if batch.ndim > 1:
         raise ValueError("eps must be a number or a sequence of numbers")
     if not np.all(np.isfinite(batch)):
         raise ValueError(f"eps must be finite, got {eps}")
     if not batch.size:
         return []
-    listed = batch.ndim == 1
-    if batch.shape == (1,):
-        # a batch axis of length 1 would only slow each step down
-        batch = batch.reshape(())
     eye = np.eye(p.nu, dtype=np.complex128)
 
     # blocks at every eps, by arity, with z-polynomial entries: Horner along
     # the eps axis; overflow is detected on the matrices, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = {m: _horner(np.moveaxis(e, -2, 0), batch.reshape(batch.shape + (1,) * (m + 2)))
+        blocks = {m: _horner(np.moveaxis(e, -2, 0), batch.reshape((-1,) + (1,) * (m + 2)))
                   for m, e in assemble_B(p).items()}
         a01 = blocks[1][..., 0]
         # k leads the inverses, so step k takes its own by one plain index
-        eps_k = batch * np.arange(1, K + 1).reshape((K,) + (1,) * batch.ndim)
+        eps_k = np.arange(1, K + 1)[:, None] * batch
         mats = eps_k[..., None, None] * eye - a01
         overflow = ~np.isfinite(mats).all(axis=(-2, -1))
         # a non-finite A01 takes the spectrum of the identity; its matrices overflow
@@ -108,42 +103,45 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
     except np.linalg.LinAlgError:
         raise ResonanceError("eps*k*I - A01 is exactly singular: eps*k collides with an "
                              "eigenvalue of the linear block that its spectrum misses") from None
-    rhs_k = np.zeros((K,) + batch.shape + (p.nu, 1), dtype=np.complex128)
+    rhs_k = np.zeros((K, batch.size, p.nu, 1), dtype=np.complex128)
+    f = np.zeros((batch.size, p.nu, K + 1, 1), dtype=np.complex128)
+
+    def checked(n: int) -> np.ndarray:
+        """The residuals of steps 1..n, (n, batch), by max-abs norms (a
+        2-norm overflows first); raises the first error of a failed step."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = (np.abs(mats[:n] @ np.moveaxis(f[..., 1:n + 1, :], -2, 0) - rhs_k[:n])
+                         .max(axis=(-2, -1)) / (1.0 + np.abs(rhs_k[:n]).max(axis=(-2, -1))))
+        # a NaN residual must fail the check, not pass it
+        failed = overflow[:n] | resonant[:n] | ~(residuals <= RELATION_RTOL)
+        if failed.any():
+            _raise_first(batch, failed, overflow, resonant, residuals)
+        return residuals
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
         rhs_k[k - 1] = rhs
-        return inv[k - 1] @ rhs
+        f[..., k, :] = inv[k - 1] @ rhs
+        # once no eps has a finite coefficient, every eps has failed a step
+        if not np.isfinite(f[..., k, :]).all(axis=(-2, -1)).any():
+            checked(k)
+        return f[..., k, :]
 
-    f = np.zeros(batch.shape + (p.nu, K + 1, 1), dtype=np.complex128)
     solve_triangular([(m, e[..., None]) for m, e in blocks.items()], f, solve_linear)
-    # the residual of every step, (K,) + batch; max-abs norms, since a
-    # 2-norm squares the entries and overflows first
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = (np.abs(mats @ np.moveaxis(f[..., 1:, :], -2, 0) - rhs_k).max(axis=(-2, -1))
-                     / (1.0 + np.abs(rhs_k).max(axis=(-2, -1))))
-    # a NaN residual must fail the check, not pass it
-    failed = overflow | resonant | ~(residuals <= RELATION_RTOL)
-    if failed.any():
-        _raise_first(batch, failed, overflow, resonant, residuals)
-    coeffs = np.ascontiguousarray(f[..., 1:, 0].swapaxes(-1, -2))
-    if not batch.ndim:
-        sol = ZSolution(eps=complex(batch), coeffs=coeffs, residuals=residuals)
-        return [sol] if listed else sol
-    return [ZSolution(eps=complex(e), coeffs=coeffs[b], residuals=residuals[:, b].copy())
-            for b, e in enumerate(batch)]
+    residuals = checked(K)
+    sols = [ZSolution(eps=complex(e), coeffs=np.ascontiguousarray(f[b, :, 1:, 0].T),
+                      residuals=residuals[:, b].copy()) for b, e in enumerate(batch)]
+    return sols if np.ndim(eps) else sols[0]
 
 
 def _raise_first(batch: np.ndarray, failed: np.ndarray, overflow: np.ndarray,
                  resonant: np.ndarray, residuals: np.ndarray) -> None:
     """Raise the error that solving the eps one at a time, in order, raises
     first: that of the first failing eps, at its first overflowing k if it
-    has one (the matrices are checked before the recursion), else at its
-    first failing step, where a resonance is found before the residual."""
-    failed, overflow, resonant, residuals = (
-        a.reshape(-1, batch.size) for a in (failed, overflow, resonant, residuals))
+    has one (`overflow` covers every k, `failed` only the steps run), else
+    at its first failing step, where a resonance is found before the residual."""
     b = int(np.flatnonzero(failed.any(axis=0))[0])
     k = int(np.argmax(overflow[:, b] if overflow[:, b].any() else failed[:, b])) + 1
-    eps = complex(batch.flat[b])
+    eps = complex(batch[b])
     if overflow[k - 1, b]:
         raise GevreyKitError(f"eps*k*I - A01 overflows double precision at eps = "
                              f"{eps:.6g}, k = {k}")

@@ -383,6 +383,33 @@ def test_empty_list_is_refused(tmp_path, capsys, args, option):
     assert err.startswith(f"gevrey-kit: error: argument {option}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["resum", "diagnose"])
+def test_eps_order_above_limit_is_refused(tmp_path, capsys, command):
+    # refused before any layer allocates its O(I^2) jets
+    code, rep = run_json(tmp_path, [command, "--builtin", "riccati", "--I", "101"])
+    assert (code, rep) == (1, None)
+    err = capsys.readouterr().err
+    assert err == "gevrey-kit: error: --I must be at most 100, got 101\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 298. GiB for an array"),
+     "Unable to allocate 298. GiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_failed_allocation_exits_operational(tmp_path, capsys, monkeypatch, error, line):
+    # one error line, no traceback
+    from gevrey_kit import epssolver
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(epssolver, "eps_values_at", fail)
+    code, rep = run_json(tmp_path, ["resum", "--builtin", "riccati"])
+    assert (code, rep) == (1, None)
+    assert capsys.readouterr().err == f"gevrey-kit: error: {line}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["resum", "--eps", "0", "--I", "12"], "the Laplace sum needs eps != 0"),
     (["diagnose", "--eps", "0", "--I", "9"], "the remainder table needs eps != 0"),

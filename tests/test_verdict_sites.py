@@ -5,15 +5,17 @@ singular.
 `series._checked_inverse` inverts a matrix or refuses it as singular by
 one relative test.  A module that uses mpmath, or inverts, factors or
 solves with a matrix through numpy.linalg by itself, keeps a rule of its
-own beside them.  A static pass over the source finds every such use.
+own beside them.  A static pass over the source finds every such use, and
+each one outside `series` says in `ALLOWED` why it stays.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gevrey_kit"
 
-#: the numpy.linalg routines that only `series` calls
-LINALG = {"inv", "svd", "solve"}
+#: the numpy.linalg routines that invert, factor or solve, which only `series`
+#: calls without a reason in `ALLOWED`
+LINALG = {"inv", "svd", "solve", "det", "eig", "eigvals", "lstsq", "pinv", "qr", "cholesky"}
 
 #: (module, enclosing function, routine) of the uses outside `series` that stay
 ALLOWED = {
@@ -21,6 +23,14 @@ ALLOWED = {
     # singularity test: resonance is its spectral verdict, and the residual
     # of every step stands behind the inverse
     ("zsolver.py", "solve_coeffs_z", "numpy.linalg.inv"),
+    # the spectrum of every A01(eps) of a batch at once, the z-recursion's
+    # resonance verdict
+    ("zsolver.py", "solve_coeffs_z", "numpy.linalg.eigvals"),
+    # the spectrum of the linear block, the ray condition's input, which
+    # checks each eigenvalue by a determinant rule of its own,
+    # |det(A - lambda I)| <= 1e-8 max(1, ||A||_2)^nu
+    ("sector.py", "spectrum", "numpy.linalg.eigvals"),
+    ("sector.py", "spectrum", "numpy.linalg.det"),
     # the Pade rank test, which the least-squares Pade of ROADMAP item 2
     # replaces
     ("borel.py", "_pade_component", "numpy.linalg.svd"),
@@ -49,7 +59,7 @@ def _used(node: ast.AST) -> str | None:
 
 def uses(path: Path) -> set[tuple[str, str, str]]:
     """(module, innermost enclosing function or "", what) of every use of
-    mpmath or of numpy.linalg inv, svd and solve in one module."""
+    mpmath or of a numpy.linalg routine of `LINALG` in one module."""
     out = set()
 
     def visit(node: ast.AST, func: str) -> None:

@@ -14,12 +14,12 @@ the blocks at every eps, one call inverts every eps*k*I - A01, and one
 recursion carries all eps, each contraction one batched matrix product, so
 each eps gets the bits it would get alone.  Every step is checked for
 resonance (eps*k within a relative distance of an eigenvalue of A01(eps))
-and by an explicit residual after the recursion, or, stopping it, at the
-first step where no eps has a finite coefficient left: every eps has
-failed by then.  A batch raises the error that solving its eps one by one,
-in order, raises first.  An overflowing or resonant matrix is inverted as
-the identity meanwhile; an overflow fails its eps before any other failure
-of that eps, and an exactly singular matrix fails at once.
+and by an explicit residual, after the recursion or, stopping it, at the
+first multiple of `_STOP_CHECK_EVERY` steps where the first eps has a
+non-finite coefficient; a batch raises the error that solving its eps one
+by one, in order, raises first.  An overflowing or resonant matrix is
+inverted as the identity meanwhile; an overflow fails its eps before any
+other failure of that eps, and an exactly singular matrix fails at once.
 `evaluate_f` and `ode_residual_z` sum the series at all their points by
 one Horner pass; a partial sum carries no bound on its tail.
 """
@@ -37,6 +37,8 @@ from .series import RELATION_RTOL, _horner, _norm2, solve_triangular
 #: step k is resonant when eps*k lies within this times max(|eps*k|, |lambda|)
 #: of an eigenvalue lambda of A01(eps)
 _RESONANCE_RTOL = 1e-10
+#: steps between the tests that stop the recursion once the first eps has failed
+_STOP_CHECK_EVERY = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +109,7 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
     f = np.zeros((batch.size, p.nu, K + 1, 1), dtype=np.complex128)
 
     def checked(n: int) -> np.ndarray:
-        """The residuals of steps 1..n, (n, batch), by max-abs norms (a
-        2-norm overflows first); raises the first error of a failed step."""
+        """Residuals (n, batch) of steps 1..n by max-abs norms; raises on a failed step."""
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = (np.abs(mats[:n] @ np.moveaxis(f[..., 1:n + 1, :], -2, 0) - rhs_k[:n])
                          .max(axis=(-2, -1)) / (1.0 + np.abs(rhs_k[:n]).max(axis=(-2, -1))))
@@ -120,11 +121,11 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
         rhs_k[k - 1] = rhs
-        f[..., k, :] = inv[k - 1] @ rhs
-        # once no eps has a finite coefficient, every eps has failed a step
-        if not np.isfinite(f[..., k, :]).all(axis=(-2, -1)).any():
+        x_k = inv[k - 1] @ rhs
+        if not k % _STOP_CHECK_EVERY and not np.isfinite(x_k[0]).all():
+            f[..., k, :] = x_k  # solve_triangular stores it only after the return
             checked(k)
-        return f[..., k, :]
+        return x_k
 
     solve_triangular([(m, e[..., None]) for m, e in blocks.items()], f, solve_linear)
     residuals = checked(K)

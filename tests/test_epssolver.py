@@ -537,13 +537,16 @@ class TestOrderCost:
         assert counts[0] == counts[1] == counts[2]
 
     @pytest.mark.parametrize("run, sizes, message", [
-        # riccati at eps = 0.1 overflows at k = 876: the z-recursion stops there
+        # riccati at eps = 0.1 overflows at k = 876: the z-recursion stops soon after
         (lambda p, n: solve_coeffs_z(p, 0.1, n), (1000, 2000),
+         "linear solve at k = 876 left residual nan"),
+        # ... also when a later eps of the batch stays finite, as eps = 2 does
+        (lambda p, n: solve_coeffs_z(p, [0.1, 2.0], n), (1000, 2000),
          "linear solve at k = 876 left residual nan"),
         # the a_0 jet at z = 0.05 overflows long before h-order 2000
         (lambda p, n: eps_values_at(p, 0.05, n), (2000, 4000),
          "a_0 overflows double precision at z = (0.05+0j)"),
-    ], ids=["z-steps", "a0-jet"])
+    ], ids=["z-steps", "z-batch", "a0-jet"])
     def test_no_steps_after_overflow(self, monkeypatch, run, sizes, message):
         # the steps after every coefficient has overflowed are not taken, and
         # the error is that of the whole run

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import GevreyKitError, InsufficientOrderError
 from .problem import ProblemSpec, assemble_B
 from .series import (MatSeries, VecSeries, _check_relation, _checked_inverse, _divide,
-                     _jet_apply, _taylor_shift, _working, solve_triangular)
+                     _jet_apply, _norm2, _taylor_shift, _working, solve_triangular)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +186,7 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
                 return None
             step = jacobian_inverse(c) @ residual
             c = c - step
-            if float(np.linalg.norm(step.astype(np.complex128))) <= 16 * unit * scale:
+            if _norm2(step) <= 16 * unit * scale:
                 return c
         return None
 
@@ -199,12 +199,11 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
                     start = solve_a0(p, order).evaluate(complex(z0))
                 except GevreyKitError:   # the a_0 coefficients overflow
                     break
-                scale = max(float(np.linalg.norm(start)), 1.0)
+                scale = max(_norm2(start), 1.0)
                 if not np.isfinite(scale):
                     break
                 root = newton(start, scale)
-            if root is not None and \
-                    float(np.linalg.norm(root.astype(np.complex128) - start)) <= 1e-6 * scale:
+            if root is not None and _norm2(root - start) <= 1e-6 * scale:
                 return root
         raise GevreyKitError(f"the a_0 series up to order {order} does not resolve a_0 {where}")
 

@@ -22,10 +22,12 @@ z-recursion at every eps of a batch, a_0 and the normalization shift; with
 jets in h it runs the eps-orders.  `_divide` solves t x = rhs by forward
 substitution, for T_0 a_i = rhs and, column by column, for
 `mat_series_inverse`.  `_taylor_shift` re-centres polynomials, `_horner`
-sums every polynomial at a point, and `_norm2` takes the 2-norms of
-coefficients, terms and residuals, rescaled where squaring overflows.  `multilinear_apply` applies
-one block to plain vectors for `ProblemSpec.eval_F`, which shares no code
-with the kernel it checks.  The composition sum, and the
+sums every polynomial at a point, and `_norm2` is the package's one
+2-norm, of coefficients, terms, residuals and Newton steps, each scaled
+exactly by a power of two so that it cannot overflow or underflow short
+of the double range.  `multilinear_apply` applies one block to plain
+vectors for `ProblemSpec.eval_F`, which shares no code with the kernel it
+checks.  The composition sum, and the
 convolution-taming constant with its inequality, are test oracles
 (tests/oracles.py).
 
@@ -115,17 +117,18 @@ def _check_relation(resid, scale, what: str, where: str, *, rtol: float = RELATI
 
 
 def _norm2(v, axis: int | None = None):
-    """2-norm in complex128 of `v` along `axis` (of all of it when None);
-    where squaring finite entries overflows, of them scaled by their largest
-    real or imaginary part, so that it overflows only past the double range."""
+    """2-norm in complex128 of `v` along `axis` (of all of it when None).
+    Each slice is scaled by 2**-e, e the binary exponent of its largest real
+    or imaginary part, before its squares are summed, and scaled back after
+    (the xNRM2 scaling of LAPACK, Blue, ACM TOMS 4, 1978).  A power of two
+    scales exactly, so a norm whose squares stay in range keeps its bits,
+    and no norm overflows or underflows short of the double range."""
     v = np.asarray(v, dtype=np.complex128)
+    e = np.frexp(np.maximum(abs(v.real), abs(v.imag)).max(axis=axis, keepdims=True))[1]
+    scaled = np.empty_like(v)
+    scaled.real, scaled.imag = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(v, axis=axis, keepdims=True)
-        redo = np.isinf(norm) & np.isfinite(v).all(axis=axis, keepdims=True)
-        if redo.any():
-            big = np.maximum(abs(v.real), abs(v.imag)).max(axis=axis, keepdims=True)
-            big = np.where(redo, big, 1.0)
-            norm = np.where(redo, big * np.linalg.norm(v / big, axis=axis, keepdims=True), norm)
+        norm = np.ldexp(np.linalg.norm(scaled, axis=axis, keepdims=True), e)
     return norm.squeeze(axis)[()]
 
 

@@ -39,6 +39,17 @@ def run_json(tmp_path, args, name="out.json"):
     return code, json.loads(out.read_text()) if out.exists() else None
 
 
+def scaled_riccati(tmp_path, s, c):
+    """The built-in problem with F times s and f times c, written to a file:
+    block (n, m) times s * c**(1 - m)."""
+    r = builtin_riccati()
+    path = tmp_path / f"riccati_F{s:g}_f{c:g}.json"
+    path.write_text(problem_to_json(ProblemSpec(nu=1, rho=r.rho, rho1=r.rho1, tensors=tuple(
+        CoeffTensor(t.n, t.m, t.entries * (s * c ** (1 - t.m))) for t in r.tensors))),
+        encoding="utf-8")
+    return str(path)
+
+
 class TestCheckSector:
     def test_riccati_summable(self, tmp_path, report_schema):
         code, rep = run_json(tmp_path, ["check-sector", "--builtin", "riccati",
@@ -79,6 +90,19 @@ class TestCheckSector:
                                         "--gamma", repr(2 * math.pi)])
         assert code == 0
         assert rep["data"]["gamma"] == 2 * math.pi
+
+    @pytest.mark.parametrize("diagonal", [[-1e200, -2e200], [-1e40 * j for j in range(1, 9)]],
+                             ids=["nu2-1e200", "nu8-1e40"])
+    def test_large_linear_block(self, tmp_path, diagonal):
+        # ||A01||_2^nu leaves the double range; the eigenvalues do not
+        nu = len(diagonal)
+        doc = {"nu": nu, "rho": 1.0, "rho1": 4.0, "tensors": [
+            {"n": 0, "m": 1, "entries": [[[x if i == j else 0.0, 0.0]]
+                                         for i, x in enumerate(diagonal) for j in range(nu)]},
+            {"n": 1, "m": 0, "entries": [[[1.0, 0.0]]] * nu}]}
+        code, rep = run_json(tmp_path, ["check-sector", "--problem", write_doc(tmp_path, doc)])
+        assert (code, rep["verdict"]) == (0, "summable")
+        assert rep["data"]["gamma_max"] == pytest.approx(2 * math.pi)
 
 
 #: eps*z*f' = diag(-1e12, -1) f + z (1, 1): a stiff but well-separated linear block
@@ -184,12 +208,8 @@ class TestSolve:
     def test_small_linear_block_at_eps_zero(self, tmp_path):
         # every block times 1e-11: -A01 = 1e-11 is solved exactly at eps = 0,
         # not called resonant
-        r = builtin_riccati()
-        path = tmp_path / "scaled.json"
-        path.write_text(problem_to_json(ProblemSpec(nu=1, rho=r.rho, rho1=r.rho1, tensors=tuple(
-            CoeffTensor(t.n, t.m, t.entries * 1e-11) for t in r.tensors))), encoding="utf-8")
-        code, rep = run_json(tmp_path, ["solve", "--problem", str(path),
-                                        "--eps", "0", "--z", "0.05"])
+        path = scaled_riccati(tmp_path, 1e-11, 1.0)
+        code, rep = run_json(tmp_path, ["solve", "--problem", path, "--eps", "0", "--z", "0.05"])
         assert (code, rep["verdict"]) == (0, "ok")
 
     def test_problem_file_round_trip(self, tmp_path):
@@ -479,6 +499,37 @@ def test_math_error_report_stays_json_under_csv(tmp_path, capsys, to_file):
     assert code == 2
     rep = json.loads(out.read_text() if to_file else capsys.readouterr().out)
     assert (rep["verdict"], rep["error"]["code"]) == ("error", "resonance")
+
+
+@pytest.mark.parametrize("s, c", [(1e25, 1.0), (1.0, 1e-160), (1.0, 1e160)],
+                         ids=["F*1e25", "f*1e-160", "f*1e160"])
+def test_reports_scale_with_the_problem(tmp_path, s, c):
+    # the built-in F does not depend on eps, so the scaled blocks give
+    # eps z f' = s c F(z, f/c), solved by c times the built-in solution at
+    # eps/s: the a_i are c s^-i times the built-in ones, the fit's C is c
+    # times and its mu 1/s times the built-in fit, and at eps s every value
+    # is c times the built-in value
+    def run(path, command, *options):
+        code, rep = run_json(tmp_path, [command, "--problem", path, "--z", "0.05", *options])
+        assert code == 0
+        return rep["data"]
+
+    plain = scaled_riccati(tmp_path, 1.0, 1.0)
+    scaled = scaled_riccati(tmp_path, s, c)
+    want = run(plain, "diagnose", "--I", "12", "--eps", "0.1")
+    got = run(scaled, "diagnose", "--I", "12", "--eps", repr(0.1 * s))
+    assert got["fit"]["C"] == pytest.approx(c * want["fit"]["C"], rel=1e-12)
+    assert got["fit"]["mu"] == pytest.approx(want["fit"]["mu"] / s, rel=1e-12)
+    assert [n["norm"] for n in got["norms"]] == pytest.approx(
+        [c * n["norm"] / s ** n["i"] for n in want["norms"]], rel=1e-12)
+    if s == 1.0:
+        # optimal truncation at eps s counts a_i(z) that underflow as
+        # vanished terms, so only the f-scalings compare it
+        want, got = (run(path, "resum", "--I", "20", "--eps", "0.1")["points"][0]
+                     ["optimal_truncation"] for path in (plain, scaled))
+        assert got["I_star"] == want["I_star"]
+        assert complex(*got["value"][0]) == pytest.approx(c * complex(*want["value"][0]),
+                                                          rel=1e-12)
 
 
 class TestValidateRiccati:

@@ -6,12 +6,14 @@ so do the solvers `solve`, `resum` and `diagnose`, without a RuntimeWarning.
 Sizes stay bounded (nu <= 3, arity m <= 80, z-power n <= 5, at most 81
 entries per block), but the arities reach past numpy's 64 array axes, and
 the numbers include NaN, infinities and integers beyond the double range.
+Well-formed documents are also run with every entry scaled by one power
+of ten from 1e-300 to 1e300.
 """
 import json
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gevrey_kit import ProblemSpec, assemble_B, parse_problem
@@ -47,14 +49,20 @@ def slots(obj):
 
 
 @st.composite
-def documents(draw):
-    """A well-formed document; half of them with one value replaced by junk."""
+def well_formed(draw):
+    """A well-formed document, its block entries drawn from [-4, 4]."""
     nu = draw(st.integers(1, 3))
     tensors = draw(st.lists(blocks(nu), max_size=3))
     if draw(st.integers(0, 3)):
         tensors.insert(0, draw(blocks(nu, key=(0, 1))))
-    doc = {"nu": nu, "rho": draw(st.floats(0.1, 2.0)), "rho1": draw(st.floats(2.5, 8.0)),
-           "tensors": tensors}
+    return {"nu": nu, "rho": draw(st.floats(0.1, 2.0)), "rho1": draw(st.floats(2.5, 8.0)),
+            "tensors": tensors}
+
+
+@st.composite
+def documents(draw):
+    """A well-formed document; half of them with one value replaced by junk."""
+    doc = draw(well_formed())
     if draw(st.booleans()):
         container, key = draw(st.sampled_from(list(slots(doc))))
         container[key] = draw(JUNK)
@@ -66,6 +74,7 @@ def documents(draw):
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 SOLVER_EXAMPLES = 180
+MAGNITUDE_EXAMPLES = 40
 
 
 @FUZZ
@@ -106,6 +115,33 @@ def test_solvers_exit_with_a_documented_code(workdir, doc):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for command, *options in SOLVERS:
+            assert main([command, "--problem", str(path), *options,
+                         "--out", str(workdir / "report.json")]) in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+#: eps*z*f' = diag(-1, -2) f + z (1, 1), whose linear block times 1e200 has a
+#: 2-norm whose square leaves the double range
+DIAGONAL = {"nu": 2, "rho": 1.0, "rho1": 4.0, "tensors": [
+    {"n": 0, "m": 1, "entries": [[[-1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]], [[-2.0, 0.0]]]},
+    {"n": 1, "m": 0, "entries": [[[1.0, 0.0]], [[1.0, 0.0]]]}]}
+
+
+@settings(FUZZ, max_examples=MAGNITUDE_EXAMPLES)
+@given(well_formed(), st.integers(-300, 300))
+@example(doc=DIAGONAL, k=200)
+def test_every_command_across_magnitudes(workdir, doc, k):
+    # the equation has no preferred units: with every entry times 10^k, from
+    # far below to far above 1, each command still exits with a documented
+    # code and no RuntimeWarning
+    doc = {**doc, "tensors": [{**block, "entries": [[[x * 10.0**k for x in pair] for pair in entry]
+                                                    for entry in block["entries"]]}
+                              for block in doc["tensors"]]}
+    path = workdir / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command, *options in [("check-sector",), *SOLVERS]:
             assert main([command, "--problem", str(path), *options,
                          "--out", str(workdir / "report.json")]) in (0, 1, 2)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

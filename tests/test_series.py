@@ -435,5 +435,8 @@ class TestCarriers:
         # the squares of 3e200 and 4e200 overflow, the norm 5e200 does not
         v = VecSeries(np.array([[3e200, 1.0], [4e200j, 0.0]]))
         np.testing.assert_allclose(v.norms(), [5e200, 1.0], rtol=1e-15)
+        # the squares of 3e-170 and 4e-170 underflow, the norm 5e-170 does not
+        v = VecSeries(np.array([[3e-170], [4e-170j]]))
+        np.testing.assert_allclose(v.norms(), [5e-170], rtol=1e-15)
         # sqrt(2) * 1.5e308 is past the double range itself
         assert np.isinf(VecSeries(np.array([[1.5e308, 1.0], [1.5e308j, 0.0]])).norms()[0])

@@ -1,9 +1,11 @@
-"""Only `series` picks the arithmetic and decides when a matrix is
-singular.
+"""Only `series` picks the arithmetic, decides when a matrix is singular
+and takes a 2-norm.
 
-`series._working` picks complex128 or the current mpmath precision, and
+`series._working` picks complex128 or the current mpmath precision,
 `series._checked_inverse` inverts a matrix or refuses it as singular by
-one relative test.  A module that uses mpmath, or inverts, factors or
+one relative test, and `series._norm2` takes every 2-norm, scaled exactly
+by a power of two so that it does not depend on how large the numbers
+are.  A module that uses mpmath, takes a norm, or inverts, factors or
 solves with a matrix through numpy.linalg by itself, keeps a rule of its
 own beside them.  A static pass over the source finds every such use, and
 each one outside `series` says in `ALLOWED` why it stays.
@@ -13,9 +15,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gevrey_kit"
 
-#: the numpy.linalg routines that invert, factor or solve, which only `series`
-#: calls without a reason in `ALLOWED`
-LINALG = {"inv", "svd", "solve", "det", "eig", "eigvals", "lstsq", "pinv", "qr", "cholesky"}
+#: the numpy.linalg routines that take a norm, invert, factor or solve, which
+#: only `series` calls without a reason in `ALLOWED`
+LINALG = {"norm", "inv", "svd", "solve", "det", "eig", "eigvals", "lstsq", "pinv", "qr",
+          "cholesky"}
 
 #: (module, enclosing function, routine) of the uses outside `series` that stay
 ALLOWED = {
@@ -26,11 +29,9 @@ ALLOWED = {
     # the spectrum of every A01(eps) of a batch at once, the z-recursion's
     # resonance verdict
     ("zsolver.py", "solve_coeffs_z", "numpy.linalg.eigvals"),
-    # the spectrum of the linear block, the ray condition's input, which
-    # checks each eigenvalue by a determinant rule of its own,
-    # |det(A - lambda I)| <= 1e-8 max(1, ||A||_2)^nu
+    # the spectrum of the linear block, the ray condition's input; LAPACK's
+    # eigenvalues are backward stable and need no check of their own
     ("sector.py", "spectrum", "numpy.linalg.eigvals"),
-    ("sector.py", "spectrum", "numpy.linalg.det"),
     # the Pade rank test, which the least-squares Pade of ROADMAP item 2
     # replaces
     ("borel.py", "_pade_component", "numpy.linalg.svd"),
@@ -79,6 +80,7 @@ def test_the_pass_sees_uses():
     series = uses(PACKAGE / "series.py")
     assert {("series.py", "_checked_inverse", "numpy.linalg.inv"),
             ("series.py", "_checked_inverse", "mpmath"),
+            ("series.py", "_norm2", "numpy.linalg.norm"),
             ("series.py", "_working", "mpmath")} <= series
     found = set().union(*(uses(path) for path in PACKAGE.glob("*.py")))
     assert ALLOWED <= found

@@ -62,16 +62,6 @@ class EpsFormalSolution:
     a: tuple[VecSeries, ...]
     residuals: tuple[float, ...]
 
-    def values_at(self, z: complex) -> np.ndarray:
-        """Stack of a_i(z) values, shape (I+1, nu), summed from the z-series
-        at 0; `eps_values_at` keeps its digits away from z = 0."""
-        return np.stack([ai.evaluate(z) for ai in self.a])
-
-
-def _blocks0(p: ProblemSpec) -> list[tuple[int, np.ndarray]]:
-    """The eps-constant blocks as (arity, z-polynomial entries)."""
-    return [(m, e[..., 0, :]) for m, e in assemble_B(p).items()]
-
 
 def _T0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
     """Jet of T_0 = d_f F(0, z, a_0) through length L, shape (nu, nu, L):
@@ -88,7 +78,8 @@ def build_T0(p: ProblemSpec, a0: VecSeries, K_z: int) -> MatSeries:
     contracted with a_0.
     """
     p.require_normalized()
-    return MatSeries(_T0_jet(_blocks0(p), a0.coeffs, K_z + 1), var="z")
+    blocks0 = [(m, e[..., 0, :]) for m, e in assemble_B(p).items()]
+    return MatSeries(_T0_jet(blocks0, a0.coeffs, K_z + 1), var="z")
 
 
 def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
@@ -268,12 +259,12 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> Vec
 def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     """Point values a_0(z)..a_I(z) of the formal eps-expansion, shape (I+1, nu).
 
-    `EpsFormalSolution.values_at` sums the z-series at 0, which loses every
-    digit that the terms a_{i,k} z^k outgrow a_i(z) by.  This is the driver
-    at z itself, with a_i carried to h-order I - i, exactly what the next
-    order needs, and read at h = 0.  Arithmetic is complex128 for a Python
-    or numpy `z`, and the current mpmath precision when `z` is an mpmath
-    number.
+    Summing the z-series of `solve_eps_expansion` at z, as
+    ``sol.a[i].evaluate(z)``, loses every digit that the terms a_{i,k} z^k
+    outgrow a_i(z) by.  This is the driver at z itself, with a_i carried to
+    h-order I - i, exactly what the next order needs, and read at h = 0.
+    Arithmetic is complex128 for a Python or numpy `z`, and the current
+    mpmath precision when `z` is an mpmath number.
     """
     if I < 0:
         raise ValueError("I must be >= 0")

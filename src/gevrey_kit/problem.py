@@ -108,9 +108,6 @@ class ProblemSpec:
     def is_normalized(self) -> bool:
         return (0, 0) not in self.blocks
 
-    def tensor(self, n: int, m: int) -> CoeffTensor | None:
-        return self.blocks.get((n, m))
-
     def a01(self, eps: complex = 0.0) -> np.ndarray:
         return self.blocks[(0, 1)].at_eps(eps)
 
@@ -161,31 +158,26 @@ def _is_double(v) -> bool:
 def parse_problem(document) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from a problem document.
 
-    `document` may be a dict, a JSON string, or a path to a JSON file.  The
-    layout is ``{"nu", "rho", "rho1", "tensors": [{"n", "m", "entries"}]}``
-    where ``entries`` is a flat list of length ``nu**(m+1)`` in row-major
-    slot order and every entry is a list of ``[re, im]`` eps-coefficients.
+    `document` is a `Path` to a JSON file, a `str` of JSON text, or the
+    decoded dict; a `str` is never taken for a file name.  The layout is
+    ``{"nu", "rho", "rho1", "tensors": [{"n", "m", "entries"}]}`` where
+    ``entries`` is a flat list of length ``nu**(m+1)`` in row-major slot
+    order and every entry is a list of ``[re, im]`` eps-coefficients.
     Numbers must be finite doubles, n at most _MAX_Z_POWER and m + 2 at most
     _MAX_AXES.  A missing or singular linear block raises
-    `SingularMatrixError`, any other fault, an unreadable file included,
-    `SchemaError`.
+    `SingularMatrixError`, any other fault, a missing or unreadable file
+    included, `SchemaError`.
     """
-    if isinstance(document, (str, Path)):
+    if isinstance(document, Path):
         try:
-            is_file = Path(document).exists()
-        except OSError:
-            is_file = False
-        if is_file:
-            try:
-                text = Path(document).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as e:
-                raise SchemaError(f"cannot read problem file {document}: {e}") from e
-        elif isinstance(document, str):
-            text = document
-        else:
-            raise SchemaError(f"problem file not found: {document}")
+            document = document.read_text(encoding="utf-8")
+        except FileNotFoundError as e:
+            raise SchemaError(f"problem file not found: {document}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise SchemaError(f"cannot read problem file {document}: {e}") from e
+    if isinstance(document, str):
         try:
-            document = json.loads(text)
+            document = json.loads(document)
         except json.JSONDecodeError as e:
             raise SchemaError(f"invalid JSON: {e}") from e
     if not isinstance(document, dict):
@@ -241,18 +233,14 @@ def parse_problem(document) -> ProblemSpec:
         raise SchemaError(str(e)) from e
 
 
-def problem_to_dict(p: ProblemSpec) -> dict:
-    """Inverse of :func:`parse_problem`; floats round-trip bit-exactly."""
+def problem_to_json(p: ProblemSpec) -> str:
+    """JSON text that :func:`parse_problem` reads back; floats round-trip bit-exactly."""
     tensors = []
     for t in p.tensors:
         flat = t.entries.reshape(-1, t.degree + 1)
         entries = [[[float(c.real), float(c.imag)] for c in row] for row in flat]
         tensors.append({"n": t.n, "m": t.m, "entries": entries})
-    return {"nu": p.nu, "rho": p.rho, "rho1": p.rho1, "tensors": tensors}
-
-
-def problem_to_json(p: ProblemSpec) -> str:
-    return json.dumps(problem_to_dict(p), indent=2)
+    return json.dumps({"nu": p.nu, "rho": p.rho, "rho1": p.rho1, "tensors": tensors}, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +324,7 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
     """
     if k_eps < 1:
         raise ValueError("k_eps must be >= 1")
-    zz = p.tensor(0, 0)
+    zz = p.blocks.get((0, 0))
     if zz is not None and float(np.abs(zz.at_eps(0.0)).max()) > COEFF_TOL:
         raise NormalizationError(
             "F(0,0,0) != 0: no shift with s(0) = 0 exists; supply a root")

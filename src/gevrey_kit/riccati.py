@@ -41,15 +41,15 @@ def bessel_ratio_cf(kappa: float, x: float) -> float:
     f = _TINY
     c = f
     d = 0.0
+    # c = b + 1/c stays > 0 from c = _TINY; d = b + d vanishes only where
+    # b = 2 kappa / x underflows at j = 1, as for kappa = 5e-324, x = 10
     for j in range(1, _CF_MAX_DEPTH + 1):
         b = 2.0 * (kappa + j - 1) / x
         d = b + d
         if d == 0.0:
             d = _TINY
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = _TINY
         d = 1.0 / d
+        c = b + 1.0 / c
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < _CF_TOL:

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArityMismatchError, GevreyKitError, SingularMatrixError, VarMismatchError
 
-SERIES_VARS = ("eps", "z", "t")
+SERIES_VARS = ("eps", "z")
 
 #: Absolute coefficient tolerance, scaled by the largest coefficient magnitude.
 COEFF_TOL = 1e-12
@@ -203,9 +203,6 @@ class MatSeries:
     def order(self) -> int:
         return self.coeffs.shape[2] - 1
 
-    def constant(self) -> np.ndarray:
-        return self.coeffs[:, :, 0].copy()
-
     def matmul(self, other: "MatSeries") -> "MatSeries":
         if self.var != other.var:
             raise VarMismatchError("matrix series variable mismatch")
@@ -254,7 +251,7 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
     Solves ``T S = I`` column by column with the series division `_divide`
     and verifies ``T S = I + O(var^(K+1))`` to the coefficient tolerance.
     """
-    t0inv = _checked_inverse(t.constant(), "constant term of the matrix series")
+    t0inv = _checked_inverse(t.coeffs[:, :, 0], "constant term of the matrix series")
     eye = np.eye(t.nu, dtype=np.complex128)
     s = np.stack([_divide(_fit(e[:, None], t.order + 1), t.coeffs, t0inv) for e in eye], axis=1)
     inv = MatSeries(s, t.var)

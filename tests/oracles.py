@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from gevrey_kit.epssolver import _blocks0, solve_a0, solve_eps_expansion
-from gevrey_kit.problem import CoeffTensor, ProblemSpec
+from gevrey_kit.epssolver import solve_a0, solve_eps_expansion
+from gevrey_kit.problem import CoeffTensor, ProblemSpec, assemble_B
 from gevrey_kit.sector import check_siegel, spectrum
 from gevrey_kit.series import VecSeries
 from gevrey_kit.zsolver import evaluate_f, solve_coeffs_z
@@ -325,7 +325,8 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) 
     ||a_0(z)||^{m-1}) on |z| <= kappa, the contraction quantity controlling
     invertibility of T_0 on that disc (< 1 means safely invertible), sampled
     at _CONTRACTION_SAMPLES radii."""
-    blocks0 = [(m, e) for m, e in _blocks0(p) if m >= 1]
+    # the eps-constant blocks of arity m >= 1, as z-polynomial entries
+    blocks0 = [(m, e[..., 0, :]) for m, e in assemble_B(p).items() if m >= 1]
     worst = 0.0
     for s in range(1, _CONTRACTION_SAMPLES + 1):
         z = kappa * s / _CONTRACTION_SAMPLES

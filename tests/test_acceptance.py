@@ -113,14 +113,14 @@ def test_criterion_06_one_summation():
     with Timer(30.0) as t:
         p = gk.builtin_riccati()
         sol = gk.solve_eps_expansion(p, 30, 90)
-        a_vals = sol.values_at(0.05)
+        a_vals = np.stack([a.evaluate(0.05) for a in sol.a])
         b = gk.borel_transform(a_vals)
         pade = gk.pade_continue(b, 14, 15)
         ref = gk.shifted_reference(0.1, 0.05)
         err30 = abs(gk.laplace_sum(b, pade, 0.1).value[0] - ref)
 
         sol10 = gk.solve_eps_expansion(p, 10, 50)
-        b10 = gk.borel_transform(sol10.values_at(0.05))
+        b10 = gk.borel_transform(np.stack([a.evaluate(0.05) for a in sol10.a]))
         err10 = abs(gk.laplace_sum(b10, gk.pade_continue(b10, 4, 5), 0.1).value[0]
                     - ref)
 

@@ -246,7 +246,7 @@ class TestEpsOutOfRange:
 @pytest.fixture(scope="module")
 def riccati_data(riccati):
     sol = solve_eps_expansion(riccati, 30, 90)
-    return sol.values_at(0.05)
+    return np.stack([a.evaluate(0.05) for a in sol.a])
 
 
 class TestRiccatiSummation:
@@ -262,7 +262,7 @@ class TestRiccatiSummation:
         errs = []
         for I in (10, 20, 30):
             sol = solve_eps_expansion(riccati, I, 2 * I + 30)
-            b = borel_transform(sol.values_at(0.05))
+            b = borel_transform(np.stack([a.evaluate(0.05) for a in sol.a]))
             L = (I - 1) // 2
             pade = pade_continue(b, L, I - 1 - L)
             errs.append(abs(laplace_sum(b, pade, 0.1).value[0] - ref))

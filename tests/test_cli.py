@@ -70,10 +70,16 @@ class TestCheckSector:
         assert code == 0
         assert rep["meta"]["options"] == {"builtin": "riccati", "theta": 0.0}
 
-    def test_missing_problem_file(self, tmp_path, capsys):
+    def test_missing_problem_file(self, tmp_path, capsys, monkeypatch):
         code = main(["check-sector", "--problem", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+        # a relative path is named as it was given
+        monkeypatch.chdir(tmp_path)
+        code, rep = run_json(tmp_path, ["solve", "--problem", "missing.json"])
+        assert (code, rep) == (1, None)
+        assert capsys.readouterr().err == ("gevrey-kit: error: "
+                                           "problem file not found: missing.json\n")
 
     @pytest.mark.parametrize("gamma", ["-1", "0", "7"])
     def test_opening_outside_range_is_refused(self, tmp_path, capsys, gamma):
@@ -401,6 +407,13 @@ def test_empty_list_is_refused(tmp_path, capsys, args, option):
     assert (code, rep) == (1, None)
     err = capsys.readouterr().err
     assert err.startswith(f"gevrey-kit: error: argument {option}: ") and err.count("\n") == 1
+
+
+def test_bad_number_in_list_is_refused(tmp_path, capsys):
+    code, rep = run_json(tmp_path, ["solve", "--builtin", "riccati", "--eps", "0.1,x"])
+    assert (code, rep) == (1, None)
+    assert capsys.readouterr().err == ("gevrey-kit: error: argument --eps: "
+                                       "bad numeric list '0.1,x'\n")
 
 
 @pytest.mark.parametrize("command", ["resum", "diagnose"])

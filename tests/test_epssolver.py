@@ -321,20 +321,20 @@ class TestPointValues:
     def test_riccati_matches_z_series_at_low_order(self, riccati):
         # i <= 12 is where summing the z-series at 0 is still accurate
         jets = eps_values_at(riccati, 0.05, 12)
-        series = solve_eps_expansion(riccati, 12, 60).values_at(0.05)
+        series = np.stack([a.evaluate(0.05) for a in solve_eps_expansion(riccati, 12, 60).a])
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
     def test_coupled_problem_matches_z_series(self):
         p = coupled_problem()
         jets = eps_values_at(p, 0.02, 8)
-        series = solve_eps_expansion(p, 8, 40).values_at(0.02)
+        series = np.stack([a.evaluate(0.02) for a in solve_eps_expansion(p, 8, 40).a])
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
     def test_staggered_problem_matches_z_series(self, staggered):
         # the cubic arity enters only at eps^1 and the (1,1) block ends in
         # a zero eps-coefficient; recentring keeps both
         jets = eps_values_at(staggered, 0.02, 8)
-        series = solve_eps_expansion(staggered, 8, 40).values_at(0.02)
+        series = np.stack([a.evaluate(0.02) for a in solve_eps_expansion(staggered, 8, 40).a])
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
     def test_double_against_50_digits(self, riccati):

@@ -10,14 +10,13 @@ from gevrey_kit import (
     builtin_riccati,
     normalize_shift,
     parse_problem,
-    problem_to_dict,
     problem_to_json,
 )
 from gevrey_kit.errors import NormalizationError, SchemaError, SingularMatrixError
 
 
 def block_value(p, n, m):
-    t = p.tensor(n, m)
+    t = p.blocks.get((n, m))
     assert t is not None, f"missing block ({n}, {m})"
     return t.entries
 
@@ -97,6 +96,26 @@ class TestParseSerialize:
         with pytest.raises(SchemaError, match="cannot read"):
             parse_problem(tmp_path)
 
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SchemaError, match=r"^problem file not found: .*missing\.json$"):
+            parse_problem(path)
+
+    def test_text_is_never_a_file_name(self, riccati, tmp_path, monkeypatch):
+        # a str is JSON text even where a file of that name exists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prob.json").write_text(problem_to_json(riccati), encoding="utf-8")
+        with pytest.raises(SchemaError, match="^invalid JSON: "):
+            parse_problem("prob.json")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "^invalid JSON: "),
+        ("[1]", "^problem document must be a JSON object$"),
+    ])
+    def test_text_that_is_no_problem_object(self, text, message):
+        with pytest.raises(SchemaError, match=message):
+            parse_problem(text)
+
     def test_non_invertible_linear_block(self):
         doc = {"nu": 1, "rho": 1.0, "rho1": 4.0,
                "tensors": [{"n": 0, "m": 1, "entries": [[[0.0, 0.0]]]}]}
@@ -168,7 +187,7 @@ class TestParseSerialize:
         schema = json.loads(
             resources.files("gevrey_kit.schemas").joinpath("problem.schema.json")
             .read_text())
-        jsonschema.validate(problem_to_dict(riccati), schema)
+        jsonschema.validate(json.loads(problem_to_json(riccati)), schema)
 
     def test_schema_bounds_match_the_parser(self):
         from importlib import resources
@@ -317,7 +336,7 @@ class TestAssembleB:
                 np.testing.assert_array_equal(got, t.entries[..., j])
         for m, e in b.items():
             for n in range(e.shape[-1]):
-                t = staggered.tensor(n, m)
+                t = staggered.blocks.get((n, m))
                 assert not e[..., 0 if t is None else t.degree + 1:, n].any()
 
 

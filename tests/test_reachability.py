@@ -25,7 +25,9 @@ UNREACHED pins those definitions, each with the reason it is kept:
   API and the tests, not by a subcommand.
 
 Oracles that only the tests call live in tests/oracles.py, outside the
-package.  New dead code fails the test; a change that wires a name into a
+package, and import no private (``_``-prefixed) name of it, so that an
+oracle shares no helper with the solvers it checks.  New dead code fails
+the test; a change that wires a name into a
 subcommand, or deletes it, takes it off the list.  The ``tracer`` and
 ``benchmark`` reasons are checked too: the same pass, started from the
 names the tracer wraps or from those perfbench imports, must reach each
@@ -40,19 +42,18 @@ import pytest
 from test_tracer_targets import tracer_lists
 
 ROOT = Path(__file__).resolve().parents[1]
+ORACLES = ROOT / "tests" / "oracles.py"
 PACKAGE = ROOT / "src" / "gevrey_kit"
 PERFBENCH = ROOT / "perfbench"
 
 REASONS = {"tracer", "benchmark", "paper-check"}
 
 UNREACHED = {
-    "epssolver._blocks0": "tracer",
     "epssolver.build_T0": "tracer",
     "epssolver.solve_ai": "tracer",
     "errors.VarMismatchError": "tracer",
     "problem.NormalizationShift": "paper-check",
     "problem.normalize_shift": "paper-check",
-    "problem.problem_to_dict": "benchmark",
     "problem.problem_to_json": "benchmark",
     "series.MatSeries": "tracer",
     "series.mat_series_inverse": "tracer",
@@ -196,3 +197,22 @@ def test_pins_keep_their_reason(reason, roots):
     stale = sorted(name for name, why in UNREACHED.items()
                    if why == reason and name not in reached)
     assert not stale, f"pinned as {reason!r}, but no longer needed by it: {stale}"
+
+
+def package_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every name that the file at `path` imports from the
+    package or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module == "gevrey_kit" or (node.module or "").startswith("gevrey_kit.")):
+            found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_oracles_import_no_private_name():
+    imported = package_imports(ORACLES)
+    # a pass that sees no import would pass vacuously
+    assert ("gevrey_kit.epssolver", "solve_eps_expansion") in imported
+    private = sorted(f"{mod}.{name}" for mod, name in imported if name.startswith("_"))
+    assert not private, f"tests/oracles.py imports private solver code: {private}"

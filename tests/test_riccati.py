@@ -37,6 +37,12 @@ class TestContinuedFraction:
         expect = iv(kappa, x) / iv(kappa - 1, x)
         assert got == pytest.approx(expect, rel=1e-12)
 
+    def test_first_denominator_underflows(self):
+        # b_1 = 2 kappa / x rounds to 0, which the Lentz start takes as tiny
+        kappa, x = 5e-324, 10.0
+        got = bessel_ratio_cf(kappa, x)
+        assert got == pytest.approx(iv(kappa, x) / iv(kappa - 1, x), rel=1e-12)
+
     def test_depth_cap(self, monkeypatch):
         monkeypatch.setattr("gevrey_kit.riccati._CF_MAX_DEPTH", 2)
         with pytest.raises(EvaluationError):

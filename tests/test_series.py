@@ -425,6 +425,11 @@ class TestCarriers:
         with pytest.raises(ValueError):
             vs([1.0, np.inf])
 
+    def test_unknown_variable_rejected(self):
+        # series are in eps or z; the Borel variable t has none
+        with pytest.raises(ValueError, match="unknown series variable 't'"):
+            VecSeries(np.ones((1, 2)), var="t")
+
     def test_vecseries_components(self):
         v = VecSeries(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
         assert v.nu == 2 and v.order == 1

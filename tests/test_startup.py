@@ -32,7 +32,7 @@ PUBLIC_NAMES = sorted([
     "build_T0", "builtin_riccati", "check_siegel", "eps_values_at", "evaluate_f",
     "gamma_max", "gevrey_fit", "laplace_sum", "mat_series_inverse", "multilinear_apply",
     "normalize_shift", "ode_residual", "ode_residual_z", "optimal_truncation_sum",
-    "pade_continue", "parse_problem", "phi_eps", "problem_to_dict", "problem_to_json",
+    "pade_continue", "parse_problem", "phi_eps", "problem_to_json",
     "remainder_profile", "shift_problem", "shifted_reference",
     "solve_a0", "solve_ai", "solve_coeffs_z", "solve_eps_expansion", "spectrum",
     "sup_norm_disc",

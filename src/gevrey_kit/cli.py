@@ -360,7 +360,7 @@ def _cmd_diagnose(args):
 def _cmd_validate_riccati(args):
     from .epssolver import solve_a0
     from .problem import builtin_riccati
-    from .riccati import ode_residual, shifted_reference
+    from .riccati import ode_residual, phi_eps, shifted_reference
     from .zsolver import evaluate_f, solve_coeffs_z
 
     p = builtin_riccati()
@@ -388,18 +388,15 @@ def _cmd_validate_riccati(args):
                 for zz in (0.01, 0.05, 0.1, 0.5, 1.0))
     checks.append({"name": "reference_ode_residual", "worst": worst, "pass": worst <= 1e-9})
 
-    # the shifted right-hand side accepts the shifted reference
+    # the shifted right-hand side is the raw one, -1/2 - phi + 2 z phi**2,
+    # moved by 1/2
     worst = 0.0
     for e in (0.1, 0.2):
         for zz in (0.02, 0.05):
-            h = 1e-6
-            fm = shifted_reference(e, zz - h)
-            fp = shifted_reference(e, zz + h)
-            fv = shifted_reference(e, zz)
-            dphi = (fp - fm) / (2 * h)
-            resid = abs(e * zz * dphi - p.eval_F(e, zz, np.array([fv]))[0])
-            worst = max(worst, resid)
-    checks.append({"name": "shifted_rhs_identity", "worst": worst, "pass": worst <= 1e-6})
+            phi = phi_eps(e, zz)
+            raw = 2 * zz * phi * phi - phi - 0.5
+            worst = max(worst, abs(p.eval_F(e, zz, [phi + 0.5])[0] - raw))
+    checks.append({"name": "shifted_rhs_identity", "worst": worst, "pass": worst <= 1e-12})
 
     ok = all(c["pass"] for c in checks)
     return ("pass" if ok else "fail", {"checks": checks},

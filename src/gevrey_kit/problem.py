@@ -363,8 +363,8 @@ def builtin_riccati(beta: Sequence[complex] = (1.0,)) -> ProblemSpec:
 
     so the delivered blocks are (0,1) -> -1, (1,1) -> -2*beta,
     (1,0) -> beta**2/2 and (1,2) -> 2.  The sign of the (1,1) block follows
-    from the substitution; the test suite confirms it by checking that the
-    shifted continued-fraction reference satisfies this right-hand side.
+    from the substitution; `validate-riccati` confirms it exactly: at phi of
+    the continued-fraction reference, this F at phi + 1/2 is the raw F at phi.
     """
     b = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
     if b.ndim != 1:

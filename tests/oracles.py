@@ -29,6 +29,9 @@ in the shipped library.
   and the Frobenius block bounds, and the geometric tail bound that they
   give a z-series partial sum of order K at a point z.
 * The eps -> 0 limit phi0 of the Riccati closed form.
+* The point values a_i(z) of the built-in Riccati problem from its own jet
+  recursion in plain mpmath (`riccati_eps_values`): no numpy and no package
+  code, so it can arbitrate the 50-digit path of `eps_values_at`.
 """
 from __future__ import annotations
 
@@ -512,3 +515,50 @@ def phi0(z: complex) -> complex:
     if w.imag == 0.0 and w.real <= 0.0:
         raise ValueError(f"1 + 4z = {w} lies on the branch cut (-inf, 0]")
     return -1.0 / (1.0 + cmath.sqrt(w))
+
+
+# ---------------------------------------------------------------------------
+# a_i(z) of the built-in Riccati problem, in plain mpmath
+# ---------------------------------------------------------------------------
+
+def riccati_eps_values(z, I: int, dps: int = 50) -> list:
+    """a_0(z)..a_I(z) of the built-in problem (beta = 1) at `dps` digits.
+
+    With f = phi + 1/2 and phi = sum_i phi_i eps^i, eps z phi' = -1/2 - phi
+    + 2 z phi**2 gives phi_0 = -1/(1 + s), s = sqrt(1 + 4z), and for i >= 1
+
+        phi_i = (2 z sum' phi_j phi_l - z phi'_{i-1}) / s,
+
+    the sum over j, l >= 1 with j + l = i.  Each phi_i is a Taylor jet in h
+    at z + h, a list of mpmath numbers carried to h-order I - i, which is
+    what phi'_i needs for the next order; s and 1/s are binomial series.
+    """
+    import mpmath
+
+    def mul(a, b, n):
+        return [mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
+
+    L = I + 1
+    with mpmath.workdps(dps + 10):
+        z = mpmath.mpmathify(z)
+        w = 1 + 4 * z
+        root = mpmath.sqrt(w)
+        s = [mpmath.binomial(0.5, k) * (4 / w) ** k * root for k in range(L)]
+        inv_s = [mpmath.binomial(-0.5, k) * (4 / w) ** k / root for k in range(L)]
+        zjet = [z, mpmath.mpf(1)] + [mpmath.mpf(0)] * (L - 2)
+        # phi_0 = -1/(1 + s) by the reciprocal recursion of 1 + s
+        d = [1 + s[0]] + s[1:]
+        jet0 = [-1 / d[0]]
+        for k in range(1, L):
+            jet0.append(-mpmath.fsum(d[j] * jet0[k - j] for j in range(1, k + 1)) / d[0])
+        phis = [jet0]
+        for i in range(1, L):
+            n = L - i
+            prev = phis[i - 1]
+            dprev = [(k + 1) * prev[k + 1] for k in range(n)]
+            cross = [mpmath.mpf(0)] * n
+            for j in range(1, i):
+                cross = [c + t for c, t in zip(cross, mul(phis[j], phis[i - j], n))]
+            rhs = mul(zjet, [2 * c - dp for c, dp in zip(cross, dprev)], n)
+            phis.append(mul(rhs, inv_s, n))
+        return [phis[0][0] + mpmath.mpf(0.5)] + [phi[0] for phi in phis[1:]]

@@ -559,6 +559,20 @@ class TestValidateRiccati:
         assert code == 0
         assert out.read_text().splitlines()[0] == "name,worst,pass"
 
+    def test_wrong_shift_fails(self, tmp_path, monkeypatch):
+        # the (1,1) block with the sign the substitution f = ftilde - 1/2
+        # does not give must fail the exact identity of the shift
+        r = builtin_riccati()
+        flipped = ProblemSpec(nu=1, rho=r.rho, rho1=r.rho1, tensors=tuple(
+            CoeffTensor(t.n, t.m, -t.entries if (t.n, t.m) == (1, 1) else t.entries)
+            for t in r.tensors))
+        monkeypatch.setattr("gevrey_kit.problem.builtin_riccati", lambda: flipped)
+        code, rep = run_json(tmp_path, ["validate-riccati"])
+        assert code == 2
+        assert rep["verdict"] == "fail"
+        checks = {c["name"]: c for c in rep["data"]["checks"]}
+        assert checks["shifted_rhs_identity"]["pass"] is False
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

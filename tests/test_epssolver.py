@@ -21,7 +21,7 @@ from gevrey_kit import (
 from gevrey_kit import series
 from gevrey_kit.errors import GevreyKitError, InsufficientOrderError
 from gevrey_kit.series import _jet_apply, solve_triangular
-from oracles import compositions
+from oracles import compositions, riccati_eps_values
 
 
 def half_binomial(k):
@@ -348,6 +348,23 @@ class TestPointValues:
         assert exact.dtype == object
         np.testing.assert_allclose(jets, exact.astype(complex), rtol=1e-8)
 
+    @pytest.fixture(scope="class")
+    def oracle_values(self):
+        pytest.importorskip("mpmath")
+        return riccati_eps_values(0.05, 40)
+
+    def test_double_against_mpmath_oracle(self, riccati, oracle_values):
+        jets = eps_values_at(riccati, 0.05, 40)
+        np.testing.assert_allclose(jets[:, 0], [complex(v) for v in oracle_values],
+                                   rtol=1e-8)
+
+    def test_50_digits_against_mpmath_oracle(self, riccati, oracle_values):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = eps_values_at(riccati, mpmath.mpf(0.05), 40)
+            for i, v in enumerate(oracle_values):
+                assert abs(exact[i, 0] - v) <= 1e-40 * abs(v), i
+
     @pytest.mark.parametrize("z", [0.22, 0.24])
     def test_start_near_the_a0_radius(self, riccati, z):
         # the a_0 series (radius 1/4) needs order 80 at z = 0.22 and 160 at
@@ -359,6 +376,17 @@ class TestPointValues:
             a0 = 0.5 - 1 / (1 + mpmath.sqrt(1 + 4 * mpmath.mpf(z)))
             assert abs(exact[0, 0] - a0) < 1e-25
         np.testing.assert_allclose(jets, exact.astype(complex), rtol=1e-10)
+
+    @pytest.mark.parametrize("z", [0.01, 0.22, 0.24])
+    def test_low_order_against_mpmath_oracle(self, riccati, z):
+        mpmath = pytest.importorskip("mpmath")
+        oracle = riccati_eps_values(z, 12, 30)
+        np.testing.assert_allclose(eps_values_at(riccati, z, 12)[:, 0],
+                                   [complex(v) for v in oracle], rtol=1e-10)
+        with mpmath.workdps(30):
+            exact = eps_values_at(riccati, mpmath.mpf(z), 12)
+            for i, v in enumerate(oracle):
+                assert abs(exact[i, 0] - v) <= 1e-25 * abs(v), i
 
     def test_start_outside_a0_disc_is_refused(self, riccati):
         # a_0 = 1/2 - 1/(1 + sqrt(1 + 4z)) has its only branch point at z = -1/4,

@@ -17,9 +17,8 @@ from .errors import __all__ as _error_names
 _LAZY = {
     "series": ("MatSeries", "VecSeries", "mat_series_inverse", "multilinear_apply"),
     "problem": (
-        "CoeffTensor", "NormalizationShift", "ProblemSpec", "assemble_B",
-        "builtin_riccati", "normalize_shift", "parse_problem", "problem_to_json",
-        "shift_problem",
+        "CoeffTensor", "ProblemSpec", "assemble_B", "builtin_riccati", "normalize_shift",
+        "parse_problem", "problem_to_json", "shift_problem",
     ),
     "sector": ("SiegelCheck", "SpectrumReport", "check_siegel", "gamma_max", "spectrum"),
     "zsolver": ("EvalResult", "ZSolution", "evaluate_f", "ode_residual_z", "solve_coeffs_z"),

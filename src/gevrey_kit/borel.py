@@ -57,14 +57,6 @@ class BorelData:
     a0_value: np.ndarray
     b_coeffs: np.ndarray
 
-    @property
-    def I(self) -> int:
-        return self.b_coeffs.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.b_coeffs.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class PadeApproximant:
@@ -79,11 +71,6 @@ class PadeApproximant:
     poles: tuple[np.ndarray, ...]
     requested: tuple[int, int]
     orders: tuple[tuple[int, int], ...]
-
-    def all_poles(self) -> np.ndarray:
-        if not any(p.size for p in self.poles):
-            return np.zeros(0, dtype=np.complex128)
-        return np.concatenate([p for p in self.poles if p.size])
 
     def eval(self, t) -> np.ndarray:
         """Values at t, shape t.shape + (nu,): componentwise Horner."""
@@ -162,10 +149,11 @@ def pade_continue(b: BorelData, L: int, M: int) -> PadeApproximant:
     """
     if L < 0 or M < 0:
         raise ValueError(f"Pade orders [{L}/{M}] must be nonnegative")
-    if L + M + 1 > b.I:
-        raise ValueError(f"[{L}/{M}] needs {L + M + 1} coefficients, have {b.I}")
+    I, nu = b.b_coeffs.shape
+    if L + M + 1 > I:
+        raise ValueError(f"[{L}/{M}] needs {L + M + 1} coefficients, have {I}")
     nums, dens, poles, orders = [], [], [], []
-    for comp in range(b.nu):
+    for comp in range(nu):
         c = b.b_coeffs[:, comp]
         num, den, m_eff = _pade_component(c, L, M)
         nums.append(num)
@@ -225,7 +213,7 @@ def laplace_sum(b: BorelData, pade: PadeApproximant, eps: complex,
     t_max = abs(eps) * math.log(1.0 / _ETA) * _SAFETY
     if not math.isfinite(t_max):
         raise GevreyKitError(f"the Laplace cutoff at eps = {eps:.6g} overflows double precision")
-    poles = pade.all_poles()
+    poles = np.concatenate(pade.poles)
     clearance = _segment_clearance(poles, theta, t_max)
     if clearance <= _POLE_SAFETY:
         raise PoleObstructionError(

@@ -146,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=_float_list, default=[0.05])
     sp.add_argument("--I", type=int, default=30)
     sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--L", type=int, default=None, help="Pade numerator degree")
-    sp.add_argument("--M", type=int, default=None, help="Pade denominator degree")
 
     sp = sub.add_parser("diagnose", help="factorial growth fit and remainder profile")
     common(sp)
@@ -205,8 +203,6 @@ def _pyify(obj):
         return [_pyify(v) for v in obj]
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
     return obj
@@ -281,8 +277,8 @@ def _cmd_resum(args):
     from .riccati import shifted_reference
 
     p = _load_problem(args)
-    L = args.L if args.L is not None else (args.I - 1) // 2
-    M = args.M if args.M is not None else args.I - 1 - L
+    L = (args.I - 1) // 2
+    M = args.I - 1 - L
     points = []
     for z in args.z:
         a_vals = eps_values_at(p, z, args.I)

@@ -127,14 +127,6 @@ class ProblemSpec:
                 "problem carries a (0,0) block; run normalize_shift first")
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizationShift:
-    """Shift s(eps) applied to f, together with the shifted problem."""
-
-    s: VecSeries
-    shifted: ProblemSpec
-
-
 # ---------------------------------------------------------------------------
 # parsing / serialization
 # ---------------------------------------------------------------------------
@@ -314,13 +306,14 @@ def shift_problem(p: ProblemSpec, s: VecSeries, *,
     return ProblemSpec(nu=p.nu, rho=p.rho, rho1=p.rho1, tensors=tuple(tensors))
 
 
-def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
+def normalize_shift(p: ProblemSpec, k_eps: int) -> tuple[VecSeries, ProblemSpec]:
     """Remove the constant block by the unique shift s(eps) with s(0) = 0.
 
     Solves ``sum_m A_{0,m}(eps) s(eps)^m = 0`` order by order through
     ``k_eps`` (possible because the linear block at eps = 0 is invertible),
-    then re-expands every block around f = s + f_new.  Requires F(0,0,0) = 0;
-    otherwise the caller must supply a root and shift explicitly.
+    then re-expands every block around f = s + f_new.  Returns the pair
+    (s, shifted problem).  Requires F(0,0,0) = 0; otherwise the caller must
+    supply a root and shift explicitly.
     """
     if k_eps < 1:
         raise ValueError("k_eps must be >= 1")
@@ -344,8 +337,7 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> NormalizationShift:
                     error=NormalizationError)
 
     shift = VecSeries(s, var="eps")
-    shifted = shift_problem(p, shift, max_eps_order=k_eps)
-    return NormalizationShift(s=shift, shifted=shifted)
+    return shift, shift_problem(p, shift, max_eps_order=k_eps)
 
 
 # ---------------------------------------------------------------------------

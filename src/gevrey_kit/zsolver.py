@@ -60,10 +60,6 @@ class ZSolution:
     coeffs: np.ndarray
     residuals: np.ndarray
 
-    @property
-    def K(self) -> int:
-        return self.coeffs.shape[0]
-
 
 def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
                    K: int) -> ZSolution | list[ZSolution]:
@@ -179,7 +175,7 @@ def ode_residual_z(p: ProblemSpec, sol: ZSolution, z_grid) -> float:
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=np.complex128))
     vals = _partial_sums(sol.coeffs, z_grid)
     # z f'(z) = sum k f_k z^k
-    z_dvals = _partial_sums(np.arange(1, sol.K + 1)[:, None] * sol.coeffs, z_grid)
+    z_dvals = _partial_sums(np.arange(1, len(sol.coeffs) + 1)[:, None] * sol.coeffs, z_grid)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [_norm2(sol.eps * z_dval - p.eval_F(sol.eps, z, val))
                  for z, val, z_dval in zip(z_grid, vals, z_dvals)]

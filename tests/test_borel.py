@@ -131,6 +131,12 @@ class TestPade:
         with pytest.raises(ValueError):
             pade_continue(b, 4, 4)
 
+    def test_negative_order_is_named(self):
+        b = BorelData(a0_value=np.zeros(1, complex),
+                      b_coeffs=np.ones((30, 1), dtype=complex))
+        with pytest.raises(ValueError, match=r"\[100/-71\]"):
+            pade_continue(b, 100, -71)
+
 
 class TestLaplace:
     def test_gauss_rule_is_numpys(self):
@@ -283,5 +289,5 @@ class TestRiccatiSummation:
     def test_poles_clear_of_positive_axis(self, riccati_data):
         b = borel_transform(riccati_data)
         pade = pade_continue(b, 14, 15)
-        for pole in pade.all_poles():
+        for pole in np.concatenate(pade.poles):
             assert not (abs(pole.imag) < 1e-3 and pole.real > 0), pole

@@ -209,16 +209,16 @@ class TestNormalizeShift:
             CoeffTensor(0, 0, np.array([[0.0, 1.0]], dtype=complex)),
             CoeffTensor(0, 1, np.array([[[-1.0 + 0j]]])),
         ))
-        ns = normalize_shift(p, 8)
-        np.testing.assert_allclose(ns.s.coeffs[0, :2], [0.0, 1.0], atol=1e-14)
-        assert set(ns.shifted.blocks) == {(0, 1)}
-        np.testing.assert_allclose(ns.shifted.a01(0.0), [[-1.0]])
+        s, shifted = normalize_shift(p, 8)
+        np.testing.assert_allclose(s.coeffs[0, :2], [0.0, 1.0], atol=1e-14)
+        assert set(shifted.blocks) == {(0, 1)}
+        np.testing.assert_allclose(shifted.a01(0.0), [[-1.0]])
 
     def test_already_normalized_identity(self, riccati):
-        ns = normalize_shift(riccati, 6)
-        assert np.abs(ns.s.coeffs).max() < 1e-14
+        s, shifted = normalize_shift(riccati, 6)
+        assert np.abs(s.coeffs).max() < 1e-14
         for key, t in riccati.blocks.items():
-            got = ns.shifted.blocks[key].entries
+            got = shifted.blocks[key].entries
             np.testing.assert_allclose(got.ravel(), t.entries.ravel(), atol=1e-14)
 
     def test_nonzero_constant_rejected(self):
@@ -247,8 +247,8 @@ class TestNormalizeShift:
                                    .astype(complex)))
         p = ProblemSpec(nu=nu, rho=1.0, rho1=4.0, tensors=tuple(tensors))
         k_eps = 8
-        ns = normalize_shift(p, k_eps)
-        assert ns.shifted.is_normalized
+        s, shifted = normalize_shift(p, k_eps)
+        assert shifted.is_normalized
         # independent check: plug s back into the eps-constant part of F
         from gevrey_kit.series import multilinear_apply
         from oracles import compositions
@@ -260,7 +260,7 @@ class TestNormalizeShift:
                 for d in range(min(j, t.degree) + 1):
                     for comp in compositions(j - d, t.m, 0):
                         acc += multilinear_apply(
-                            t.entries[..., d], [ns.s.coeffs[:, l] for l in comp])
+                            t.entries[..., d], [s.coeffs[:, l] for l in comp])
             assert np.abs(acc).max() < 1e-12
 
 
@@ -286,12 +286,12 @@ class TestNormalizeShift:
             CoeffTensor(0, 2, 0.5 / nu * draw(nu, nu, nu, 2)),
             CoeffTensor(0, 3, 0.5 / nu * draw(nu, nu, nu, nu, 2)),
             CoeffTensor(1, 3, 1e-3 * draw(nu, nu, nu, nu, 1))))
-        ns = normalize_shift(p, 10)
+        s, shifted = normalize_shift(p, 10)
         eps = 0.01 * np.exp(2j * np.pi * rng.uniform())
         z = complex(*rng.uniform(-0.5, 0.5, 2))
         g = 0.1 * draw(nu)
-        want = p.eval_F(eps, z, ns.s.evaluate(eps) + g)
-        got = ns.shifted.eval_F(eps, z, g)
+        want = p.eval_F(eps, z, s.evaluate(eps) + g)
+        got = shifted.eval_F(eps, z, g)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 class TestAssembleB:

@@ -52,7 +52,6 @@ UNREACHED = {
     "epssolver.build_T0": "tracer",
     "epssolver.solve_ai": "tracer",
     "errors.VarMismatchError": "tracer",
-    "problem.NormalizationShift": "paper-check",
     "problem.normalize_shift": "paper-check",
     "problem.problem_to_json": "benchmark",
     "series.MatSeries": "tracer",

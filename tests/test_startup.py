@@ -24,7 +24,7 @@ PUBLIC_NAMES = sorted([
     "ArityMismatchError", "BorelData", "CoeffTensor",
     "DegenerateSpectrumError", "EpsFormalSolution", "EvalResult", "EvaluationError",
     "GevreyFit", "GevreyKitError", "InsufficientOrderError", "MatSeries",
-    "NormalizationError", "NormalizationShift", "PadeApproximant", "PoleObstructionError",
+    "NormalizationError", "PadeApproximant", "PoleObstructionError",
     "ProblemSpec", "RemainderProfile",
     "ResonanceError", "SchemaError", "SiegelCheck",
     "SingularMatrixError", "SpectrumReport", "SummationReport", "VarMismatchError",

@@ -146,14 +146,14 @@ class TestEvaluate:
         sol30 = solve_coeffs_z(perturbative, 0.05, 30)
         sol80 = solve_coeffs_z(perturbative, 0.05, 80)
         z = 0.3
-        bound = majorant_tail_bound(radii, sol30.K, z)
+        bound = majorant_tail_bound(radii, len(sol30.coeffs), z)
         assert bound is not None
         # the actual tail is controlled by the majorant bound
         r30 = evaluate_f(sol30, z).value[0]
         r80 = evaluate_f(sol80, z).value[0]
         assert abs(r80 - r30) <= bound + 1e-15
         # outside the majorant disc the bound is void
-        assert majorant_tail_bound(radii, sol30.K, radii.kappa * 1.01) is None
+        assert majorant_tail_bound(radii, len(sol30.coeffs), radii.kappa * 1.01) is None
 
     def test_majorant_conformance(self, perturbative):
         c = resolvent_bound(perturbative,

@@ -32,6 +32,9 @@ in the shipped library.
 * The point values a_i(z) of the built-in Riccati problem from its own jet
   recursion in plain mpmath (`riccati_eps_values`): no numpy and no package
   code, so it can arbitrate the 50-digit path of `eps_values_at`.
+* The conjugate of rescaled Riccati problems (the benchmark's conj8 map):
+  the problem of f = P h, built with numpy and the public constructors,
+  and its a_i(z) from `riccati_eps_values` by a diagonal scaling and P.
 """
 from __future__ import annotations
 
@@ -562,3 +565,38 @@ def riccati_eps_values(z, I: int, dps: int = 50) -> list:
             rhs = mul(zjet, [2 * c - dp for c, dp in zip(cross, dprev)], n)
             phis.append(mul(rhs, inv_s, n))
         return [phis[0][0] + mpmath.mpf(0.5)] + [phi[0] for phi in phis[1:]]
+
+
+# ---------------------------------------------------------------------------
+# a conjugate of rescaled Riccati problems, and its a_i(z)
+# ---------------------------------------------------------------------------
+
+def conjugate_riccati_problem(P: np.ndarray, c: np.ndarray, lam: np.ndarray,
+                              skew: np.ndarray) -> ProblemSpec:
+    """The problem that f = P h solves, h_j(eps, z) = c_j g(eps / lam_j, z)
+    with g the solution of the built-in Riccati problem (the benchmark's
+    conj8 when nu = 8).
+
+    Each h_j solves eps z h' = -lam_j (1 + 2z) h + lam_j c_j z/2 +
+    (2 lam_j / c_j) z h^2, so with L = P diag(lam) P^-1 the blocks are
+    (0,1) = -L, (1,1) = -2L, (1,0) = P (lam c / 2) and (1,2) the sum over j
+    of P_ij (2 lam_j / c_j) (P^-1)_ja (P^-1)_jb, plus skew - skew^T over
+    its two f-slots, which changes no value.
+    """
+    Pinv = np.linalg.inv(P)
+    L = P @ np.diag(lam) @ Pinv
+    quad = np.einsum("ij,j,ja,jb->iab", P, 2.0 * lam / c, Pinv, Pinv)
+    blocks = {(0, 1): -L, (1, 1): -2.0 * L, (1, 0): P @ (lam * c / 2.0),
+              (1, 2): quad + skew - skew.transpose(0, 2, 1)}
+    return ProblemSpec(nu=len(c), rho=1.0, rho1=4.0, tensors=tuple(
+        CoeffTensor(n, m, np.asarray(arr, dtype=np.complex128)[..., None])
+        for (n, m), arr in blocks.items()))
+
+
+def conjugate_riccati_eps_values(P: np.ndarray, c: np.ndarray, lam: np.ndarray,
+                                 z, I: int, dps: int = 30) -> np.ndarray:
+    """a_0(z)..a_I(z) of `conjugate_riccati_problem`, shape (I + 1, nu):
+    a_i = P diag(c_j lam_j^-i) a_i^ric, a_i^ric from `riccati_eps_values`."""
+    ric = np.array([complex(v) for v in riccati_eps_values(z, I, dps)])
+    scale = c[None, :] * lam[None, :] ** -np.arange(I + 1)[:, None]
+    return (ric[:, None] * scale) @ P.T

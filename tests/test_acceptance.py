@@ -112,15 +112,14 @@ def test_criterion_05_gevrey_certification():
 def test_criterion_06_one_summation():
     with Timer(30.0) as t:
         p = gk.builtin_riccati()
-        sol = gk.solve_eps_expansion(p, 30, 90)
-        a_vals = np.stack([a.evaluate(0.05) for a in sol.a])
+        # the a_i(0.05) that `resum` hands to Borel
+        a_vals = gk.eps_values_at(p, 0.05, 30)
         b = gk.borel_transform(a_vals)
         pade = gk.pade_continue(b, 14, 15)
         ref = gk.shifted_reference(0.1, 0.05)
         err30 = abs(gk.laplace_sum(b, pade, 0.1).value[0] - ref)
 
-        sol10 = gk.solve_eps_expansion(p, 10, 50)
-        b10 = gk.borel_transform(np.stack([a.evaluate(0.05) for a in sol10.a]))
+        b10 = gk.borel_transform(gk.eps_values_at(p, 0.05, 10))
         err10 = abs(gk.laplace_sum(b10, gk.pade_continue(b10, 4, 5), 0.1).value[0]
                     - ref)
 

@@ -9,11 +9,11 @@ from gevrey_kit import (
     BorelData,
     borel,
     borel_transform,
+    eps_values_at,
     laplace_sum,
     optimal_truncation_sum,
     pade_continue,
     shifted_reference,
-    solve_eps_expansion,
 )
 from gevrey_kit.errors import GevreyKitError, PoleObstructionError
 
@@ -251,8 +251,8 @@ class TestEpsOutOfRange:
 
 @pytest.fixture(scope="module")
 def riccati_data(riccati):
-    sol = solve_eps_expansion(riccati, 30, 90)
-    return np.stack([a.evaluate(0.05) for a in sol.a])
+    # the a_i(0.05) that `resum` hands to Borel
+    return eps_values_at(riccati, 0.05, 30)
 
 
 class TestRiccatiSummation:
@@ -267,8 +267,7 @@ class TestRiccatiSummation:
         ref = shifted_reference(0.1, 0.05)
         errs = []
         for I in (10, 20, 30):
-            sol = solve_eps_expansion(riccati, I, 2 * I + 30)
-            b = borel_transform(np.stack([a.evaluate(0.05) for a in sol.a]))
+            b = borel_transform(eps_values_at(riccati, 0.05, I))
             L = (I - 1) // 2
             pade = pade_continue(b, L, I - 1 - L)
             errs.append(abs(laplace_sum(b, pade, 0.1).value[0] - ref))

@@ -596,3 +596,12 @@ class TestDeterminism:
               "--I", "10", "--out", str(out), "--format", "csv"])
         assert out.read_text().splitlines()[0] == (
             "eps,z,re,im,quadrature_error_estimate,pole_clearance,reference_error")
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    # a report cannot replace a directory; the temporary file beside it goes
+    (tmp_path / "out").mkdir()
+    assert main(["validate-riccati", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("gevrey-kit: error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not any((tmp_path / "out").iterdir())

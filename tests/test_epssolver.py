@@ -21,7 +21,8 @@ from gevrey_kit import (
 from gevrey_kit import series
 from gevrey_kit.errors import GevreyKitError, InsufficientOrderError
 from gevrey_kit.series import _jet_apply, solve_triangular
-from oracles import compositions, riccati_eps_values
+from oracles import (compositions, conjugate_riccati_eps_values, conjugate_riccati_problem,
+                     riccati_eps_values)
 
 
 def half_binomial(k):
@@ -350,20 +351,53 @@ class TestPointValues:
 
     @pytest.fixture(scope="class")
     def oracle_values(self):
+        # a_0..a_60; those through a_40 are what a call with I = 40 gives
         pytest.importorskip("mpmath")
-        return riccati_eps_values(0.05, 40)
+        return riccati_eps_values(0.05, 60)
 
     def test_double_against_mpmath_oracle(self, riccati, oracle_values):
         jets = eps_values_at(riccati, 0.05, 40)
-        np.testing.assert_allclose(jets[:, 0], [complex(v) for v in oracle_values],
+        np.testing.assert_allclose(jets[:, 0], [complex(v) for v in oracle_values[:41]],
                                    rtol=1e-8)
+
+    def test_double_against_mpmath_oracle_to_order_60(self, riccati, oracle_values):
+        # the relative error grows with i, to 6.0e-7 at i = 52
+        jets = eps_values_at(riccati, 0.05, 60)
+        np.testing.assert_allclose(jets[:, 0], [complex(v) for v in oracle_values],
+                                   rtol=1e-5)
 
     def test_50_digits_against_mpmath_oracle(self, riccati, oracle_values):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             exact = eps_values_at(riccati, mpmath.mpf(0.05), 40)
-            for i, v in enumerate(oracle_values):
+            for i, v in enumerate(oracle_values[:41]):
                 assert abs(exact[i, 0] - v) <= 1e-40 * abs(v), i
+
+    @pytest.fixture(scope="class")
+    def conjugate(self):
+        # drawn as the benchmark's conj8 is: eight rescaled Riccati problems
+        # behind a dense P (condition number 2.2) and a non-symmetric
+        # quadratic block
+        rng = np.random.default_rng(8)
+        nu = 8
+        lam = np.geomspace(0.5, 2.0, nu)
+        c = rng.uniform(0.5, 1.5, nu) * rng.choice([-1.0, 1.0], nu)
+        P = np.eye(nu) + 0.3 * (rng.standard_normal((nu, nu))
+                                + 1j * rng.standard_normal((nu, nu))) / np.sqrt(2 * nu)
+        skew = 0.1 * rng.standard_normal((nu, nu, nu))
+        return conjugate_riccati_problem(P, c, lam, skew), (P, c, lam)
+
+    @pytest.mark.parametrize("I, rtol", [(12, 1e-11), (30, 1e-8)])
+    @pytest.mark.parametrize("z", [0.02, 0.05, 0.1])
+    def test_conjugate_against_mpmath_oracle(self, conjugate, z, I, rtol):
+        # every block couples all eight components; the worst errors on this
+        # draw are 1.6e-13 at I = 12 and 2.3e-10 at I = 30
+        pytest.importorskip("mpmath")
+        p, (P, c, lam) = conjugate
+        want = conjugate_riccati_eps_values(P, c, lam, z, I)
+        got = eps_values_at(p, z, I)
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= rtol * np.linalg.norm(want, axis=1))
 
     @pytest.mark.parametrize("z", [0.22, 0.24])
     def test_start_near_the_a0_radius(self, riccati, z):
@@ -393,6 +427,14 @@ class TestPointValues:
         # so its series (radius 1/4) cannot start Newton at z = 2
         with pytest.raises(GevreyKitError):
             eps_values_at(riccati, 2.0, 4)
+
+    @pytest.mark.parametrize("z", [-0.3, 1e10])
+    def test_unresolved_a0_is_refused(self, riccati, z):
+        # past the branch point, at z = -0.3, both roots of the limit
+        # equation are complex, and Newton from the real a_0 series never
+        # settles; at z = 1e10 the a_0 series itself overflows
+        with pytest.raises(GevreyKitError, match="does not resolve a_0"):
+            eps_values_at(riccati, z, 4)
 
     def test_overflowing_a0_series_is_refused(self):
         # beta = 100 shrinks the radius of a_0 to about 1/400: its series
@@ -599,3 +641,14 @@ class TestOrderCost:
             counts.append(len(calls))
         assert counts[1] > counts[0]
         assert counts[2] - counts[1] <= counts[1] - counts[0]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda p: solve_a0(p, 0), "K_z must be >= 1"),
+    (lambda p: solve_eps_expansion(p, -1, 10), "I must be >= 0"),
+    (lambda p: solve_ai(p, [], 1, 10), r"a_0\.\.a_\{i-1\}"),
+    (lambda p: eps_values_at(p, 0.05, -1), "I must be >= 0"),
+], ids=["solve_a0", "solve_eps_expansion", "solve_ai", "eps_values_at"])
+def test_order_guards(riccati, run, message):
+    with pytest.raises(ValueError, match=message):
+        run(riccati)

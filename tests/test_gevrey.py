@@ -165,6 +165,11 @@ class TestGevreyFit:
         with pytest.raises(ValueError):
             gevrey_fit([1.0] * 5)  # too few fitted indices
 
+    def test_constant_norms(self):
+        # the log norms have no variance to explain, and the fitted line
+        # misses them: R^2 is 0
+        assert gevrey_fit([1.0] * 12).r2 == 0.0
+
     def test_vanishing_terms_drop_out(self):
         # a zero norm is a term that vanishes identically: it meets every
         # bound and leaves the fit of the others as it is
@@ -258,3 +263,12 @@ class TestRemainderProfile:
         for prof in riccati_profiles:
             i5 = min(prof.I_star + 5, len(prof.abs_r_eps) - 1)
             assert prof.abs_r_eps[i5] >= prof.abs_r_eps[prof.I_star]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda p: sup_norm_disc(VecSeries(np.ones((1, 3))), -0.1), "sigma must be nonnegative"),
+    (lambda p: remainder_profile(p, 0.05, [0.1], 0), "I_max must be >= 1"),
+], ids=["sigma", "I_max"])
+def test_argument_guards(riccati, run, message):
+    with pytest.raises(ValueError, match=message):
+        run(riccati)

@@ -6,11 +6,13 @@ import pytest
 from gevrey_kit import (
     CoeffTensor,
     ProblemSpec,
+    VecSeries,
     assemble_B,
     builtin_riccati,
     normalize_shift,
     parse_problem,
     problem_to_json,
+    shift_problem,
 )
 from gevrey_kit.errors import NormalizationError, SchemaError, SingularMatrixError
 
@@ -293,6 +295,43 @@ class TestNormalizeShift:
         want = p.eval_F(eps, z, s.evaluate(eps) + g)
         got = shifted.eval_F(eps, z, g)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_block_the_shift_cancels_is_dropped(self):
+        # eps z f' = eps - f + z f - eps z: the shift s = eps turns the
+        # (1,0) block -eps z into -eps z + z s = 0
+        p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
+            CoeffTensor(0, 0, np.array([[0.0, 1.0]], dtype=complex)),
+            CoeffTensor(0, 1, np.array([[[-1.0 + 0j]]])),
+            CoeffTensor(1, 1, np.array([[[1.0 + 0j]]])),
+            CoeffTensor(1, 0, np.array([[0.0, -1.0]], dtype=complex)),
+        ))
+        s, shifted = normalize_shift(p, 4)
+        np.testing.assert_allclose(s.coeffs[0], [0, 1, 0, 0, 0], atol=1e-14)
+        assert set(shifted.blocks) == {(0, 1), (1, 1)}
+
+
+LINEAR = CoeffTensor(0, 1, np.array([[[-1.0 + 0j]]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CoeffTensor(-1, 0, np.ones((1, 1))), "nonnegative"),
+    (lambda: CoeffTensor(0, 1, np.ones((1, 1))), "arity 1 need 3 axes"),
+    (lambda: CoeffTensor(0, 1, np.ones((1, 2, 1))), "share the dimension nu"),
+    (lambda: CoeffTensor(0, 0, np.ones((1, 0))), "at least the constant"),
+    (lambda: ProblemSpec(nu=9, rho=1.0, rho1=4.0, tensors=(LINEAR,)), r"nu must be in \[1, 8\]"),
+    (lambda: ProblemSpec(nu=2, rho=1.0, rho1=4.0, tensors=(LINEAR,)),
+     "tensor dimension does not match"),
+    (lambda: shift_problem(builtin_riccati(), VecSeries(np.zeros((1, 2)))), "an eps-series"),
+    (lambda: shift_problem(builtin_riccati(), VecSeries(np.zeros((2, 2)), var="eps")),
+     "shift dimension mismatch"),
+    (lambda: normalize_shift(builtin_riccati(), 0), "k_eps must be >= 1"),
+    (lambda: builtin_riccati([[1.0]]), "coefficient sequence"),
+], ids=["power", "axes", "nu-axes", "eps-axis", "nu", "block-nu", "shift-var", "shift-nu",
+        "k_eps", "beta"])
+def test_shape_and_order_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
 
 class TestAssembleB:
     def test_riccati_blocks(self, riccati):

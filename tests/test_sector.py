@@ -32,6 +32,10 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(np.eye(9))
 
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            spectrum(np.ones((2, 3)))
+
 
 class TestSiegel:
     def test_riccati_wide_sector(self):

@@ -430,6 +430,18 @@ class TestCarriers:
         with pytest.raises(ValueError, match="unknown series variable 't'"):
             VecSeries(np.ones((1, 2)), var="t")
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: VecSeries(np.ones((1, 0))), ValueError, r"shape \(nu, order \+ 1\)"),
+        (lambda: MatSeries(np.ones((2, 1, 1))), ValueError, r"shape \(nu, nu, order \+ 1\)"),
+        (lambda: VecSeries(np.ones((1, 3))).coeff_vec(3), IndexError,
+         "coefficient 3 beyond trusted order 2"),
+        (lambda: multilinear_apply(np.ones((2, 2)), [np.ones(3)]), ArityMismatchError,
+         "vector dimension does not match"),
+    ], ids=["vec-shape", "mat-shape", "coeff-index", "vector-dimension"])
+    def test_shape_guards(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
     def test_vecseries_components(self):
         v = VecSeries(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
         assert v.nu == 2 and v.order == 1

@@ -2,10 +2,11 @@
 interpreter: what `import gevrey_kit` loads, the BLAS thread count the CLI
 sets before numpy loads, the cyclic garbage collector that only the
 `python -m gevrey_kit.cli` process switches off, and that entry point
-against in-process `cli.main`."""
+against in-process `cli.main`, and the quick start of README.md."""
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,3 +229,14 @@ def test_cyclic_garbage_does_not_grow_with_the_job(tmp_path, argv, grown):
         return gc.collect()
 
     assert garbage([*argv, *grown]) == garbage(argv)
+
+
+def test_readme_quick_start_runs():
+    # the one python block of README.md, run as a reader would paste it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    proc = subprocess.run([sys.executable, "-c", block], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # its first line is the fixed-eps value against the reference
+    assert abs(complex(proc.stdout.splitlines()[0])) < 1e-14

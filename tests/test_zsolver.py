@@ -69,6 +69,10 @@ class TestRecursion:
         assert np.all(np.isfinite(sol.residuals))
         assert sol.residuals.max() <= 1e-10
 
+    def test_order_guard(self, riccati):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            solve_coeffs_z(riccati, 0.1, 0)
+
     def test_overflow_raises(self, riccati):
         # past the double range the residual is NaN, which must fail the
         # check, at the first step that overflows

@@ -9,9 +9,11 @@ A scalar series is a `VecSeries` with nu = 1.
 Every solver recursion runs on one Taylor-jet kernel (Taylor-mode
 arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 `_cauchy` contracts the last slot of a block whose entries are truncated
-series with series, by one matrix product against a Toeplitz array, in any
-dtype numpy can multiply (complex128 or object arrays of mpmath numbers);
-`_jet_apply` fills every slot with it, in `MatSeries` products too.
+series with series: one matrix product forms every product of two
+coefficients, and sums over its anti-diagonals give the truncated Cauchy
+product, in any dtype numpy can multiply (complex128 or object arrays of
+mpmath numbers); `_jet_apply` fills every slot with it, in `MatSeries`
+products too.
 `solve_triangular` solves for the coefficients of an unknown series one at
 a time, each coefficient a vector of jets.  It keeps the partial
 contractions of every block and extends them by one coefficient per step
@@ -27,8 +29,8 @@ sums every polynomial at a point, and `_norm2` is the package's one
 exactly by a power of two so that it cannot overflow or underflow short
 of the double range.  `multilinear_apply` applies one block to plain
 vectors for `ProblemSpec.eval_F`, which shares no code with the kernel it
-checks.  The composition sum, and the
-convolution-taming constant with its inequality, are test oracles
+checks.  The composition sum, the Cauchy contraction by plain loops, and
+the convolution-taming constant with its inequality, are test oracles
 (tests/oracles.py).
 
 Every module asks three verdicts of this one: `_working` picks the
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArityMismatchError, GevreyKitError, SingularMatrixError, VarMismatchError
 
@@ -279,23 +280,30 @@ def _cauchy(s: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
     """sum_t s[..., :, t, :] * x[:, t, :] truncated to length L, with * the
     contraction of the last slot of `s` (shape (..., nu, n, A), trailing
     series axis) with the series x[:, t] (x has shape (nu, n, B)) by the
-    truncated Cauchy product: one matrix product against the Toeplitz
-    array T[j, t, a, q] = x[j, t, q - a].
+    truncated Cauchy product.
+
+    One matrix product forms every term, y[..., a, b] = sum_{j, t}
+    s[..., j, t, a] x[j, t, b], and coefficient q sums y over the
+    anti-diagonal a + b = q.  y goes into zero rows of length W = L + A;
+    read back as rows of length W - 1, row a has moved a places to the
+    right, so each anti-diagonal is a column, summed in the order of a.
+    With L = 1 the one term is the product itself.
 
     Leading axes of x beyond these three are batch axes, which `s` leads
     with too: independent problems, contracted by one batched matrix
     product."""
-    A = min(s.shape[-1], L)
-    if L == 1:
-        t = x[..., :1, None]
-    else:
-        n = min(x.shape[-1], L)
-        padded = np.zeros(x.shape[:-1] + (A - 1 + L,), dtype=x.dtype)
-        padded[..., A - 1:A - 1 + n] = x[..., :n]
-        t = sliding_window_view(padded, L, axis=-1)[..., ::-1, :]
     batch = x.shape[:-3]
-    flat = s[..., :A].reshape(batch + (-1, t.shape[-4] * t.shape[-3] * A))
-    return (flat @ t.reshape(batch + (-1, L))).reshape(s.shape[:-3] + (L,))
+    J = x.shape[-3] * x.shape[-2]
+    if L == 1:
+        flat = s[..., :1].reshape(batch + (-1, J))
+        return (flat @ x[..., :1].reshape(batch + (J, 1))).reshape(s.shape[:-3] + (1,))
+    A, B = min(s.shape[-1], L), min(x.shape[-1], L)
+    rows = np.swapaxes(s[..., :A].reshape(batch + (-1, J, A)), -1, -2).reshape(batch + (-1, J))
+    W = L + A
+    y = np.zeros(rows.shape[:-1] + (W,), dtype=np.result_type(s, x))
+    np.matmul(rows, x[..., :B].reshape(batch + (J, B)), out=y[..., :B])
+    sheared = y.reshape(batch + (-1, A * W))[..., :A * (W - 1)].reshape(batch + (-1, A, W - 1))
+    return np.add.reduce(sheared[..., :L], axis=-2).reshape(s.shape[:-3] + (L,))
 
 
 def _jet_apply(entries: np.ndarray, factors: list[np.ndarray], L: int) -> np.ndarray:
@@ -381,23 +389,28 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
             for m, parts in state:
                 if not m:
                     if k < parts[0].shape[-2]:
-                        c = c + _fit(parts[0][..., k, :], Lk)
+                        w = min(Lk, parts[0].shape[-1])
+                        c[..., :w] += parts[0][..., k, :w]
                     continue
                 for r in range(1, m + 1):
                     n = min(k + 1, parts[r - 1].shape[-2]) - first
-                    t = (_cauchy(parts[r - 1][..., first:first + n, :], back[..., :n, :], Lk)
-                         if n > 0 else 0)
+                    if n <= 0:
+                        continue
+                    t = _cauchy(parts[r - 1][..., first:first + n, :], back[..., :n, :], Lk)
                     if r < m:
                         parts[r][..., k, :Lk] = t
                     else:
-                        c = c + t
+                        c += t
             if not k:
                 whole[..., 0, :] = c
                 continue
             x[..., k, :Lk] = solve(k, c)
+            wk = whole[..., k, :Lk]
+            wk[...] = c
             # x_k enters S_r[k] through S_{r-1}[0] x_k and S_{r-1}[k] x_0;
-            # with x_0 = 0 only the first term of S_1 is left
-            pair = x[..., [k, 0], :Lk]
+            # with x_0 = 0 only the first term of S_1 is left.  x[..., k::-k]
+            # holds x_k and x_0.
+            pair = x[..., k::-k, :Lk]
             for m, parts in state:
                 if not m:
                     continue
@@ -408,6 +421,5 @@ def solve_triangular(blocks: list[tuple[int, np.ndarray]], x: np.ndarray,
                         break
                     delta = _cauchy(np.stack([parts[r][..., 0, :Lk], delta], axis=-2), pair, Lk)
                 else:
-                    c = c + delta
-            whole[..., k, :Lk] = c
+                    wk += delta
     return whole

@@ -12,7 +12,9 @@ in the shipped library.
   differences for high orders.  Every eps of a call is solved in one
   batched z-recursion.
 * The composition sum (`compositions`), the brute-force reference for the
-  online kernel `series.solve_triangular`.
+  online kernel `series.solve_triangular`, and the truncated Cauchy
+  contraction (`cauchy_contraction`) by plain loops, the reference for
+  `series._cauchy`.
 * The convolution-taming inequality for the weights C_l = A (l!)^lam / l^2.
 * The Nagumo-norm calculus.  The implemented Nagumo norm is the
   coefficient-majorant variant: with M(r) = sum_n ||c_n|| r^n,
@@ -137,7 +139,7 @@ def limit_to_a0(p: ProblemSpec, eps_list, z: complex) -> list[tuple[complex, flo
 
 
 # ---------------------------------------------------------------------------
-# compositions and the convolution-taming inequality
+# compositions, the Cauchy contraction and the convolution-taming inequality
 # ---------------------------------------------------------------------------
 
 def compositions(total: int, parts: int, min_part: int = 0):
@@ -153,6 +155,24 @@ def compositions(total: int, parts: int, min_part: int = 0):
     for first in range(min_part, total - min_part * (parts - 1) + 1):
         for rest in compositions(total - first, parts - 1, min_part):
             yield (first,) + rest
+
+
+def cauchy_contraction(s: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
+    """out[..., q] = sum_{j, t} sum_{a + b = q} s[..., j, t, a] x[j, t, b]
+    for q < L, by a loop over q and a loop over a: the contraction of the
+    last slot of `s` (shape (..., nu, n, A)) with the series x[j, t]
+    (x of shape (nu, n, B)).  Leading axes of x beyond these three are
+    batch axes, which `s` leads with too.  numpy only, in the dtype of the
+    inputs (object arrays of mpmath numbers too)."""
+    nb = x.ndim - 3
+    out = np.zeros(s.shape[:-3] + (L,), dtype=np.result_type(s, x))
+    for idx in np.ndindex(s.shape[:-3]):
+        si, xi = s[idx], x[idx[:nb]]
+        for q in range(L):
+            for a in range(min(q + 1, si.shape[-1])):
+                if q - a < xi.shape[-1]:
+                    out[idx + (q,)] += np.sum(si[..., a] * xi[..., q - a])
+    return out
 
 
 #: Convolution-taming constant (1 + pi^2/3)^(-1) / 2 = 0.1165536...

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 from gevrey_kit import (
     MatSeries,
     VecSeries,
+    builtin_riccati,
     mat_series_inverse,
     multilinear_apply,
+    solve_eps_expansion,
 )
 from gevrey_kit.errors import (
     ArityMismatchError,
     SingularMatrixError,
     VarMismatchError,
 )
-from gevrey_kit.series import _jet_apply, _taylor_shift, solve_triangular
-from oracles import CONV_TAMING_A, compositions, lemma_conv_bound
+from gevrey_kit.series import _cauchy, _jet_apply, _taylor_shift, solve_triangular
+from oracles import CONV_TAMING_A, cauchy_contraction, compositions, lemma_conv_bound
 
 
 def vs(coeffs, var="z"):
@@ -212,6 +215,59 @@ class TestJetKernel:
             unit[col, 0] = 1.0
             np.testing.assert_allclose(got[:, col], brute_jet(entries, [unit, x], 6),
                                        atol=1e-12)
+
+
+class TestCauchyContraction:
+    """`_cauchy` (one matrix product, then anti-diagonal sums) against the
+    plain loops of `oracles.cauchy_contraction`."""
+
+    @pytest.mark.parametrize("batch, free, nu, n, A, B, L", [
+        ((2,), (3,), 2, 3, 4, 5, 6),    # batch axes, nu * n > 1
+        ((), (2,), 1, 3, 3, 6, 7),      # A < B
+        ((), (2,), 2, 2, 6, 3, 7),      # A > B
+        ((), (1,), 1, 2, 8, 5, 4),      # L < A
+        ((), (2,), 2, 1, 3, 4, 9),      # L > A + B - 1: the top coefficients are 0
+        ((3,), (2,), 2, 2, 4, 1, 5),    # B = 1
+        ((), (2,), 2, 2, 1, 4, 5),      # A = 1
+        ((2,), (2, 2), 2, 3, 3, 4, 1),  # L = 1: one product
+    ], ids=["batch", "A<B", "A>B", "L<A", "L>A+B-1", "B=1", "A=1", "L=1"])
+    def test_matches_loops(self, batch, free, nu, n, A, B, L):
+        rng = np.random.default_rng(7)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        s, x = draw(batch + free + (nu, n, A)), draw(batch + (nu, n, B))
+        got = _cauchy(s, x, L)
+        assert got.shape == batch + free + (L,)
+        np.testing.assert_allclose(got, cauchy_contraction(s, x, L), rtol=1e-13, atol=1e-13)
+
+    def test_mpmath_objects_at_50_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        with mpmath.workdps(50):
+            def draw(shape):
+                return np.array([mpmath.mpc(mpmath.mpf(1) / int(p), mpmath.mpf(1) / int(q))
+                                 for p, q in rng.integers(2, 1000, size=(math.prod(shape), 2))],
+                                dtype=object).reshape(shape)
+
+            s, x = draw((2, 2, 3, 5)), draw((2, 3, 4))
+            got, ref = _cauchy(s, x, 6), cauchy_contraction(s, x, 6)
+            assert got.dtype == object
+            assert max(abs(g - r) for g, r in zip(got.ravel(), ref.ravel())) < 1e-45
+
+    def test_memory_of_a_deep_expansion(self):
+        # a contraction allocates little beyond its product: a riccati
+        # expansion to eps-order 60 and z-order 150 peaks below 3 MB of
+        # numpy and Python allocations
+        p = builtin_riccati()
+        tracemalloc.start()
+        try:
+            solve_eps_expansion(p, 60, 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 def lazy_triangular(blocks, x, solve):

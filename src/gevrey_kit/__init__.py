@@ -15,7 +15,7 @@ from .errors import __all__ as _error_names
 
 #: submodule -> the public names it serves to the package
 _LAZY = {
-    "series": ("MatSeries", "VecSeries", "mat_series_inverse", "multilinear_apply"),
+    "series": ("MatSeries", "mat_series_inverse", "multilinear_apply"),
     "problem": (
         "CoeffTensor", "ProblemSpec", "assemble_B", "builtin_riccati", "normalize_shift",
         "parse_problem", "problem_to_json", "shift_problem",

@@ -18,7 +18,7 @@ the summation has to beat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _GAUSS_X = np.concatenate([-_GAUSS_X_POS[::-1], _GAUSS_X_POS])
 _GAUSS_W = np.concatenate([_GAUSS_W_POS[::-1], _GAUSS_W_POS])
 
 
-@dataclass(frozen=True, eq=False)
-class BorelData:
+class BorelData(NamedTuple):
     """Transform coefficients at a fixed evaluation point.
 
     ``b_coeffs[i]`` is a_{i+1}/i! (shape (I, nu)); the constant a_0 rides
@@ -58,8 +57,7 @@ class BorelData:
     b_coeffs: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class PadeApproximant:
+class PadeApproximant(NamedTuple):
     """Componentwise [L/M] rational approximants with their poles.
 
     `orders` records the effective (L, M) per component after any fallback
@@ -79,8 +77,7 @@ class PadeApproximant:
                          for num, den in zip(self.numerators, self.denominators)], axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class SummationReport:
+class SummationReport(NamedTuple):
     """Outcome of one summation, with an honest error budget."""
 
     value: np.ndarray

@@ -35,31 +35,31 @@ overflow and against it.
 at 0, whose jets are the z-series; `solve_ai` is one order of
 `solve_eps_expansion`; `eps_values_at` is the driver at z with L = I + 1,
 read at h = 0.  Each a_i of the z-series is delivered to z-order K_z - i:
-one order is reserved per eps-step, and the honest order is recorded on
-the returned series.
+one order is reserved per eps-step, and the array of a_i has exactly
+K_z - i + 1 z-coefficients.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GevreyKitError, InsufficientOrderError
 from .problem import ProblemSpec, assemble_B
-from .series import (MatSeries, VecSeries, _check_relation, _checked_inverse, _divide,
+from .series import (MatSeries, _check_relation, _checked_inverse, _divide, _horner,
                      _jet_apply, _norm2, _taylor_shift, _working, solve_triangular)
 
 
-@dataclass(frozen=True, eq=False)
-class EpsFormalSolution:
+class EpsFormalSolution(NamedTuple):
     """Coefficients a_0..a_I of the formal eps-expansion at a z-truncation K_z.
 
-    ``a[i]`` is a z-VecSeries delivered to order K_z - i; ``residuals[i]``
-    is the relative residual of its defining relation.
+    ``a[i]`` holds the z-coefficients 0..K_z - i of a_i, shape
+    (nu, K_z - i + 1); ``residuals[i]`` is the relative residual of its
+    defining relation.
     """
 
-    a: tuple[VecSeries, ...]
+    a: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
 
 
@@ -70,16 +70,16 @@ def _T0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
                for m, e in blocks0 for free in range(m))
 
 
-def build_T0(p: ProblemSpec, a0: VecSeries, K_z: int) -> MatSeries:
+def build_T0(p: ProblemSpec, a0: np.ndarray, K_z: int) -> MatSeries:
     """T_0(z) = B_{0,1}(z) + sum_{m>=2} m B_{0,m}(z) a_0^{m-1} through z-order K_z.
 
     For non-symmetric blocks the derivative sum runs over the free slot, so
     entry (i, i') collects each block with one slot left open and the others
-    contracted with a_0.
+    contracted with a_0, given by its z-coefficients, shape (nu, >= 1).
     """
     p.require_normalized()
     blocks0 = [(m, e[..., 0, :]) for m, e in assemble_B(p).items()]
-    return MatSeries(_T0_jet(blocks0, a0.coeffs, K_z + 1), var="z")
+    return MatSeries(_T0_jet(blocks0, a0, K_z + 1))
 
 
 def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
@@ -187,7 +187,7 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
         for order in _A0_START_ORDERS:
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    start = solve_a0(p, order).evaluate(complex(z0))
+                    start = _horner(solve_a0(p, order).T, complex(z0))
                 except GevreyKitError:   # the a_0 coefficients overflow
                     break
                 scale = max(_norm2(start), 1.0)
@@ -224,13 +224,14 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
                                         t0_inv, where)
 
 
-def solve_a0(p: ProblemSpec, K_z: int) -> VecSeries:
+def solve_a0(p: ProblemSpec, K_z: int) -> np.ndarray:
     """Power-series solution of F(0, z, a_0(z)) = 0 with a_0(0) = 0, through
-    z-order K_z: the driver at 0 with I = 0."""
+    z-order K_z, as its z-coefficients, shape (nu, K_z + 1): `_jets_at` at
+    0 with I = 0."""
     if K_z < 1:
         raise ValueError("K_z must be >= 1")
     a, _ = _jets_at(p, 0.0, 0, K_z + 1, f"at truncation K_z = {K_z}")
-    return VecSeries(a[:, 0], var="z")
+    return a[:, 0]
 
 
 def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
@@ -242,12 +243,11 @@ def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
         raise InsufficientOrderError(
             f"truncation K_z = {K_z} cannot deliver {I} eps-orders")
     a, residuals = _jets_at(p, 0.0, I, K_z + 1, f"at truncation K_z = {K_z}")
-    return EpsFormalSolution(a=tuple(VecSeries(a[:, i, : K_z - i + 1], var="z")
-                                     for i in range(I + 1)),
+    return EpsFormalSolution(a=tuple(a[:, i, : K_z - i + 1] for i in range(I + 1)),
                              residuals=tuple(residuals))
 
 
-def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> VecSeries:
+def solve_ai(p: ProblemSpec, a_so_far: list[np.ndarray], i: int, K_z: int) -> np.ndarray:
     """Coefficient a_i of `solve_eps_expansion(p, i, K_z)`, delivered to
     z-order K_z - i and checked as every order there; `a_so_far` holds
     a_0..a_{i-1}."""
@@ -259,10 +259,10 @@ def solve_ai(p: ProblemSpec, a_so_far: list[VecSeries], i: int, K_z: int) -> Vec
 def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     """Point values a_0(z)..a_I(z) of the formal eps-expansion, shape (I+1, nu).
 
-    Summing the z-series of `solve_eps_expansion` at z, as
-    ``sol.a[i].evaluate(z)``, loses every digit that the terms a_{i,k} z^k
-    outgrow a_i(z) by.  This is the driver at z itself, with a_i carried to
-    h-order I - i, exactly what the next order needs, and read at h = 0.
+    Summing the z-series of `solve_eps_expansion`, the arrays ``sol.a[i]``,
+    at z loses every digit that the terms a_{i,k} z^k outgrow a_i(z) by.
+    This is `_jets_at` at z itself, with a_i carried to h-order I - i,
+    exactly what the next order needs, and read at h = 0.
     Arithmetic is complex128 for a Python or numpy `z`, and the current
     mpmath precision when `z` is an mpmath number.
     """

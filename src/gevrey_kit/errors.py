@@ -6,10 +6,6 @@ class GevreyKitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class VarMismatchError(GevreyKitError, ValueError):
-    """A product of matrix series living in different formal variables."""
-
-
 class ArityMismatchError(GevreyKitError, ValueError):
     """Multilinear tensor applied to the wrong number of vectors."""
 
@@ -56,7 +52,6 @@ class EvaluationError(GevreyKitError):
 
 __all__ = [
     "GevreyKitError",
-    "VarMismatchError",
     "ArityMismatchError",
     "SingularMatrixError",
     "SchemaError",

@@ -8,15 +8,14 @@ test oracle (tests/oracles.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .epssolver import eps_values_at
 from .errors import GevreyKitError
 from .problem import ProblemSpec
-from .series import VecSeries, _norm2, _working
+from .series import _norm2, _working
 from .zsolver import evaluate_f, solve_coeffs_z
 
 _K_REF = 80
@@ -24,8 +23,7 @@ _K_REF = 80
 _FIT_MIN = 3
 
 
-@dataclass(frozen=True, eq=False)
-class GevreyFit:
+class GevreyFit(NamedTuple):
     """Factorial-growth fit ||a_i|| <= C * i! * mu**i.
 
     The slope/intercept come from least squares on log(norm_i) - log(i!)
@@ -40,13 +38,14 @@ class GevreyFit:
     r2: float
 
 
-def sup_norm_disc(f: VecSeries, sigma: float) -> float:
+def sup_norm_disc(f: np.ndarray, sigma: float) -> float:
     """Certified upper estimate M(sigma) = sum_n ||c_n|| sigma^n of the sup
-    of ||f|| on the closed disc of radius sigma.  A sum that overflows
-    raises GevreyKitError."""
+    of ||f|| on the closed disc of radius sigma, f a vector series of
+    coefficients c_n = f[:, n].  A sum that overflows raises
+    GevreyKitError."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    gamma = f.norms()
+    gamma = _norm2(f, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         total = float((gamma * sigma ** np.arange(gamma.size)).sum())
     if not math.isfinite(total):
@@ -97,8 +96,7 @@ def gevrey_fit(norms: Sequence[float]) -> GevreyFit:
     return GevreyFit(C=math.exp(log_c), mu=mu, r2=_r2(log_norm, fitted + lgam))
 
 
-@dataclass(frozen=True, eq=False)
-class RemainderProfile:
+class RemainderProfile(NamedTuple):
     """Scaled Taylor remainders of the formal expansion at one eps.
 
     ``abs_r[I]`` is |r_I| = |f(eps, z) - sum_{i<I} a_i(z) eps^i| / |eps|^I;

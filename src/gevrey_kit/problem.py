@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError, SchemaError, SingularMatrixError
-from .series import (COEFF_TOL, VecSeries, _check_finite, _check_relation, _checked_inverse,
+from .series import (COEFF_TOL, _check_finite, _check_relation, _checked_inverse,
                      _freeze, _horner, _jet_apply, solve_triangular)
 
 MAX_DIMENSION = 8
@@ -273,19 +273,19 @@ def _shift_blocks(blocks: dict[tuple[int, int], np.ndarray],
     return out
 
 
-def shift_problem(p: ProblemSpec, s: VecSeries, *,
+def shift_problem(p: ProblemSpec, s: np.ndarray, *,
                   max_eps_order: int | None = None) -> ProblemSpec:
     """Return the problem re-expanded around f = s(eps) + f_new.
 
+    `s` holds the eps-coefficients 0..D of the shift, shape (nu, D + 1).
     The shifted (0,0) block must vanish below COEFF_TOL (scaled); it is then
     removed exactly.  Blocks that end up numerically zero are dropped, except
     the mandatory (0,1) block.
     """
-    if s.var != "eps":
-        raise ValueError("the shift must be an eps-series")
-    if s.nu != p.nu:
+    s = np.asarray(s, dtype=np.complex128)
+    if s.ndim != 2 or s.shape[0] != p.nu:
         raise ValueError("shift dimension mismatch")
-    shifted = _shift_blocks({(t.n, t.m): t.entries for t in p.tensors}, s.coeffs)
+    shifted = _shift_blocks({(t.n, t.m): t.entries for t in p.tensors}, s)
     if max_eps_order is not None:
         # the drop threshold and the (0,0) check scale with what is kept
         shifted = {key: arr[..., : max_eps_order + 1] for key, arr in shifted.items()}
@@ -306,13 +306,14 @@ def shift_problem(p: ProblemSpec, s: VecSeries, *,
     return ProblemSpec(nu=p.nu, rho=p.rho, rho1=p.rho1, tensors=tuple(tensors))
 
 
-def normalize_shift(p: ProblemSpec, k_eps: int) -> tuple[VecSeries, ProblemSpec]:
+def normalize_shift(p: ProblemSpec, k_eps: int) -> tuple[np.ndarray, ProblemSpec]:
     """Remove the constant block by the unique shift s(eps) with s(0) = 0.
 
     Solves ``sum_m A_{0,m}(eps) s(eps)^m = 0`` order by order through
     ``k_eps`` (possible because the linear block at eps = 0 is invertible),
     then re-expands every block around f = s + f_new.  Returns the pair
-    (s, shifted problem).  Requires F(0,0,0) = 0; otherwise the caller must
+    (s, shifted problem), s the eps-coefficients 0..k_eps, shape
+    (nu, k_eps + 1).  Requires F(0,0,0) = 0; otherwise the caller must
     supply a root and shift explicitly.
     """
     if k_eps < 1:
@@ -335,9 +336,7 @@ def normalize_shift(p: ProblemSpec, k_eps: int) -> tuple[VecSeries, ProblemSpec]
     _check_relation(sum(terms), max(float(np.abs(t).max()) for t in terms),
                     "the order-by-order root", f"through eps-order {k_eps}",
                     error=NormalizationError)
-
-    shift = VecSeries(s, var="eps")
-    return shift, shift_problem(p, shift, max_eps_order=k_eps)
+    return s, shift_problem(p, s, max_eps_order=k_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def builtin_riccati(beta: Sequence[complex] = (1.0,)) -> ProblemSpec:
         CoeffTensor(0, 1, np.array([[[-1.0 + 0.0j]]])),
         CoeffTensor(1, 2, np.array([[[[2.0 + 0.0j]]]])),
     ))
-    return shift_problem(raw, VecSeries((-0.5 * b)[None, :], var="eps"))
+    return shift_problem(raw, (-0.5 * b)[None, :])
 
 
 # ---------------------------------------------------------------------------

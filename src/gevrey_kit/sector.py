@@ -11,7 +11,7 @@ oracles (tests/oracles.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,16 +20,14 @@ from .problem import MAX_DIMENSION
 from .series import SINGULAR_RTOL
 
 
-@dataclass(frozen=True)
-class SiegelCheck:
+class SiegelCheck(NamedTuple):
     """Per-eigenvalue angular margins against a (theta, gamma) query."""
 
     ok: bool
     margins: np.ndarray  # d_j - gamma/2, one per eigenvalue
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     args: np.ndarray
     gamma_max: float
     summable: bool

@@ -2,9 +2,10 @@
 Taylor-jet kernel: the one module that multiplies, divides, shifts or
 evaluates truncated series.
 
-A series here stores exactly the coefficients it knows and the formal variable
-it lives in.  Coefficients beyond the recorded order are *unknown*, not zero.
-A scalar series is a `VecSeries` with nu = 1.
+A series here is a plain complex array of exactly the coefficients it
+knows, the power on the last axis: a vector series of nu components has
+shape (nu, order + 1), a matrix series (a `MatSeries`) (nu, nu, order + 1).
+Coefficients beyond the recorded order are *unknown*, not zero.
 
 Every solver recursion runs on one Taylor-jet kernel (Taylor-mode
 arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
@@ -46,9 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatchError, GevreyKitError, SingularMatrixError, VarMismatchError
-
-SERIES_VARS = ("eps", "z")
+from .errors import ArityMismatchError, GevreyKitError, SingularMatrixError
 
 #: Absolute coefficient tolerance, scaled by the largest coefficient magnitude.
 COEFF_TOL = 1e-12
@@ -133,63 +132,16 @@ def _norm2(v, axis: int | None = None):
     return norm.squeeze(axis)[()]
 
 
-def _check_var(var: str) -> None:
-    if var not in SERIES_VARS:
-        raise ValueError(f"unknown series variable {var!r}; expected one of {SERIES_VARS}")
-
-
-@dataclass(frozen=True, eq=False)
-class VecSeries:
-    """A vector of ``nu`` series sharing variable and order.
-
-    ``coeffs`` has shape ``(nu, order + 1)``; ``coeffs[i, k]`` is coefficient
-    ``k`` of component ``i``.
-    """
-
-    coeffs: np.ndarray
-    var: str = "z"
-
-    def __post_init__(self):
-        _check_var(self.var)
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("vector series coefficients must have shape (nu, order + 1)")
-        _check_finite(arr, "vector series")
-        object.__setattr__(self, "coeffs", _freeze(arr.copy()))
-
-    @property
-    def nu(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    def coeff_vec(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond trusted order {self.order}")
-        return self.coeffs[:, k].copy()
-
-    def norms(self) -> np.ndarray:
-        """Euclidean norm of each coefficient vector, indexed by power."""
-        return _norm2(self.coeffs, axis=0)
-
-    def evaluate(self, x: complex) -> np.ndarray:
-        return _horner(self.coeffs.T, x)
-
-
 @dataclass(frozen=True, eq=False)
 class MatSeries:
-    """A square matrix of series sharing variable and order.
+    """A square matrix of series sharing one order.
 
     ``coeffs`` has shape ``(nu, nu, order + 1)``.
     """
 
     coeffs: np.ndarray
-    var: str = "z"
 
     def __post_init__(self):
-        _check_var(self.var)
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] < 1:
             raise ValueError("matrix series coefficients must have shape (nu, nu, order + 1)")
@@ -197,25 +149,18 @@ class MatSeries:
         object.__setattr__(self, "coeffs", _freeze(arr.copy()))
 
     @property
-    def nu(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
     def order(self) -> int:
         return self.coeffs.shape[2] - 1
 
     def matmul(self, other: "MatSeries") -> "MatSeries":
-        if self.var != other.var:
-            raise VarMismatchError("matrix series variable mismatch")
         L = min(self.order, other.order) + 1
         return MatSeries(np.stack([_jet_apply(self.coeffs, [col], L)
-                                   for col in other.coeffs.swapaxes(0, 1)], axis=1), self.var)
+                                   for col in other.coeffs.swapaxes(0, 1)], axis=1))
 
-    def apply_vec(self, v: VecSeries) -> VecSeries:
-        if self.var != v.var:
-            raise VarMismatchError("matrix/vector series variable mismatch")
-        return VecSeries(_jet_apply(self.coeffs, [v.coeffs], min(self.order, v.order) + 1),
-                         self.var)
+    def apply_vec(self, v: np.ndarray) -> np.ndarray:
+        """This matrix series times the vector series `v`, shape (nu, order
+        + 1), to the lower of the two orders."""
+        return _jet_apply(self.coeffs, [v], min(self.order, v.shape[1] - 1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +195,12 @@ def mat_series_inverse(t: MatSeries) -> MatSeries:
     """Invert a matrix series whose constant term is invertible.
 
     Solves ``T S = I`` column by column with the series division `_divide`
-    and verifies ``T S = I + O(var^(K+1))`` to the coefficient tolerance.
+    and verifies ``T S = I`` through order K to the coefficient tolerance.
     """
     t0inv = _checked_inverse(t.coeffs[:, :, 0], "constant term of the matrix series")
-    eye = np.eye(t.nu, dtype=np.complex128)
+    eye = np.eye(len(t.coeffs), dtype=np.complex128)
     s = np.stack([_divide(_fit(e[:, None], t.order + 1), t.coeffs, t0inv) for e in eye], axis=1)
-    inv = MatSeries(s, t.var)
+    inv = MatSeries(s)
     resid = t.matmul(inv).coeffs.copy()
     resid[:, :, 0] -= eye
     _check_relation(resid, max(float(np.abs(t.coeffs).max()), float(np.abs(s).max())),

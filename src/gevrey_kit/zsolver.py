@@ -25,8 +25,7 @@ one Horner pass; a partial sum carries no bound on its tail.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,15 +40,13 @@ _RESONANCE_RTOL = 1e-10
 _STOP_CHECK_EVERY = 64
 
 
-@dataclass(frozen=True, eq=False)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Partial-sum value of the z-series at one point."""
 
     value: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ZSolution:
+class ZSolution(NamedTuple):
     """Coefficients f_1..f_K at a fixed eps.
 
     ``coeffs[k-1]`` is the nu-vector f_k.  `residuals` records the relative

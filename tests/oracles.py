@@ -50,7 +50,6 @@ import numpy as np
 from gevrey_kit.epssolver import solve_a0, solve_eps_expansion
 from gevrey_kit.problem import CoeffTensor, ProblemSpec, assemble_B
 from gevrey_kit.sector import check_siegel, spectrum
-from gevrey_kit.series import VecSeries
 from gevrey_kit.zsolver import evaluate_f, solve_coeffs_z
 
 # ---------------------------------------------------------------------------
@@ -58,6 +57,15 @@ from gevrey_kit.zsolver import evaluate_f, solve_coeffs_z
 # ---------------------------------------------------------------------------
 
 _LIMIT_K = 60
+
+
+def _series_value(c: np.ndarray, z: complex) -> np.ndarray:
+    """sum_k c[:, k] z^k of a vector series, shape (nu, order + 1), by
+    Horner's rule."""
+    acc = 0
+    for ck in c.T[::-1]:
+        acc = acc * z + ck
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +121,7 @@ def cross_consistency(p: ProblemSpec, I: int, K: int,
     for i in range(I + 1):
         ai = eps_sol.a[i]
         for k in range(1, K + 1):
-            diff = fourier[i, k - 1] - ai.coeff_vec(k)
+            diff = fourier[i, k - 1] - ai[:, k]
             raw[i, k - 1] = float(np.abs(diff).max())
     scaled = raw * (radius ** np.arange(I + 1))[:, None]
     return CrossReport(table=scaled, raw=raw, radius=radius,
@@ -125,7 +133,7 @@ def limit_to_a0(p: ProblemSpec, eps_list, z: complex) -> list[tuple[complex, flo
     """Table of ||f(eps_j, z) - a_0(z)|| along a sequence eps_j -> 0, both
     sides summed from z-series of order _LIMIT_K."""
     a0 = solve_a0(p, _LIMIT_K)
-    target = a0.evaluate(z)
+    target = _series_value(a0, z)
     eps_list = list(eps_list)
     sols = iter(solve_coeffs_z(p, [eps for eps in eps_list if eps != 0], _LIMIT_K))
     out = []
@@ -250,8 +258,9 @@ def _weighted(gamma: np.ndarray, kappa: float, k: int) -> Callable[[float], floa
     return g
 
 
-def nagumo_norm(f: VecSeries, k: int, kappa: float) -> NagumoNorm:
-    """Coefficient-majorant Nagumo norm of a polynomial vector series.
+def nagumo_norm(f: np.ndarray, k: int, kappa: float) -> NagumoNorm:
+    """Coefficient-majorant Nagumo norm of a polynomial vector series, shape
+    (nu, order + 1).
 
     For k = 0 the weight is absent and the sup is M(kappa) itself.  For
     k >= 1 a coarse scan brackets the maximizer of (kappa - r)^k M(r) and
@@ -262,7 +271,7 @@ def nagumo_norm(f: VecSeries, k: int, kappa: float) -> NagumoNorm:
         raise ValueError("kappa must be positive")
     if k < 0:
         raise ValueError("weight index k must be nonnegative")
-    gamma = f.norms()
+    gamma = np.linalg.norm(f, axis=0)
     if not np.any(gamma):
         return NagumoNorm(kappa=kappa, k=k, value=0.0, maximizer=0.0)
     powers = np.arange(gamma.size)
@@ -301,7 +310,7 @@ def nagumo_norm(f: VecSeries, k: int, kappa: float) -> NagumoNorm:
     return NagumoNorm(kappa=kappa, k=k, value=v_star, maximizer=r_star)
 
 
-def nagumo_property_suite(f: VecSeries, g: VecSeries, k: int, l: int,
+def nagumo_property_suite(f: np.ndarray, g: np.ndarray, k: int, l: int,
                           kappa: float, slack: float = 1e-9) -> dict[str, bool]:
     """Check the four norm properties on one pair of scalar polynomials:
 
@@ -310,20 +319,18 @@ def nagumo_property_suite(f: VecSeries, g: VecSeries, k: int, l: int,
       3. ||f'||_{k+1} <= e (k+1) ||f||_k
       4. ||f||_k <= kappa ||f||_{k-1}   (k >= 1)
     """
-    if f.nu != 1 or g.nu != 1:
+    if f.shape[0] != 1 or g.shape[0] != 1:
         raise ValueError("the product property needs scalar series")
-    deg = f.order + g.order  # polynomial data, so the product is exact here
-    fc, gc = f.coeffs[0], g.coeffs[0]
-    sum_fg = VecSeries((np.pad(fc, (0, deg + 1 - fc.size))
-                        + np.pad(gc, (0, deg + 1 - gc.size)))[None, :], f.var)
-    prod_fg = VecSeries(np.convolve(fc, gc)[None, :], f.var)
+    fc, gc = f[0], g[0]
+    deg = fc.size + gc.size - 2  # polynomial data, so the product is exact here
+    sum_fg = (np.pad(fc, (0, deg + 1 - fc.size)) + np.pad(gc, (0, deg + 1 - gc.size)))[None, :]
+    prod_fg = np.convolve(fc, gc)[None, :]
 
     nf_k = nagumo_norm(f, k, kappa).value
     ng_k = nagumo_norm(g, k, kappa).value
     ng_l = nagumo_norm(g, l, kappa).value
     # f' has the coefficients k f_k; a constant has the derivative 0
-    df = VecSeries((fc[1:] * np.arange(1, fc.size) if fc.size > 1 else np.zeros(1))[None, :],
-                   f.var)
+    df = (fc[1:] * np.arange(1, fc.size) if fc.size > 1 else np.zeros(1))[None, :]
     out = {
         "sum": nagumo_norm(sum_fg, k, kappa).value <= nf_k + ng_k + slack,
         "product": nagumo_norm(prod_fg, k + l, kappa).value <= nf_k * ng_l + slack,
@@ -346,7 +353,7 @@ _CONTRACTION_SAMPLES = 33
 _RESOLVENT_BLOWUP = 1e12
 
 
-def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) -> float:
+def contraction_estimate(p: ProblemSpec, a0: np.ndarray, kappa: float, c: float) -> float:
     """Sampled estimate of c * (||B01(z) - B01(0)|| + sum_m m ||B0m(z)||
     ||a_0(z)||^{m-1}) on |z| <= kappa, the contraction quantity controlling
     invertibility of T_0 on that disc (< 1 means safely invertible), sampled
@@ -357,7 +364,7 @@ def contraction_estimate(p: ProblemSpec, a0: VecSeries, kappa: float, c: float) 
     for s in range(1, _CONTRACTION_SAMPLES + 1):
         z = kappa * s / _CONTRACTION_SAMPLES
         total = 0.0
-        a0z = float(np.linalg.norm(a0.evaluate(z)))
+        a0z = float(np.linalg.norm(_series_value(a0, z)))
         for m, block in blocks0:
             flat = block.reshape(-1, block.shape[-1])
             vals = flat @ (z ** np.arange(flat.shape[1]))

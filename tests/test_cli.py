@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import warnings
 from importlib import resources
 
@@ -605,3 +607,19 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gevrey-kit: error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_report_gets_the_mode_open_would_give(tmp_path):
+    # a new report gets 0o666 less the umask, a replaced one keeps its mode
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o664)
+    umask = os.umask(0o027)
+    try:
+        for out in (new, old):
+            assert main(["check-sector", "--builtin", "riccati", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o664
+    assert json.loads(old.read_text())["verdict"] == "summable"

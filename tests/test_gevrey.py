@@ -15,14 +15,13 @@ from gevrey_kit import (
 )
 from gevrey_kit.errors import GevreyKitError
 from oracles import nagumo_norm, nagumo_property_suite
-from gevrey_kit.series import VecSeries
 
 
 def monomial(n, order=None):
     order = n if order is None else order
     c = np.zeros((1, order + 1), dtype=complex)
     c[0, n] = 1.0
-    return VecSeries(c, "z")
+    return c
 
 
 def monomial_norm(n, k, kappa):
@@ -39,7 +38,7 @@ def monomial_norm(n, k, kappa):
 
 def random_poly(rng, deg):
     c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-    return VecSeries(c[None, :], "z")
+    return c[None, :]
 
 
 class TestNagumoNorm:
@@ -59,23 +58,23 @@ class TestNagumoNorm:
         assert nagumo_norm(monomial(n), k, kappa).value == pytest.approx(brute, rel=1e-8)
 
     def test_weightless_is_majorant_at_radius(self):
-        f = VecSeries(np.array([[1.0, -2.0, 0.5]], dtype=complex), "z")
+        f = np.array([[1.0, -2.0, 0.5]], dtype=complex)
         assert nagumo_norm(f, 0, 2.0).value == pytest.approx(1 + 2 * 2 + 0.5 * 4)
 
     def test_constant(self):
-        f = VecSeries(np.array([[3.0 + 4.0j]]), "z")
+        f = np.array([[3.0 + 4.0j]])
         for k in (0, 1, 5):
             assert nagumo_norm(f, k, 0.7).value == pytest.approx(5.0 * 0.7**k, rel=1e-12)
         assert nagumo_norm(f, 3, 0.7).maximizer == 0.0
 
     def test_zero(self):
-        f = VecSeries(np.zeros((1, 4), dtype=complex), "z")
+        f = np.zeros((1, 4), dtype=complex)
         assert nagumo_norm(f, 2, 1.0).value == 0.0
 
 
 class TestNagumoProperties:
     def test_trivial_equality_case(self):
-        one = VecSeries(np.array([[1.0 + 0j]]), "z")
+        one = np.array([[1.0 + 0j]])
         out = nagumo_property_suite(one, one, 0, 0, 1.0)
         assert all(out.values())
 
@@ -113,10 +112,10 @@ class TestSupNorm:
 
     def test_geometric(self):
         c = (0.5 ** np.arange(60))[None, :].astype(complex)
-        assert sup_norm_disc(VecSeries(c, "z"), 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert sup_norm_disc(c, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero(self):
-        assert sup_norm_disc(VecSeries(np.zeros((2, 5), dtype=complex), "z"), 1.0) == 0.0
+        assert sup_norm_disc(np.zeros((2, 5), dtype=complex), 1.0) == 0.0
 
     def test_overflow_names_sigma(self):
         # sigma^2 overflows: an error, not a RuntimeWarning or an inf
@@ -266,7 +265,7 @@ class TestRemainderProfile:
 
 
 @pytest.mark.parametrize("run, message", [
-    (lambda p: sup_norm_disc(VecSeries(np.ones((1, 3))), -0.1), "sigma must be nonnegative"),
+    (lambda p: sup_norm_disc(np.ones((1, 3)), -0.1), "sigma must be nonnegative"),
     (lambda p: remainder_profile(p, 0.05, [0.1], 0), "I_max must be >= 1"),
 ], ids=["sigma", "I_max"])
 def test_argument_guards(riccati, run, message):

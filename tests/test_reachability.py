@@ -51,7 +51,6 @@ REASONS = {"tracer", "benchmark", "paper-check"}
 UNREACHED = {
     "epssolver.build_T0": "tracer",
     "epssolver.solve_ai": "tracer",
-    "errors.VarMismatchError": "tracer",
     "problem.normalize_shift": "paper-check",
     "problem.problem_to_json": "benchmark",
     "series.MatSeries": "tracer",

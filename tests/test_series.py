@@ -9,24 +9,14 @@ from hypothesis import strategies as st
 
 from gevrey_kit import (
     MatSeries,
-    VecSeries,
     builtin_riccati,
     mat_series_inverse,
     multilinear_apply,
     solve_eps_expansion,
 )
-from gevrey_kit.errors import (
-    ArityMismatchError,
-    SingularMatrixError,
-    VarMismatchError,
-)
-from gevrey_kit.series import _cauchy, _jet_apply, _taylor_shift, solve_triangular
+from gevrey_kit.errors import ArityMismatchError, SingularMatrixError
+from gevrey_kit.series import _cauchy, _horner, _jet_apply, _norm2, _taylor_shift, solve_triangular
 from oracles import CONV_TAMING_A, cauchy_contraction, compositions, lemma_conv_bound
-
-
-def vs(coeffs, var="z"):
-    """A scalar series: a VecSeries with nu = 1."""
-    return VecSeries(np.asarray(coeffs, dtype=complex)[None, :], var)
 
 
 def jet_product(series, L):
@@ -75,11 +65,6 @@ class TestSeriesMul:
         got = jet_mul(p, p)
         np.testing.assert_allclose(got, brute_mul(p, p, 3))
         np.testing.assert_allclose(got, [0, 0, 0.25, -1.0])
-
-    def test_var_mismatch(self):
-        one = np.ones((1, 1, 2), dtype=complex)
-        with pytest.raises(VarMismatchError):
-            MatSeries(one).matmul(MatSeries(one, var="eps"))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -379,13 +364,8 @@ class TestApplyVec:
         # truncated to the order 1 of A: (1, 6) + (2, 5) z
         a = np.array([[[1, 0], [0, 1]], [[0, 2], [3, 0]]], dtype=complex)
         v = np.array([[1, 0, 1], [2, 1, -1]], dtype=complex)
-        got = MatSeries(a).apply_vec(VecSeries(v))
-        assert got.order == 1
-        np.testing.assert_array_equal(got.coeffs, [[1, 2], [6, 5]])
-
-    def test_var_mismatch(self):
-        with pytest.raises(VarMismatchError):
-            MatSeries(np.ones((1, 1, 2))).apply_vec(vs([1, 1], var="eps"))
+        got = MatSeries(a).apply_vec(v)
+        np.testing.assert_array_equal(got, [[1, 2], [6, 5]])
 
 
 class TestTaylorShift:
@@ -409,13 +389,14 @@ class TestTaylorShift:
 
 class TestDerivativeEvaluate:
     def test_evaluate_horner(self):
-        assert vs([1, 2, 3]).evaluate(1.0)[0] == 6.0
-        assert vs([4, 2, 3]).evaluate(0.0)[0] == 4.0
+        # the power on the leading axis: a vector series transposed
+        assert _horner(np.array([[1, 2, 3]], dtype=complex).T, 1.0)[0] == 6.0
+        assert _horner(np.array([[4, 2, 3]], dtype=complex).T, 0.0)[0] == 4.0
 
     def test_evaluate_geometric_tail(self):
         # coefficient pattern of 1/(2(1+eps)) truncated at 20
         coeffs = [0.5 * (-1.0) ** j for j in range(21)]
-        got = vs(coeffs, var="eps").evaluate(0.1)[0]
+        got = _horner(np.array(coeffs, dtype=complex), 0.1)
         assert abs(got - 1.0 / 2.2) < 1e-12
 
 
@@ -479,37 +460,29 @@ class TestLemmaConvBound:
 class TestCarriers:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            vs([1.0, np.inf])
-
-    def test_unknown_variable_rejected(self):
-        # series are in eps or z; the Borel variable t has none
-        with pytest.raises(ValueError, match="unknown series variable 't'"):
-            VecSeries(np.ones((1, 2)), var="t")
+            MatSeries(np.array([[[1.0, np.inf]]]))
 
     @pytest.mark.parametrize("build, error, message", [
-        (lambda: VecSeries(np.ones((1, 0))), ValueError, r"shape \(nu, order \+ 1\)"),
         (lambda: MatSeries(np.ones((2, 1, 1))), ValueError, r"shape \(nu, nu, order \+ 1\)"),
-        (lambda: VecSeries(np.ones((1, 3))).coeff_vec(3), IndexError,
-         "coefficient 3 beyond trusted order 2"),
         (lambda: multilinear_apply(np.ones((2, 2)), [np.ones(3)]), ArityMismatchError,
          "vector dimension does not match"),
-    ], ids=["vec-shape", "mat-shape", "coeff-index", "vector-dimension"])
+    ], ids=["mat-shape", "vector-dimension"])
     def test_shape_guards(self, build, error, message):
         with pytest.raises(error, match=message):
             build()
 
     def test_vecseries_components(self):
-        v = VecSeries(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
-        assert v.nu == 2 and v.order == 1
-        np.testing.assert_array_equal(v.coeffs[1], [3.0, 4.0])
-        np.testing.assert_allclose(v.norms(), [math.sqrt(10), math.sqrt(20)])
+        # a vector series is a (nu, order + 1) array: the norm of each
+        # coefficient vector is taken along its components
+        v = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        np.testing.assert_allclose(_norm2(v, axis=0), [math.sqrt(10), math.sqrt(20)])
 
     def test_vecseries_norms_past_the_square_range(self):
         # the squares of 3e200 and 4e200 overflow, the norm 5e200 does not
-        v = VecSeries(np.array([[3e200, 1.0], [4e200j, 0.0]]))
-        np.testing.assert_allclose(v.norms(), [5e200, 1.0], rtol=1e-15)
+        v = np.array([[3e200, 1.0], [4e200j, 0.0]])
+        np.testing.assert_allclose(_norm2(v, axis=0), [5e200, 1.0], rtol=1e-15)
         # the squares of 3e-170 and 4e-170 underflow, the norm 5e-170 does not
-        v = VecSeries(np.array([[3e-170], [4e-170j]]))
-        np.testing.assert_allclose(v.norms(), [5e-170], rtol=1e-15)
+        v = np.array([[3e-170], [4e-170j]])
+        np.testing.assert_allclose(_norm2(v, axis=0), [5e-170], rtol=1e-15)
         # sqrt(2) * 1.5e308 is past the double range itself
-        assert np.isinf(VecSeries(np.array([[1.5e308, 1.0], [1.5e308j, 0.0]])).norms()[0])
+        assert np.isinf(_norm2(np.array([[1.5e308, 1.0], [1.5e308j, 0.0]]), axis=0)[0])

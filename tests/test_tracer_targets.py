@@ -48,3 +48,16 @@ def test_observed_arguments_keep_their_place(module, name, position, param):
     # the tracer records these arguments by position or by keyword
     fn = getattr(importlib.import_module(f"gevrey_kit.{module}"), name)
     assert list(inspect.signature(fn).parameters)[position] == param
+
+
+def test_observed_record_fields():
+    # the tracer reads these fields of the results of two spanned functions:
+    # `requested` and `orders` of pade_continue, compared as (L, M) tuples,
+    # and `pole_clearance` of laplace_sum, taken by float()
+    from gevrey_kit import borel, builtin_riccati, eps_values_at
+
+    b = borel.borel_transform(eps_values_at(builtin_riccati(), 0.05, 12))
+    pade = borel.pade_continue(b, 5, 6)
+    assert pade.requested == (5, 6)
+    assert pade.orders and all(isinstance(o, tuple) and len(o) == 2 for o in pade.orders)
+    assert isinstance(borel.laplace_sum(b, pade, 0.1).pole_clearance, float)

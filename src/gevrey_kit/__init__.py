@@ -22,10 +22,7 @@ _LAZY = {
     ),
     "sector": ("SiegelCheck", "SpectrumReport", "check_siegel", "gamma_max", "spectrum"),
     "zsolver": ("EvalResult", "ZSolution", "evaluate_f", "ode_residual_z", "solve_coeffs_z"),
-    "epssolver": (
-        "EpsFormalSolution", "build_T0", "eps_values_at", "solve_a0", "solve_ai",
-        "solve_eps_expansion",
-    ),
+    "epssolver": ("build_T0", "eps_values_at", "solve_a0", "solve_ai", "solve_eps_expansion"),
     "gevrey": ("GevreyFit", "RemainderProfile", "gevrey_fit", "remainder_profile",
                "sup_norm_disc"),
     "borel": (

@@ -171,9 +171,10 @@ def _load_problem(args):
 
 
 def _atomic_write(path: str | Path, data: str) -> None:
-    """Write `data` to `path` by a rename, with the mode `open(path, "w")`
-    would leave: the old file's, or 0o666 less the umask for a new one."""
-    target = Path(path)
+    """Write `data` to `path` by a rename, to the file and with the mode
+    `open(path, "w")` would: a symlink's target, keeping the link, and the
+    old file's mode, or 0o666 less the umask for a new one."""
+    target = Path(os.path.realpath(path))
     try:
         mode = os.stat(target).st_mode & 0o777
     except FileNotFoundError:
@@ -333,8 +334,8 @@ def _cmd_diagnose(args):
     if len(args.z) != 1:
         raise ValueError(f"diagnose takes one --z, the point of its remainder table, "
                          f"got {len(args.z)}")
-    sol = solve_eps_expansion(p, args.I, 2 * args.I + 30)
-    norms = [sup_norm_disc(ai, args.sigma) for ai in sol.a]
+    a = solve_eps_expansion(p, args.I, 2 * args.I + 30)
+    norms = [sup_norm_disc(ai, args.sigma) for ai in a]
     fit = gevrey_fit(norms)
     (z0,) = args.z
     profiles = remainder_profile(p, z0, args.eps, args.I)

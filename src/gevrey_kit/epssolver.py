@@ -15,11 +15,11 @@ classic mistake; the double-series consistency test against the fixed-eps
 solver pins them down.
 
 One driver, `_jets_at(p, z, I, L, where)`, runs this recursion at a centre
-z on jets in h = z' - z and returns a_0..a_I, a_i to h-length L - i, with
-their residuals.  It works in complex128, or at the current mpmath
-precision when z is an mpmath number, on the (eps, z) coefficient arrays
-of `problem.assemble_B`, shifted to z by `series._taylor_shift`.  a_0(z)
-is 0 at the origin (the problem is normalized) and elsewhere a Newton root
+z on jets in h = z' - z and returns a_0..a_I, a_i to h-length L - i.  It
+works in complex128, or at the current mpmath precision when z is an
+mpmath number, on the (eps, z) coefficient arrays of
+`problem.assemble_B`, shifted to z by `series._taylor_shift`.  a_0(z) is
+0 at the origin (the problem is normalized) and elsewhere a Newton root
 started from the a_0 series at 0.  The h-coefficients of a_0 follow one at
 a time against T_0(z)^-1, and from them the jet of T_0.  The orders run on
 the online kernel `series.solve_triangular` over jets, with eps as the
@@ -29,19 +29,19 @@ order i costs O(i) where the composition sum costs O(i^(m-1)).  Order i is
 formed with a_i = 0, which is R_i; a_i follows by the forward substitution
 `series._divide` against T_0; the kernel then adds the terms linear in
 a_i, which gives the whole eps^i coefficient, and every a_i is checked for
-overflow and against it.
+overflow and against it; a failed check raises.
 
 `solve_a0` (I = 0) and `solve_eps_expansion` (L = K_z + 1) are the driver
 at 0, whose jets are the z-series; `solve_ai` is one order of
 `solve_eps_expansion`; `eps_values_at` is the driver at z with L = I + 1,
 read at h = 0.  Each a_i of the z-series is delivered to z-order K_z - i:
-one order is reserved per eps-step, and the array of a_i has exactly
+one order is reserved per eps-step, and entry i of the tuple that
+`solve_eps_expansion` returns is the array of a_i, with exactly
 K_z - i + 1 z-coefficients.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +49,6 @@ from .errors import GevreyKitError, InsufficientOrderError
 from .problem import ProblemSpec, assemble_B
 from .series import (MatSeries, _check_relation, _checked_inverse, _divide, _horner,
                      _jet_apply, _norm2, _taylor_shift, _working, solve_triangular)
-
-
-class EpsFormalSolution(NamedTuple):
-    """Coefficients a_0..a_I of the formal eps-expansion at a z-truncation K_z.
-
-    ``a[i]`` holds the z-coefficients 0..K_z - i of a_i, shape
-    (nu, K_z - i + 1); ``residuals[i]`` is the relative residual of its
-    defining relation.
-    """
-
-    a: tuple[np.ndarray, ...]
-    residuals: tuple[float, ...]
 
 
 def _T0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
@@ -89,12 +77,11 @@ def _lin_rhs(prev: np.ndarray, z0, L: int) -> np.ndarray:
 
 
 def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarray,
-                  t0_inv: np.ndarray, where: str) -> list[float]:
+                  t0_inv: np.ndarray, where: str) -> None:
     """Fill a = (a_0, ..., a_I), shape (nu, I + 1, L_0) with a_0 given, from
     T_0 a_i = (z0 + h) a'_{i-1} - R_i, a_i to h-length L_0 - i, each checked
-    for overflow and against the whole eps^i coefficient; returns the
-    relative residuals of a_1..a_I.  `blocks` are the arrays of
-    `assemble_B`, their z-axis in h = z - z0."""
+    for overflow and against the whole eps^i coefficient.  `blocks` are the
+    arrays of `assemble_B`, their z-axis in h = z - z0."""
     orders, L0 = a.shape[1:]
 
     def solve(i: int, forcing: np.ndarray) -> np.ndarray:
@@ -103,7 +90,6 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
             raise GevreyKitError(f"a_{i} overflows double precision {where}")
         return ai
 
-    residuals = []
     # overflow is detected on a_i and on the residual, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         whole = solve_triangular([(m, e[..., :orders, :]) for m, e in blocks.items()],
@@ -111,10 +97,8 @@ def _solve_orders(blocks: dict[int, np.ndarray], a: np.ndarray, z0, t0: np.ndarr
         for i in range(1, orders):
             # its terms cancel, so the scale is the largest, not each entry's
             za_prime = _lin_rhs(a[:, i - 1], z0, L0 - i)
-            residuals.append(_check_relation(za_prime - whole[:, i, : L0 - i],
-                                             np.abs(za_prime).max(),
-                                             f"defining relation for a_{i}", where))
-    return residuals
+            _check_relation(za_prime - whole[:, i, : L0 - i], np.abs(za_prime).max(),
+                            f"defining relation for a_{i}", where)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +115,10 @@ def _F0_jet(blocks0, a0: np.ndarray, L: int) -> np.ndarray:
     return sum(_jet_apply(e, [a0] * m, L) for m, e in blocks0)
 
 
-def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray, list[float]]:
+def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> np.ndarray:
     """h-jets of a_0..a_I at the centre z, shape (nu, I + 1, L) with a_i to
-    length L - i (L > I), and the relative residuals of their defining
-    relations; `where` names the centre or truncation in errors.
+    length L - i (L > I), each checked against its defining relation;
+    `where` names the centre or truncation in errors.
 
     * Arithmetic is complex128 for a Python or numpy `z`, and the current
       mpmath precision (object arrays of mpc) when `z` is an mpmath number.
@@ -215,13 +199,12 @@ def _jets_at(p: ProblemSpec, z, I: int, L: int, where: str) -> tuple[np.ndarray,
     # to the rounding of the terms it sums, which scale with the blocks
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _F0_jet([(m, np.abs(e)) for m, e in blocks0], np.abs(jet[..., 0]), L)
-    residuals = [_check_relation(whole[..., 0], terms, "defining relation for a_0", where)]
+    _check_relation(whole[..., 0], terms, "defining relation for a_0", where)
     a = np.zeros((p.nu, I + 1, L), dtype=c.dtype)
     a[:, 0] = jet[..., 0]
-    if not I:   # a_0 alone needs neither the T_0 jet nor the order loop
-        return a, residuals
-    return a, residuals + _solve_orders(blocks, a, z0, _T0_jet(blocks0, a[:, 0], L),
-                                        t0_inv, where)
+    if I:   # a_0 alone needs neither the T_0 jet nor the order loop
+        _solve_orders(blocks, a, z0, _T0_jet(blocks0, a[:, 0], L), t0_inv, where)
+    return a
 
 
 def solve_a0(p: ProblemSpec, K_z: int) -> np.ndarray:
@@ -230,21 +213,22 @@ def solve_a0(p: ProblemSpec, K_z: int) -> np.ndarray:
     0 with I = 0."""
     if K_z < 1:
         raise ValueError("K_z must be >= 1")
-    a, _ = _jets_at(p, 0.0, 0, K_z + 1, f"at truncation K_z = {K_z}")
+    a = _jets_at(p, 0.0, 0, K_z + 1, f"at truncation K_z = {K_z}")
     return a[:, 0]
 
 
-def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> EpsFormalSolution:
+def solve_eps_expansion(p: ProblemSpec, I: int, K_z: int) -> tuple[np.ndarray, ...]:
     """Compute a_0..a_I as z-series and check each a_i against the whole
-    coefficient of eps^i in eps z f' = F(eps, z, f), a_i included."""
+    coefficient of eps^i in eps z f' = F(eps, z, f), a_i included.  Entry
+    i of the tuple holds the z-coefficients 0..K_z - i of a_i, shape
+    (nu, K_z - i + 1)."""
     if I < 0:
         raise ValueError("I must be >= 0")
     if K_z - I < 1:
         raise InsufficientOrderError(
             f"truncation K_z = {K_z} cannot deliver {I} eps-orders")
-    a, residuals = _jets_at(p, 0.0, I, K_z + 1, f"at truncation K_z = {K_z}")
-    return EpsFormalSolution(a=tuple(a[:, i, : K_z - i + 1] for i in range(I + 1)),
-                             residuals=tuple(residuals))
+    a = _jets_at(p, 0.0, I, K_z + 1, f"at truncation K_z = {K_z}")
+    return tuple(a[:, i, : K_z - i + 1] for i in range(I + 1))
 
 
 def solve_ai(p: ProblemSpec, a_so_far: list[np.ndarray], i: int, K_z: int) -> np.ndarray:
@@ -253,14 +237,14 @@ def solve_ai(p: ProblemSpec, a_so_far: list[np.ndarray], i: int, K_z: int) -> np
     a_0..a_{i-1}."""
     if i < 1 or len(a_so_far) != i:
         raise ValueError("need exactly the coefficients a_0..a_{i-1}")
-    return solve_eps_expansion(p, i, K_z).a[i]
+    return solve_eps_expansion(p, i, K_z)[i]
 
 
 def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     """Point values a_0(z)..a_I(z) of the formal eps-expansion, shape (I+1, nu).
 
-    Summing the z-series of `solve_eps_expansion`, the arrays ``sol.a[i]``,
-    at z loses every digit that the terms a_{i,k} z^k outgrow a_i(z) by.
+    Summing the z-series of `solve_eps_expansion`, the arrays ``a[i]`` of
+    its tuple, at z loses every digit that the terms a_{i,k} z^k outgrow a_i(z) by.
     This is `_jets_at` at z itself, with a_i carried to h-order I - i,
     exactly what the next order needs, and read at h = 0.
     Arithmetic is complex128 for a Python or numpy `z`, and the current
@@ -268,5 +252,5 @@ def eps_values_at(p: ProblemSpec, z, I: int) -> np.ndarray:
     """
     if I < 0:
         raise ValueError("I must be >= 0")
-    a, _ = _jets_at(p, z, I, I + 1, f"at z = {complex(z)}")
+    a = _jets_at(p, z, I, I + 1, f"at z = {complex(z)}")
     return a[:, :, 0].T.copy()

@@ -105,15 +105,14 @@ def _checked_inverse(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _check_relation(resid, scale, what: str, where: str, *, rtol: float = RELATION_RTOL,
-                    error: type[GevreyKitError] = GevreyKitError) -> float:
-    """The largest |resid| relative to max(1, |scale|), entry by entry (a
-    scalar `scale` serves every entry).  Raises `error` naming `what` and
-    `where` when it exceeds `rtol` or is NaN."""
+                    error: type[GevreyKitError] = GevreyKitError) -> None:
+    """Check the largest |resid| relative to max(1, |scale|), entry by entry
+    (a scalar `scale` serves every entry): raise `error` naming `what` and
+    `where` when it exceeds `rtol` or is NaN, else return nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         rel = float(np.max(np.abs(resid) / np.maximum(1.0, np.abs(scale))))
     if not rel <= rtol:
         raise error(f"{what} left residual {rel:.3e} {where}")
-    return rel
 
 
 def _norm2(v, axis: int | None = None):

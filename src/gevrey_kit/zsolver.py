@@ -49,13 +49,12 @@ class EvalResult(NamedTuple):
 class ZSolution(NamedTuple):
     """Coefficients f_1..f_K at a fixed eps.
 
-    ``coeffs[k-1]`` is the nu-vector f_k.  `residuals` records the relative
-    residual of each linear solve.
+    ``coeffs[k-1]`` is the nu-vector f_k.  Every linear solve that gave
+    them passed its residual check; a failed one raised instead.
     """
 
     eps: complex
     coeffs: np.ndarray
-    residuals: np.ndarray
 
 
 def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
@@ -101,8 +100,8 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
     rhs_k = np.zeros((K, batch.size, p.nu, 1), dtype=np.complex128)
     f = np.zeros((batch.size, p.nu, K + 1, 1), dtype=np.complex128)
 
-    def checked(n: int) -> np.ndarray:
-        """Residuals (n, batch) of steps 1..n by max-abs norms; raises on a failed step."""
+    def checked(n: int) -> None:
+        """Check steps 1..n by max-abs residual norms; raises on a failed step."""
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = (np.abs(mats[:n] @ np.moveaxis(f[..., 1:n + 1, :], -2, 0) - rhs_k[:n])
                          .max(axis=(-2, -1)) / (1.0 + np.abs(rhs_k[:n]).max(axis=(-2, -1))))
@@ -110,7 +109,6 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
         failed = overflow[:n] | resonant[:n] | ~(residuals <= RELATION_RTOL)
         if failed.any():
             _raise_first(batch, failed, overflow, resonant, residuals)
-        return residuals
 
     def solve_linear(k: int, rhs: np.ndarray) -> np.ndarray:
         rhs_k[k - 1] = rhs
@@ -121,9 +119,9 @@ def solve_coeffs_z(p: ProblemSpec, eps: complex | Sequence[complex],
         return x_k
 
     solve_triangular([(m, e[..., None]) for m, e in blocks.items()], f, solve_linear)
-    residuals = checked(K)
-    sols = [ZSolution(eps=complex(e), coeffs=np.ascontiguousarray(f[b, :, 1:, 0].T),
-                      residuals=residuals[:, b].copy()) for b, e in enumerate(batch)]
+    checked(K)
+    sols = [ZSolution(eps=complex(e), coeffs=np.ascontiguousarray(f[b, :, 1:, 0].T))
+            for b, e in enumerate(batch)]
     return sols if np.ndim(eps) else sols[0]
 
 

@@ -116,10 +116,10 @@ def cross_consistency(p: ProblemSpec, I: int, K: int,
     metric for the Fourier route.
     """
     fourier = eps_taylor_of_z_coeffs(p, I, K, radius)
-    eps_sol = solve_eps_expansion(p, I, K + I + 1)
+    a = solve_eps_expansion(p, I, K + I + 1)
     raw = np.zeros((I + 1, K))
     for i in range(I + 1):
-        ai = eps_sol.a[i]
+        ai = a[i]
         for k in range(1, K + 1):
             diff = fourier[i, k - 1] - ai[:, k]
             raw[i, k - 1] = float(np.abs(diff).max())

@@ -98,8 +98,8 @@ def test_criterion_04_closed_form_validation():
 def test_criterion_05_gevrey_certification():
     with Timer(10.0) as t:
         p = gk.builtin_riccati()
-        sol = gk.solve_eps_expansion(p, 30, 90)
-        norms = [gk.sup_norm_disc(ai, 0.05) for ai in sol.a]
+        a = gk.solve_eps_expansion(p, 30, 90)
+        norms = [gk.sup_norm_disc(ai, 0.05) for ai in a]
         fit = gk.gevrey_fit(norms)
         bound_ok = all(
             n <= fit.C * math.factorial(i) * fit.mu**i * (1 + 1e-12)

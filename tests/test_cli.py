@@ -623,3 +623,14 @@ def test_report_gets_the_mode_open_would_give(tmp_path):
     assert stat.S_IMODE(new.stat().st_mode) == 0o640
     assert stat.S_IMODE(old.stat().st_mode) == 0o664
     assert json.loads(old.read_text())["verdict"] == "summable"
+
+
+def test_report_through_a_symlink_goes_to_its_target(tmp_path):
+    # open(path, "w") writes a link's target and leaves the link a link
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert main(["check-sector", "--builtin", "riccati", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert json.loads(real.read_text())["verdict"] == "summable"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]

@@ -142,7 +142,7 @@ class TestA0:
         np.testing.assert_allclose(solve_a0(scaled, 40), solve_a0(riccati, 40), rtol=1e-12)
         got, want = solve_eps_expansion(scaled, 3, 20), solve_eps_expansion(riccati, 3, 20)
         for i in range(4):
-            np.testing.assert_allclose(got.a[i] * s**i, want.a[i], rtol=1e-10)
+            np.testing.assert_allclose(got[i] * s**i, want[i], rtol=1e-10)
         np.testing.assert_allclose(eps_values_at(scaled, 0.05, 3) * s ** np.arange(4)[:, None],
                                    eps_values_at(riccati, 0.05, 3), rtol=1e-10)
 
@@ -186,8 +186,8 @@ class TestAi:
     def test_riccati_a1_closed_form(self, riccati):
         # a1 = -2z / ((1+4z) (1+sqrt(1+4z))^2); series oracle with fractions
         K = 10
-        sol = solve_eps_expansion(riccati, 1, K + 1)
-        a1 = sol.a[1][0].real
+        a = solve_eps_expansion(riccati, 1, K + 1)
+        a1 = a[1][0].real
 
         # oracle built from exact binomials: numerator -2z, denominator
         # (1+4z)*(1+sqrt(1+4z))^2 inverted term by term with fractions
@@ -209,13 +209,13 @@ class TestAi:
 
     def test_a1_matches_eps_derivative_of_f1(self, riccati):
         # d/deps [1/(2(1+eps))] at 0 = -1/2 = [z^1] a_1
-        sol = solve_eps_expansion(riccati, 1, 8)
-        assert sol.a[1][0, 1].real == pytest.approx(-0.5)
+        a = solve_eps_expansion(riccati, 1, 8)
+        assert a[1][0, 1].real == pytest.approx(-0.5)
 
     def test_linear_problem_alternating(self, linear_problem):
         # f = z/(1+eps): a_i = (-1)^i z exactly
-        sol = solve_eps_expansion(linear_problem, 6, 14)
-        for i, ai in enumerate(sol.a):
+        a = solve_eps_expansion(linear_problem, 6, 14)
+        for i, ai in enumerate(a):
             expect = np.zeros(ai.shape[1])
             expect[1] = (-1.0) ** i
             np.testing.assert_allclose(ai[0].real, expect, atol=1e-12)
@@ -223,13 +223,13 @@ class TestAi:
     def test_nonlinear_cross_terms_present(self, riccati):
         # [z^3] a_2 = 59 = [eps^2] f_3; off by the quadratic block's
         # (1,1)-composition (one half here) if that cross term is dropped
-        sol = solve_eps_expansion(riccati, 2, 10)
-        assert sol.a[2][0, 3].real == pytest.approx(59.0)
+        a = solve_eps_expansion(riccati, 2, 10)
+        assert a[2][0, 3].real == pytest.approx(59.0)
 
     def test_delivered_orders(self, riccati):
         K = 12
-        sol = solve_eps_expansion(riccati, 4, K)
-        for i, ai in enumerate(sol.a):
+        a = solve_eps_expansion(riccati, 4, K)
+        for i, ai in enumerate(a):
             assert ai.shape == (1, (K if i == 0 else K - i) + 1)
 
     def test_insufficient_order(self, riccati):
@@ -240,8 +240,9 @@ class TestAi:
             solve_ai(riccati, [a0] + [None] * 4, 5, 5)
 
     def test_residuals_verified(self, riccati):
-        sol = solve_eps_expansion(riccati, 8, 30)
-        assert max(sol.residuals) <= 1e-10
+        # every order passes its check against the whole eps^i coefficient,
+        # which raises otherwise
+        solve_eps_expansion(riccati, 8, 30)
 
     def test_overflow_is_a_typed_error(self, riccati):
         # the a_i grow factorially in i and geometrically in z-order; by
@@ -253,8 +254,8 @@ class TestAi:
     def test_zero_problem_stays_zero(self):
         p = ProblemSpec(nu=1, rho=1.0, rho1=4.0, tensors=(
             CoeffTensor(0, 1, np.array([[[-1.0 + 0j]]])),))
-        sol = solve_eps_expansion(p, 5, 12)
-        for ai in sol.a:
+        a = solve_eps_expansion(p, 5, 12)
+        for ai in a:
             assert np.abs(ai).max() == 0.0
 
 
@@ -284,9 +285,9 @@ class TestTwoDimensional:
         frc[0, 0], frc[1, 0] = 1.0, 3.0
         p = ProblemSpec(nu=2, rho=1.0, rho1=4.0, tensors=(
             CoeffTensor(0, 1, a01), CoeffTensor(1, 0, frc)))
-        sol = solve_eps_expansion(p, 4, 10)
+        a = solve_eps_expansion(p, 4, 10)
         # component closed forms: z/(1+eps) and (3/2) z/(1+eps/2)
-        for i, ai in enumerate(sol.a):
+        for i, ai in enumerate(a):
             assert ai[0, 1].real == pytest.approx((-1.0) ** i)
             assert ai[1, 1].real == pytest.approx(1.5 * (-0.5) ** i)
         zsol = solve_coeffs_z(p, 0.3, 6)
@@ -319,20 +320,20 @@ class TestPointValues:
     def test_riccati_matches_z_series_at_low_order(self, riccati):
         # i <= 12 is where summing the z-series at 0 is still accurate
         jets = eps_values_at(riccati, 0.05, 12)
-        series = np.stack([_horner(a.T, 0.05) for a in solve_eps_expansion(riccati, 12, 60).a])
+        series = np.stack([_horner(a.T, 0.05) for a in solve_eps_expansion(riccati, 12, 60)])
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
     def test_coupled_problem_matches_z_series(self):
         p = coupled_problem()
         jets = eps_values_at(p, 0.02, 8)
-        series = np.stack([_horner(a.T, 0.02) for a in solve_eps_expansion(p, 8, 40).a])
+        series = np.stack([_horner(a.T, 0.02) for a in solve_eps_expansion(p, 8, 40)])
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
     def test_staggered_problem_matches_z_series(self, staggered):
         # the cubic arity enters only at eps^1 and the (1,1) block ends in
         # a zero eps-coefficient; recentring keeps both
         jets = eps_values_at(staggered, 0.02, 8)
-        series = np.stack([_horner(a.T, 0.02) for a in solve_eps_expansion(staggered, 8, 40).a])
+        series = np.stack([_horner(a.T, 0.02) for a in solve_eps_expansion(staggered, 8, 40)])
         np.testing.assert_allclose(jets, series, rtol=1e-11, atol=1e-11)
 
     def test_double_against_50_digits(self, riccati):

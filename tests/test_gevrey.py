@@ -128,8 +128,8 @@ class TestSupNorm:
         # does not
         p = ProblemSpec(nu=1, rho=riccati.rho, rho1=riccati.rho1, tensors=tuple(
             CoeffTensor(t.n, t.m, t.entries * 1e-11) for t in riccati.tensors))
-        got = sup_norm_disc(solve_eps_expansion(p, 12, 40).a[11], 0.05)
-        want = sup_norm_disc(solve_eps_expansion(riccati, 12, 40).a[11], 0.05) * 1e121
+        got = sup_norm_disc(solve_eps_expansion(p, 12, 40)[11], 0.05)
+        want = sup_norm_disc(solve_eps_expansion(riccati, 12, 40)[11], 0.05) * 1e121
         assert got == pytest.approx(want, rel=1e-10)
         assert got == pytest.approx(1.006e126, rel=1e-3)
 
@@ -186,8 +186,8 @@ class TestGevreyFit:
             gevrey_fit(norms)
 
     def test_riccati_norms(self, riccati):
-        sol = solve_eps_expansion(riccati, 30, 90)
-        norms = [sup_norm_disc(ai, 0.05) for ai in sol.a]
+        a = solve_eps_expansion(riccati, 30, 90)
+        norms = [sup_norm_disc(ai, 0.05) for ai in a]
         fit = gevrey_fit(norms)
         assert 0.0 < fit.mu < 2.0
         assert fit.r2 > 0.99

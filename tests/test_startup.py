@@ -23,7 +23,7 @@ SRC = str(Path(gevrey_kit.__file__).resolve().parents[1])
 #: names and the submodules
 PUBLIC_NAMES = sorted([
     "ArityMismatchError", "BorelData", "CoeffTensor",
-    "DegenerateSpectrumError", "EpsFormalSolution", "EvalResult", "EvaluationError",
+    "DegenerateSpectrumError", "EvalResult", "EvaluationError",
     "GevreyFit", "GevreyKitError", "InsufficientOrderError", "MatSeries",
     "NormalizationError", "PadeApproximant", "PoleObstructionError",
     "ProblemSpec", "RemainderProfile",
